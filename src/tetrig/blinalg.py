@@ -21,7 +21,7 @@ class DegenerateForm(Exception):
 def shared_spec(*elements: FieldElement) -> FieldSpec:
     spec = elements[0].spec
     for e in elements[1:]:
-        if e.spec != spec:
+        if e.spec is not spec:
             raise MixedFields("components drawn from different fields")
     return spec
 
@@ -96,13 +96,15 @@ class SymmetricForm:
     at construction, by explicit cofactors; instances are immutable.
     """
 
-    __slots__ = ("a1", "a2", "a3", "b1", "b2", "b3", "det", "_adj")
+    __slots__ = ("a1", "a2", "a3", "b1", "b2", "b3", "spec", "det", "_adj", "_values")
 
     def __init__(self, a1: FieldElement, a2: FieldElement, a3: FieldElement,
                  b1: FieldElement, b2: FieldElement, b3: FieldElement):
-        shared_spec(a1, a2, a3, b1, b2, b3)
+        self.spec = shared_spec(a1, a2, a3, b1, b2, b3)
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.b1, self.b2, self.b3 = b1, b2, b3
+        # raw entry values for the fused `dot`
+        self._values = tuple(e._value for e in (a1, a2, a3, b1, b2, b3))
         adj00 = a2 * a3 - b1 * b1
         adj01 = b1 * b2 - a3 * b3
         adj02 = b1 * b3 - a2 * b2
@@ -127,10 +129,6 @@ class SymmetricForm:
         zero = d1.spec.zero()
         return cls(d1, d2, d3, zero, zero, zero)
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.a1.spec
-
     def rows(self):
         return ((self.a1, self.b3, self.b2),
                 (self.b3, self.a2, self.b1),
@@ -143,16 +141,18 @@ class SymmetricForm:
         return (self.a1, self.a2, self.a3, self.b1, self.b2, self.b3)
 
     def _check(self, v: Vector3) -> None:
-        if v.spec != self.spec:
+        if v.spec is not self.spec:
             raise MixedFields("vector and form drawn from different fields")
 
     def dot(self, v: Vector3, w: Vector3) -> FieldElement:
+        """v B w^T, evaluated on raw values and reduced once."""
         self._check(v)
         self._check(w)
-        u0 = v.x * self.a1 + v.y * self.b3 + v.z * self.b2
-        u1 = v.x * self.b3 + v.y * self.a2 + v.z * self.b1
-        u2 = v.x * self.b2 + v.y * self.b1 + v.z * self.a3
-        return u0 * w.x + u1 * w.y + u2 * w.z
+        a1, a2, a3, b1, b2, b3 = self._values
+        x, y, z = v.x._value, v.y._value, v.z._value
+        return self.spec._wrap((x * a1 + y * b3 + z * b2) * w.x._value
+                               + (x * b3 + y * a2 + z * b1) * w.y._value
+                               + (x * b2 + y * b1 + z * a3) * w.z._value)
 
     def quadrance(self, v: Vector3) -> FieldElement:
         return self.dot(v, v)
@@ -192,7 +192,8 @@ def vector_triple(v1: Vector3, v2: Vector3, v3: Vector3, form: SymmetricForm) ->
     expanded = (v2 * form.dot(v1, v3) - v3 * form.dot(v1, v2)) * form.det
     # the two evaluation routes agree identically; a mismatch means the
     # cached adjugate or determinant is corrupt
-    assert direct == expanded
+    if direct != expanded:
+        raise RuntimeError("internal check failed: vector triple routes disagree")
     return direct
 
 

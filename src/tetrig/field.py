@@ -4,12 +4,23 @@ Every scalar quantity in this package is a FieldElement: a reduced
 arbitrary-precision fraction when the field is Q, or a canonical residue
 in [0, p) when the field is F_p.  Characteristic 2 is excluded because
 polarisation divides by 2.
+
+FieldSpec is interned: there is one instance per modulus (None for Q) in a
+process, so a modulus is checked for primality once, and specs compare by
+identity.  Two elements lie in the same field exactly when their specs are
+the same object.
+
+The public constructor `FieldElement(spec, value)` validates its input.
+Arithmetic results skip that: `FieldSpec._wrap` takes a raw value computed
+from the canonical values of the same field by +, -, * and exact division,
+reduces it once mod p over F_p, and keeps the Fraction as it is over Q.
+Other modules of this package evaluate fused formulas on the raw `_value`s
+of their operands and wrap the result the same way.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -51,19 +62,42 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Identifies the coefficient field: Q when p is None, else F_p."""
+    """Identifies the coefficient field: Q when p is None, else F_p.
 
-    p: int | None = None
+    Interned and immutable: `FieldSpec(p)`, `FieldSpec.prime(p)` and
+    `FieldSpec.rational()` return the one instance for their modulus.  An
+    invalid modulus raises on every call and is never cached.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p is None:
-            return
-        if self.p == 2:
-            raise InvalidFieldSpec("characteristic 2 is excluded")
-        if not _is_prime(self.p):
-            raise InvalidFieldSpec(f"modulus {self.p} is not prime")
+    __slots__ = ("p",)
+    _interned: dict = {}  # modulus -> its only instance; None stands for Q
+
+    def __new__(cls, p: int | None = None) -> "FieldSpec":
+        if p is not None and not isinstance(p, int):
+            raise InvalidFieldSpec(f"modulus {p!r} is not an integer")
+        spec = cls._interned.get(p)
+        if spec is not None:
+            return spec
+        if p is not None:
+            if p == 2:
+                raise InvalidFieldSpec("characteristic 2 is excluded")
+            if not _is_prime(p):
+                raise InvalidFieldSpec(f"modulus {p} is not prime")
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "p", p)
+        # setdefault: threads racing on a new modulus all get the same instance
+        return cls._interned.setdefault(p, spec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("FieldSpec is immutable")
+
+    def __reduce__(self):
+        # unpickling and copying go through the cache, so identity survives
+        return (FieldSpec, (self.p,))
 
     @classmethod
     def rational(cls) -> "FieldSpec":
@@ -93,6 +127,21 @@ class FieldSpec:
             return FieldElement(self, rng.randrange(self.p))
         return FieldElement(self, Fraction(rng.randint(-max_numerator, max_numerator),
                                            rng.randint(1, max_denominator)))
+
+    def _wrap(self, value: int | Fraction) -> "FieldElement":
+        """Element from a raw value built from canonical values of this field.
+
+        Reduces once mod p over F_p; over Q the value is already a reduced
+        Fraction.  No type checks: this is for arithmetic results only.
+        """
+        element = object.__new__(FieldElement)
+        element.spec = self
+        p = self.p
+        element._value = value if p is None else value % p
+        return element
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(p={self.p!r})"
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F_{self.p}"
@@ -154,19 +203,20 @@ class FieldElement:
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
+        """Raw value of a same-field element or an int operand; None for other types."""
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec:
                 raise MixedFields(f"cannot combine {self.spec} and {other.spec} elements")
-            return other
+            return other._value
         if isinstance(other, int) and not isinstance(other, bool):
-            return FieldElement(self.spec, other)
+            return other
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.spec, self._value + o._value)
+        return self.spec._wrap(self._value + o)
 
     __radd__ = __add__
 
@@ -174,19 +224,19 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.spec, self._value - o._value)
+        return self.spec._wrap(self._value - o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.spec, o._value - self._value)
+        return self.spec._wrap(o - self._value)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.spec, self._value * o._value)
+        return self.spec._wrap(self._value * o)
 
     __rmul__ = __mul__
 
@@ -194,16 +244,25 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return self._divide(self._value, o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return self._divide(o, self._value)
+
+    def _divide(self, num, den):
+        # over Q one of num, den is this element's Fraction, so `/` stays exact
+        p = self.spec.p
+        if (den if p is None else den % p) == 0:
+            raise DivisionByZero("the zero element has no inverse")
+        if p is None:
+            return self.spec._wrap(num / den)
+        return self.spec._wrap(num * pow(den, -1, p))
 
     def __neg__(self):
-        return FieldElement(self.spec, -self._value)
+        return self.spec._wrap(-self._value)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -211,23 +270,18 @@ class FieldElement:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         if self.spec.p is not None:
-            return FieldElement(self.spec, pow(self._value, exponent, self.spec.p))
-        return FieldElement(self.spec, self._value ** exponent)
+            return self.spec._wrap(pow(self._value, exponent, self.spec.p))
+        return self.spec._wrap(self._value ** exponent)
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero:
-            raise DivisionByZero("the zero element has no inverse")
-        if self.spec.p is not None:
-            # Fermat: x^(p-2) inverts x in F_p
-            return FieldElement(self.spec, pow(self._value, self.spec.p - 2, self.spec.p))
-        return FieldElement(self.spec, 1 / self._value)
+        return self._divide(1, self._value)
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self._value == other._value
+        return self.spec is other.spec and self._value == other._value
 
     def __hash__(self) -> int:
         return hash((self.spec, self._value))

@@ -16,7 +16,8 @@ from typing import Union
 from .affine import Point3, b_project, displacement, translate
 from .blinalg import SymmetricForm, Vector3, b_cross, scalar_triple, shared_spec
 from .field import FieldElement, MixedFields
-from .trig import TriLines, archimedes, dual_solid_spread, quadrance, quadrume, spread_vectors
+from .trig import (archimedes, quadrance, quadrume, solid_spread_from_parts,
+                   spread_from_parts)
 
 
 class NotSkewOrDegenerate(Exception):
@@ -225,7 +226,12 @@ def skew_quadrance_closed_form(tet: Tetrahedron, pairing) -> FieldElement:
 def analyze(tet: Tetrahedron) -> InvariantReport:
     """Compute the full invariant report from the defining formulas."""
     form = tet.form
-    q = {e: quadrance(tet.vertex(e[0]), tet.vertex(e[1]), form) for e in EDGES}
+    # each edge vector is built once; the reverse direction is its negation
+    edge = {}
+    for (i, j) in EDGES:
+        v = displacement(tet.vertex(i), tet.vertex(j))
+        edge[(i, j)], edge[(j, i)] = v, -v
+    q = {e: form.quadrance(edge[e]) for e in EDGES}
     a = {}
     for (i, j, k) in FACES:
         a[(i, j, k)] = archimedes(q[edge_key(j, k)], q[edge_key(i, k)], q[edge_key(i, j)])
@@ -233,16 +239,22 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
 
     face_spreads = {}
     for (i, j, k) in FACE_SPREAD_KEYS:
-        if q[edge_key(i, j)].is_zero or q[edge_key(i, k)].is_zero:
+        qij, qik = q[edge_key(i, j)], q[edge_key(i, k)]
+        if qij.is_zero or qik.is_zero:
             face_spreads[(i, j, k)] = Undefined(REASON_NULL_EDGE)
         else:
-            face_spreads[(i, j, k)] = spread_vectors(tet.edge_vector(i, j),
-                                                     tet.edge_vector(i, k), form)
+            face_spreads[(i, j, k)] = spread_from_parts(form.dot(edge[(i, j)], edge[(i, k)]),
+                                                        qij, qik)
 
-    # one normal direction per face; dihedral spreads are scale-invariant in these
+    # One normal per face, with its quadrance Q(n) = det B * A / 4: it is zero
+    # exactly where the face quadrea is, so the A == 0 gates below decide
+    # Undefined.  A normal built at another vertex of the face differs only in
+    # sign, which the squares in every spread cancel.
     normals = {}
+    qn = {}
     for (i, j, k) in FACES:
-        normals[(i, j, k)] = b_cross(tet.edge_vector(i, j), tet.edge_vector(i, k), form)
+        n = b_cross(edge[(i, j)], edge[(i, k)], form)
+        normals[(i, j, k)], qn[(i, j, k)] = n, form.quadrance(n)
 
     dihedral_spreads = {}
     for (i, j) in EDGES:
@@ -251,9 +263,8 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
         if a[f1].is_zero or a[f2].is_zero:
             dihedral_spreads[(i, j)] = Undefined(REASON_NULL_NORMAL)
         else:
-            n1, n2 = normals[f1], normals[f2]
-            d = form.dot(n1, n2)
-            dihedral_spreads[(i, j)] = 1 - d * d / (form.quadrance(n1) * form.quadrance(n2))
+            dihedral_spreads[(i, j)] = spread_from_parts(form.dot(normals[f1], normals[f2]),
+                                                         qn[f1], qn[f2])
 
     solid_spreads = {}
     for i in VERTICES:
@@ -261,11 +272,12 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
         if any(q[edge_key(i, m)].is_zero for m in (j, k, l)):
             solid_spreads[i] = Undefined(REASON_NULL_EDGE)
         else:
-            t = scalar_triple(tet.edge_vector(i, j), tet.edge_vector(i, k),
-                              tet.edge_vector(i, l), form)
-            solid_spreads[i] = t * t / (form.det * q[edge_key(i, j)]
-                                        * q[edge_key(i, k)] * q[edge_key(i, l)])
+            t = scalar_triple(edge[(i, j)], edge[(i, k)], edge[(i, l)], form)
+            solid_spreads[i] = solid_spread_from_parts(t, q[edge_key(i, j)], q[edge_key(i, k)],
+                                                       q[edge_key(i, l)], form)
 
+    # the dual solid spread is the solid spread of the normals of the three
+    # faces at the vertex
     dual_solid_spreads = {}
     for i in VERTICES:
         j, k, l = _others(i)
@@ -273,9 +285,8 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
         if any(a[f].is_zero for f in faces_at):
             dual_solid_spreads[i] = Undefined(REASON_NULL_NORMAL)
         else:
-            lines = TriLines(tet.vertex(i), tet.edge_vector(i, j),
-                             tet.edge_vector(i, k), tet.edge_vector(i, l))
-            dual_solid_spreads[i] = dual_solid_spread(lines, form)
+            t = scalar_triple(*(normals[f] for f in faces_at), form)
+            dual_solid_spreads[i] = solid_spread_from_parts(t, *(qn[f] for f in faces_at), form)
 
     if any(a[f].is_zero for f in FACES):
         ratio_constant: Entry = Undefined(REASON_ZERO_QUADREA)

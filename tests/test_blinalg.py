@@ -229,6 +229,17 @@ def test_vector_triple_expansion():
             assert got == expanded
 
 
+def test_vector_triple_detects_corrupt_adjugate():
+    form = diag123(Q)
+    e1, e2, e3 = vec(Q, 1, 0, 0), vec(Q, 0, 1, 0), vec(Q, 0, 0, 1)
+    assert vector_triple(e1, e2, e1, form) == vec(Q, 0, 6, 0)
+    form._adj = tuple(tuple(x + 1 for x in row) for row in form._adj)
+    with pytest.raises(RuntimeError, match="vector triple"):
+        vector_triple(e1, e2, e1, form)
+    with pytest.raises(RuntimeError, match="vector triple"):
+        vector_triple(e1, e2, e3, form)
+
+
 def test_quad_scalar_examples():
     v = vec(Q, 1, 0, 1)
     w = vec(Q, 0, 1, 1)

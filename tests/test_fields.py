@@ -1,6 +1,11 @@
 """Field arithmetic: literals, canonical forms, axioms, inverses."""
 
+import copy
 import math
+import pickle
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -83,6 +88,98 @@ def test_invalid_moduli_rejected(p):
 def test_odd_primes_accepted():
     for p in (3, 7, 101, 10007):
         assert FieldSpec.prime(p).p == p
+
+
+# ---------------------------------------------------------------------------
+# interning: one spec per modulus, compared by identity
+# ---------------------------------------------------------------------------
+
+def test_spec_is_interned():
+    assert FieldSpec.prime(101) is FieldSpec.prime(101) is FieldSpec(101)
+    assert FieldSpec(None) is FieldSpec.rational() is FieldSpec() is Q
+    assert FieldSpec.prime(7) is not FieldSpec.prime(11)
+
+
+@pytest.mark.parametrize("spec", [Q, F7, FieldSpec.prime(10007)])
+def test_spec_identity_survives_pickle_and_copy(spec):
+    assert pickle.loads(pickle.dumps(spec)) is spec
+    assert copy.deepcopy(spec) is spec
+    assert copy.copy(spec) is spec
+    x = spec.element(3)
+    assert pickle.loads(pickle.dumps(x)) + x == x * 2
+
+
+def test_spec_is_immutable():
+    with pytest.raises(AttributeError):
+        F7.p = 11
+    with pytest.raises(AttributeError):
+        del F7.p
+    assert F7.p == 7
+
+
+def test_primality_checked_once_per_modulus(monkeypatch):
+    import tetrig.field as field
+
+    calls = []
+    real = field._is_prime
+    monkeypatch.setattr(field, "_is_prime", lambda n: calls.append(n) or real(n))
+    p = 1000003
+    monkeypatch.delitem(FieldSpec._interned, p, raising=False)
+    for _ in range(3):
+        assert FieldSpec.prime(p).p == p
+    assert calls == [p]
+
+
+def test_concurrent_first_builds_share_one_instance(monkeypatch):
+    import tetrig.field as field
+
+    real = field._is_prime
+    # a slow primality test lets every thread miss the cache before any fills it
+    monkeypatch.setattr(field, "_is_prime", lambda n: time.sleep(0.01) or real(n))
+    p = 1000033
+    monkeypatch.delitem(FieldSpec._interned, p, raising=False)
+    barrier = threading.Barrier(8)
+    got = []
+
+    def build():
+        barrier.wait(timeout=30)
+        got.append(FieldSpec.prime(p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8
+    assert all(spec is FieldSpec._interned[p] for spec in got)
+
+
+@pytest.mark.parametrize("p", [2, 1, 0, -7, 9, 10001])
+def test_invalid_modulus_raises_every_call_and_is_not_cached(p):
+    for _ in range(3):
+        with pytest.raises(InvalidFieldSpec):
+            FieldSpec.prime(p)
+    assert p not in FieldSpec._interned
+
+
+@pytest.mark.parametrize("p", [7.0, 7.5, "7"])
+def test_non_integer_modulus_rejected(p):
+    with pytest.raises(InvalidFieldSpec):
+        FieldSpec.prime(p)
+
+
+def test_mixed_fields_still_rejected_after_interning():
+    with pytest.raises(MixedFields):
+        F7.one() + FieldSpec.prime(11).one()
+    with pytest.raises(MixedFields):
+        Q.one() * F7.one()
+    assert F7.one() != FieldSpec.prime(11).one()
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import itertools
 
 import pytest
 
-from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
-                    NotSkewOrDegenerate, NotTriRectangular,
-                    NullCommonPerpendicular, NullPivot, Point3, SymmetricForm,
-                    Tetrahedron, TriRectParams, Undefined, Vector3, analyze,
-                    b_dot, is_defined, quadrance_vec, skew_quadrance,
+from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams,
+                    DegeneratePlane, FieldSpec, NotSkewOrDegenerate,
+                    NotTriRectangular, NullCommonPerpendicular, NullCross,
+                    NullNormal, NullPivot, Point3, SymmetricForm, Tetrahedron,
+                    TriLines, TriRectParams, Undefined, Vector3, analyze,
+                    b_cross, b_dot, dihedral_spread, dual_solid_spread,
+                    is_defined, plane_through, quadrance_vec, skew_quadrance,
                     skew_quadrance_closed_form, translate,
                     tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
@@ -100,6 +102,53 @@ def test_analyze_null_edge_over_f7():
     assert rep.face_spreads[(1, 0, 2)] == Undefined("NullEdge")
     assert rep.solid_spreads[0] == Undefined("NullEdge")
     assert rep.face_spreads[(2, 0, 1)] != Undefined("NullEdge")
+
+
+def _trig_entry(compute):
+    """Value of a trig spread, or the Undefined that analyze reports when a
+    face normal vanishes or has quadrance zero."""
+    try:
+        return compute()
+    except (DegeneratePlane, NullNormal, NullCross):
+        return Undefined("NullNormal")
+
+
+def _trig_dual_solid(tet, i):
+    j, k, l = (m for m in range(4) if m != i)
+    try:
+        lines = TriLines(tet.vertex(i), tet.edge_vector(i, j), tet.edge_vector(i, k),
+                         tet.edge_vector(i, l))
+    except ValueError:  # a repeated point: its edge and the faces on it are null
+        return Undefined("NullNormal")
+    return _trig_entry(lambda: dual_solid_spread(lines, tet.form))
+
+
+@pytest.mark.parametrize("spec", [Q, F7, FieldSpec.prime(10007)], ids=str)
+def test_analyze_shared_normals_agree_with_trig(spec):
+    # analyze builds each face normal once and gates on A == 0; trig builds
+    # fresh normals at the vertex and raises when one has quadrance zero
+    rnd = rng(41)
+    undefined = 0
+    for _ in range(200):
+        tet = rand_tet(spec, rnd)
+        form = tet.form
+        rep = analyze(tet)
+        for (i, j, k) in FACES:
+            n = b_cross(tet.edge_vector(i, j), tet.edge_vector(i, k), form)
+            assert quadrance_vec(n, form) * 4 == form.det * rep.quadreas[(i, j, k)]
+        for (i, j) in EDGES:
+            k, l = (m for m in range(4) if m not in (i, j))
+            expected = _trig_entry(lambda: dihedral_spread(
+                plane_through(tet.vertex(i), tet.vertex(j), tet.vertex(k)),
+                plane_through(tet.vertex(i), tet.vertex(j), tet.vertex(l)), form))
+            assert rep.dihedral_spreads[(i, j)] == expected
+            undefined += not is_defined(expected)
+        for i in range(4):
+            expected = _trig_dual_solid(tet, i)
+            assert rep.dual_solid_spreads[i] == expected
+            undefined += not is_defined(expected)
+    if spec.p == 7:
+        assert undefined > 0
 
 
 def _ekey(perm, i, j):
