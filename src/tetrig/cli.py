@@ -200,7 +200,7 @@ def run_report(doc: InputDocument) -> dict:
         out["identities"] = results_to_obj(verify_identities(report))
     if doc.options.tri_rectangular:
         try:
-            out["tri_rectangular"] = results_to_obj(tri_rectangular_checks(doc.tetrahedron))
+            out["tri_rectangular"] = results_to_obj(tri_rectangular_checks(report))
         except (NotTriRectangular, DegenerateParams) as exc:
             raise InputError(f"tri_rectangular: {exc}") from exc
     return out
@@ -249,7 +249,7 @@ def run_verify(doc: InputDocument, corrupt: str | None = None) -> tuple[dict, in
     verdicts = list(results.verdicts)
     if doc.options.tri_rectangular:
         try:
-            verdicts.extend(tri_rectangular_checks(doc.tetrahedron).verdicts)
+            verdicts.extend(tri_rectangular_checks(report).verdicts)
         except (NotTriRectangular, DegenerateParams) as exc:
             raise InputError(f"tri_rectangular: {exc}") from exc
     combined = CheckResults(verdicts)
@@ -311,33 +311,36 @@ def _run_sample(cfg: FuzzConfig, index: int):
             row[2] += 1
         else:
             failed.append(v)
-    failure = None
+    failures = []
     if failed:
-        failure = {
+        failures.append({
             "sample": index,
             "input": document_to_obj(tet),
             "failed": [{"identity": v.identity, "instance": v.instance} for v in failed],
-        }
-    return tally, failure, rejected_forms, rejected_degenerate
+        })
+    return tally, failures, rejected_forms, rejected_degenerate
 
 
-def _run_range(cfg: FuzzConfig, lo: int, hi: int):
+def _merge(parts):
+    """Sum (tally, failures, rejected_forms, rejected_degenerate) parts in order."""
     tally = {name: [0, 0, 0] for name in FUZZ_IDENTITY_NAMES}
     failures = []
     rejected_forms = 0
     rejected_degenerate = 0
-    for index in range(lo, hi):
-        sample_tally, failure, forms, degenerate = _run_sample(cfg, index)
-        for name, row in sample_tally.items():
+    for part_tally, part_failures, forms, degenerate in parts:
+        for name, row in part_tally.items():
             agg = tally[name]
             agg[0] += row[0]
             agg[1] += row[1]
             agg[2] += row[2]
-        if failure is not None:
-            failures.append(failure)
+        failures.extend(part_failures)
         rejected_forms += forms
         rejected_degenerate += degenerate
     return tally, failures, rejected_forms, rejected_degenerate
+
+
+def _run_range(cfg: FuzzConfig, lo: int, hi: int):
+    return _merge(_run_sample(cfg, index) for index in range(lo, hi))
 
 
 def run_fuzz(cfg: FuzzConfig) -> tuple[dict, int]:
@@ -360,19 +363,7 @@ def run_fuzz(cfg: FuzzConfig) -> tuple[dict, int]:
             parts = list(pool.map(_run_range, [cfg] * len(ranges),
                                   [r[0] for r in ranges], [r[1] for r in ranges]))
 
-    tally = {name: [0, 0, 0] for name in FUZZ_IDENTITY_NAMES}
-    failures = []
-    rejected_forms = 0
-    rejected_degenerate = 0
-    for part_tally, part_failures, forms, degenerate in parts:
-        for name, row in part_tally.items():
-            agg = tally[name]
-            agg[0] += row[0]
-            agg[1] += row[1]
-            agg[2] += row[2]
-        failures.extend(part_failures)
-        rejected_forms += forms
-        rejected_degenerate += degenerate
+    tally, failures, rejected_forms, rejected_degenerate = _merge(parts)
     failures.sort(key=lambda f: f["sample"])
 
     summary = {

@@ -2,10 +2,10 @@
 skew quadrances of opposite edges, and the tri-rectangular specialization.
 
 A report stores every invariant fully expanded, computed from the defining
-formulas; the closed forms are used only as internal cross-checks and as
-verification identities.  Quantities whose defining formula divides by a
-vanishing quadrance are recorded as Undefined with a machine-readable
-reason rather than silently substituted.
+formulas; the closed forms are used only as verification identities, so
+`verify_identities` is the one place that checks them.  Quantities whose
+defining formula divides by a vanishing quadrance are recorded as Undefined
+with a machine-readable reason rather than silently substituted.
 """
 
 from __future__ import annotations
@@ -294,45 +294,18 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
         prod_a = a[FACES[0]] * a[FACES[1]] * a[FACES[2]] * a[FACES[3]]
         ratio_constant = vol * vol * 16 / prod_a
 
+    # den = 4 Q(n) / det B for the common perpendicular n, so a nonzero
+    # denominator is exactly the case where the projection route is defined
     skew_quadrances = {}
     for pairing in SKEW_PAIRINGS:
-        den = _skew_denominator(q, pairing)
-        if den.is_zero:
+        if _skew_denominator(q, pairing).is_zero:
             skew_quadrances[pairing] = Undefined(REASON_ZERO_DENOMINATOR)
         else:
-            value = skew_quadrance(tet, pairing)
-            if value != vol / den:
-                raise RuntimeError("internal check failed: skew quadrance routes disagree")
-            skew_quadrances[pairing] = value
+            skew_quadrances[pairing] = skew_quadrance(tet, pairing)
 
-    report = InvariantReport(tet, q, a, vol, face_spreads, dihedral_spreads,
-                             solid_spreads, dual_solid_spreads, ratio_constant,
-                             skew_quadrances)
-    _cross_check_closed_forms(report)
-    return report
-
-
-def _cross_check_closed_forms(report: InvariantReport) -> None:
-    # defined entries must satisfy the closed forms; a mismatch would mean
-    # the definitional pipeline itself is broken
-    q, a, vol = report.quadrances, report.quadreas, report.quadrume
-    for (i, j), entry in report.dihedral_spreads.items():
-        if is_defined(entry):
-            k, l = _others(i, j)
-            if entry * a[face_key(i, j, k)] * a[face_key(i, j, l)] != q[(i, j)] * vol * 4:
-                raise RuntimeError("internal check failed: dihedral spread closed form")
-    for i, entry in report.solid_spreads.items():
-        if is_defined(entry):
-            j, k, l = _others(i)
-            lhs = entry * q[edge_key(i, j)] * q[edge_key(i, k)] * q[edge_key(i, l)] * 4
-            if lhs != vol:
-                raise RuntimeError("internal check failed: solid spread closed form")
-    for i, entry in report.dual_solid_spreads.items():
-        if is_defined(entry):
-            j, k, l = _others(i)
-            lhs = entry * a[face_key(i, j, k)] * a[face_key(i, j, l)] * a[face_key(i, k, l)]
-            if lhs != vol * vol * 4:
-                raise RuntimeError("internal check failed: dual solid spread closed form")
+    return InvariantReport(tet, q, a, vol, face_spreads, dihedral_spreads,
+                           solid_spreads, dual_solid_spreads, ratio_constant,
+                           skew_quadrances)
 
 
 def _all_defined(*entries: Entry) -> bool:
@@ -524,11 +497,10 @@ def corner_params(tet: Tetrahedron) -> TriRectParams:
     return TriRectParams(form.quadrance(v1), form.quadrance(v2), form.quadrance(v3))
 
 
-def tri_rectangular_checks(tet: Tetrahedron) -> CheckResults:
-    """Verdicts for the right-corner closed forms and sum relations."""
-    params = corner_params(tet)
-    report = analyze(tet)
-    one = tet.spec.one()
+def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
+    """Verdicts for the right-corner closed forms and sum relations of `report`."""
+    params = corner_params(report.tetrahedron)
+    one = report.tetrahedron.spec.one()
     verdicts = []
 
     def compare(identity, instance, entry, expected):

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from tetrig import FieldSpec, parse_element
-from tetrig.cli import (FuzzConfig, InputError, document_from_obj, load_document,
-                        main, run_fuzz, run_report, run_verify)
+from tetrig.cli import (FuzzConfig, InputError, document_from_obj, document_to_obj,
+                        load_document, main, run_fuzz, run_report, run_verify)
 from support import Q
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -116,6 +116,17 @@ def test_verify_corrupt_accepts_every_section(key):
     assert code == 1
 
 
+def test_verify_corrupt_reaches_right_corner_checks():
+    # the right-corner checks read the same (corrupted) report as the identities
+    doc = load_document((FIXTURES / "tri_rectangular_mixed_corner.json").read_text())
+    out, code = run_verify(doc, corrupt="S.1")
+    assert code == 1
+    failed = {(v["identity"], v["instance"]) for v in out["verdicts"]
+              if v["status"] == "fail"}
+    assert ("closed-form-solid-spread", "S1") in failed
+    assert ("solid-spread-square", "(1-S1-S2-S3)^2") in failed
+
+
 def test_verify_corrupt_unknown_key_rejected():
     with pytest.raises(InputError):
         run_verify(load_fixture_doc(), corrupt="X.99")
@@ -218,6 +229,25 @@ def test_fuzz_allow_degenerate():
                                         reject_degenerate=False))
     assert code == 0
     assert summary["rejected"]["degenerate_tetrahedra"] == 0
+
+
+def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
+    # a wrong defining formula must surface as failing verdicts with a
+    # replayable input document, not as an exception from inside analyze
+    from tetrig import tetra
+    solid_spread = tetra.solid_spread_from_parts
+    monkeypatch.setattr(tetra, "solid_spread_from_parts",
+                        lambda *args: solid_spread(*args) + 1)
+    summary, code = run_fuzz(FuzzConfig(prime=101, samples=3, seed=1))
+    assert code == 1
+    recorded = [f for f in summary["failures"]
+                if any(v["identity"] == "solid-spread-formula" for v in f["failed"])]
+    assert recorded
+    for failure in recorded:
+        doc = load_document(json.dumps(failure["input"]))
+        assert document_to_obj(doc.tetrahedron) == failure["input"]
+    _, code = run_verify(load_fixture_doc())
+    assert code == 1
 
 
 def test_fuzz_invalid_prime_is_exit_2(capsys):

@@ -23,6 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # report/verify inputs; the counterexample fixture carries its document under "input"
 DOCUMENTS = {
     "unit_tri_rectangular": (FIXTURES / "unit_tri_rectangular.json").read_text(),
+    "tri_rectangular_mixed_corner": (FIXTURES / "tri_rectangular_mixed_corner.json").read_text(),
+    "tri_rectangular_f101": (FIXTURES / "tri_rectangular_f101.json").read_text(),
     "skew_denominator_counterexample": json.dumps(
         json.loads((FIXTURES / "skew_denominator_counterexample.json").read_text())["input"]),
 }

@@ -319,7 +319,7 @@ def test_frame_null_pivot():
 
 
 def test_tri_rectangular_checks_unit_corner():
-    results = tri_rectangular_checks(unit_tri_rect(Q))
+    results = tri_rectangular_checks(analyze(unit_tri_rect(Q)))
     counts = results.counts()
     assert counts["fail"] == 0 and counts["inapplicable"] == 0
 
@@ -332,7 +332,7 @@ def test_tri_rectangular_checks_mixed_corner_quadrances():
                       pt(spec, 0, 0, 1), form)
     rep = analyze(tet)
     assert rep.solid_spreads[1] == spec.element(6) / (spec.element(3) * spec.element(4))
-    results = tri_rectangular_checks(tet)
+    results = tri_rectangular_checks(rep)
     assert results.all_applicable_pass
     s1, s2, s3 = (rep.solid_spreads[i] for i in (1, 2, 3))
     assert (1 - s1 - s2 - s3) ** 2 == 4 * s1 * s2 * s3
@@ -342,7 +342,7 @@ def test_tri_rectangular_checks_rejects_skewed_corner():
     tet = Tetrahedron(pt(Q, 0, 0, 0), pt(Q, 1, 0, 0), pt(Q, 1, 1, 0),
                       pt(Q, 0, 0, 1), SymmetricForm.identity(Q))
     with pytest.raises(NotTriRectangular):
-        tri_rectangular_checks(tet)
+        tri_rectangular_checks(analyze(tet))
 
 
 def test_tri_rectangular_params_degenerate_sum():
@@ -366,7 +366,7 @@ def test_tri_rectangular_checks_random_frames():
         tet = Tetrahedron(base, translate(base, v1), translate(base, v2),
                           translate(base, v3), form)
         try:
-            results = tri_rectangular_checks(tet)
+            results = tri_rectangular_checks(analyze(tet))
         except DegenerateParams:
             continue
         assert results.all_applicable_pass
