@@ -9,7 +9,7 @@ from .blinalg import (DegenerateForm, SymmetricForm, Vector3, b_cross, b_dot,
                       quadrance_vec, scalar_triple, triple_of_crosses,
                       vector_triple)
 from .field import (DivisionByZero, FieldElement, FieldError, FieldSpec,
-                    InvalidFieldSpec, MalformedLiteral, MixedFields,
+                    InvalidFieldSpec, LiteralTooLong, MalformedLiteral, MixedFields,
                     ZeroDenominator, invert, parse_element, render)
 from .tetra import (EDGES, FACES, IDENTITY_NAMES, SKEW_PAIRINGS, CheckResults,
                     DegenerateParams, InvariantReport, NotSkewOrDegenerate,

@@ -10,6 +10,7 @@ not 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .field import FieldElement, FieldSpec, MixedFields
 
@@ -88,36 +89,62 @@ def mat3_det(rows) -> FieldElement:
             + m02 * (m10 * m21 - m11 * m20))
 
 
+def dot_values(b, v, w):
+    """v B w^T on raw values: b = (a1, a2, a3, b1, b2, b3), v and w triples."""
+    a1, a2, a3, b1, b2, b3 = b
+    x, y, z = v
+    return ((x * a1 + y * b3 + z * b2) * w[0] + (x * b3 + y * a2 + z * b1) * w[1]
+            + (x * b2 + y * b1 + z * a3) * w[2])
+
+
+def adj_cross_values(adj, v, w):
+    """(v x w) adj B on raw values: adj holds the adjugate as three rows."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = adj
+    cx = v[1] * w[2] - v[2] * w[1]
+    cy = v[2] * w[0] - v[0] * w[2]
+    cz = v[0] * w[1] - v[1] * w[0]
+    return (cx * a00 + cy * a10 + cz * a20,
+            cx * a01 + cy * a11 + cz * a21,
+            cx * a02 + cy * a12 + cz * a22)
+
+
+def _raw(v: Vector3):
+    return (v.x._value, v.y._value, v.z._value)
+
+
 class SymmetricForm:
     """Symmetric 3x3 matrix with nonzero determinant.
 
     Entry layout: a1, a2, a3 on the diagonal; b1 in rows/columns 2-3,
     b2 in 1-3, b3 in 1-2.  The determinant and adjugate are computed once,
-    at construction, by explicit cofactors; instances are immutable.
+    at construction, by explicit cofactors; instances are immutable.  The
+    form keeps M B as raw ints (`_ints`) with its adjugate (`_adj`) and
+    determinant (`_int_det`); M (`_scale`) is the lcm of the entry
+    denominators over Q, and over F_p M = 1 and all three are reduced mod p.
     """
 
-    __slots__ = ("a1", "a2", "a3", "b1", "b2", "b3", "spec", "det", "_adj", "_values")
+    __slots__ = ("a1", "a2", "a3", "b1", "b2", "b3", "spec", "det",
+                 "_ints", "_adj", "_int_det", "_scale")
 
     def __init__(self, a1: FieldElement, a2: FieldElement, a3: FieldElement,
                  b1: FieldElement, b2: FieldElement, b3: FieldElement):
-        self.spec = shared_spec(a1, a2, a3, b1, b2, b3)
+        spec = self.spec = shared_spec(a1, a2, a3, b1, b2, b3)
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.b1, self.b2, self.b3 = b1, b2, b3
-        # raw entry values for the fused `dot`
-        self._values = tuple(e._value for e in (a1, a2, a3, b1, b2, b3))
-        adj00 = a2 * a3 - b1 * b1
-        adj01 = b1 * b2 - a3 * b3
-        adj02 = b1 * b3 - a2 * b2
-        adj11 = a1 * a3 - b2 * b2
-        adj12 = b2 * b3 - a1 * b1
-        adj22 = a1 * a2 - b3 * b3
-        det = a1 * adj00 + b3 * adj01 + b2 * adj02
-        if det.is_zero:
+        values = [e._value for e in (a1, a2, a3, b1, b2, b3)]
+        p = spec.p
+        m = lcm(*(v.denominator for v in values))  # 1 over F_p
+        i1, i2, i3, j1, j2, j3 = ints = tuple(int(v * m) for v in values)
+        adj = ((i2 * i3 - j1 * j1, j1 * j2 - i3 * j3, j1 * j3 - i2 * j2),
+               (j1 * j2 - i3 * j3, i1 * i3 - j2 * j2, j2 * j3 - i1 * j1),
+               (j1 * j3 - i2 * j2, j2 * j3 - i1 * j1, i1 * i2 - j3 * j3))
+        det = i1 * adj[0][0] + j3 * adj[0][1] + j2 * adj[0][2]
+        if p is not None:
+            adj, det = tuple(tuple(x % p for x in row) for row in adj), det % p
+        if det == 0:
             raise DegenerateForm("form matrix has determinant zero")
-        self.det = det
-        self._adj = ((adj00, adj01, adj02),
-                     (adj01, adj11, adj12),
-                     (adj02, adj12, adj22))
+        self._ints, self._adj, self._int_det, self._scale = ints, adj, det, m
+        self.det = spec._ratio(det, m ** 3)  # adj B = adj(M B) / M^2, det B = det(M B) / M^3
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "SymmetricForm":
@@ -135,7 +162,7 @@ class SymmetricForm:
                 (self.b2, self.b1, self.a3))
 
     def adjugate_rows(self):
-        return self._adj
+        return tuple(tuple(self.spec._ratio(x, self._scale ** 2) for x in row) for row in self._adj)
 
     def entries(self) -> tuple[FieldElement, ...]:
         return (self.a1, self.a2, self.a3, self.b1, self.b2, self.b3)
@@ -148,22 +175,10 @@ class SymmetricForm:
         """v B w^T, evaluated on raw values and reduced once."""
         self._check(v)
         self._check(w)
-        a1, a2, a3, b1, b2, b3 = self._values
-        x, y, z = v.x._value, v.y._value, v.z._value
-        return self.spec._wrap((x * a1 + y * b3 + z * b2) * w.x._value
-                               + (x * b3 + y * a2 + z * b1) * w.y._value
-                               + (x * b2 + y * b1 + z * a3) * w.z._value)
+        return self.spec._ratio(dot_values(self._ints, _raw(v), _raw(w)), self._scale)
 
     def quadrance(self, v: Vector3) -> FieldElement:
         return self.dot(v, v)
-
-    def apply_adjugate(self, v: Vector3) -> Vector3:
-        """Row vector times adj B."""
-        self._check(v)
-        a = self._adj
-        return Vector3(v.x * a[0][0] + v.y * a[1][0] + v.z * a[2][0],
-                       v.x * a[0][1] + v.y * a[1][1] + v.z * a[2][1],
-                       v.x * a[0][2] + v.y * a[1][2] + v.z * a[2][2])
 
     def __repr__(self) -> str:
         e = ", ".join(x.literal() for x in self.entries())
@@ -179,7 +194,12 @@ def quadrance_vec(v: Vector3, form: SymmetricForm) -> FieldElement:
 
 
 def b_cross(v: Vector3, w: Vector3, form: SymmetricForm) -> Vector3:
-    return form.apply_adjugate(cross3(v, w))
+    """(v x w) adj B, evaluated on raw values with one division per component."""
+    form._check(v)
+    form._check(w)
+    ratio, m2 = form.spec._ratio, form._scale ** 2
+    x, y, z = adj_cross_values(form._adj, _raw(v), _raw(w))
+    return Vector3(ratio(x, m2), ratio(y, m2), ratio(z, m2))
 
 
 def scalar_triple(v1: Vector3, v2: Vector3, v3: Vector3, form: SymmetricForm) -> FieldElement:

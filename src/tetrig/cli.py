@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .affine import Point3
 from .blinalg import DegenerateForm, SymmetricForm
-from .field import FieldElement, FieldError, FieldSpec, parse_element
+from .field import FieldElement, FieldError, FieldSpec, LiteralTooLong, parse_element
 from .tetra import (FAIL, IDENTITY_NAMES, INAPPLICABLE, PASS, SKEW_PAIRINGS,
                     CheckResults, DegenerateParams, InvariantReport,
                     NotTriRectangular, Tetrahedron, Verdict, analyze,
@@ -159,27 +160,32 @@ def document_to_obj(tet: Tetrahedron, options: ReportOptions | None = None) -> d
 
 # -- report / verify -------------------------------------------------------
 
-def _entry_obj(entry):
-    if is_defined(entry):
+def _entry_obj(entry, *path: str):
+    if not is_defined(entry):
+        return {"undefined": entry.reason}
+    try:
         return entry.literal()
-    return {"undefined": entry.reason}
+    except LiteralTooLong as exc:
+        raise InputError(f"report entry {'.'.join(path)}: {exc}") from exc
 
 
 def report_to_obj(report: InvariantReport, options: ReportOptions) -> dict:
-    out = {
-        "field": _field_spec_obj(report.tetrahedron.spec),
-        "Q": {f"{i}{j}": v.literal() for (i, j), v in report.quadrances.items()},
-        "A": {f"{i}{j}{k}": v.literal() for (i, j, k), v in report.quadreas.items()},
-        "V": report.quadrume.literal(),
-        "s": {f"{i};{j}{k}": _entry_obj(v) for (i, j, k), v in report.face_spreads.items()},
-        "E": {f"{i}{j}": _entry_obj(v) for (i, j), v in report.dihedral_spreads.items()},
-        "S": {str(i): _entry_obj(v) for i, v in report.solid_spreads.items()},
-        "D": {str(i): _entry_obj(v) for i, v in report.dual_solid_spreads.items()},
-        "R": _entry_obj(report.ratio_constant),
+    sections = {
+        "Q": {f"{i}{j}": v for (i, j), v in report.quadrances.items()},
+        "A": {f"{i}{j}{k}": v for (i, j, k), v in report.quadreas.items()},
+        "V": report.quadrume,
+        "s": {f"{i};{j}{k}": v for (i, j, k), v in report.face_spreads.items()},
+        "E": {f"{i}{j}": v for (i, j), v in report.dihedral_spreads.items()},
+        "S": {str(i): v for i, v in report.solid_spreads.items()},
+        "D": {str(i): v for i, v in report.dual_solid_spreads.items()},
+        "R": report.ratio_constant,
     }
     if options.skew:
-        out["skew"] = {pairing_name(p): _entry_obj(v)
-                       for p, v in report.skew_quadrances.items()}
+        sections["skew"] = {pairing_name(p): v for p, v in report.skew_quadrances.items()}
+    out = {"field": _field_spec_obj(report.tetrahedron.spec)}
+    for section, table in sections.items():  # entries named like --corrupt keys
+        out[section] = (_entry_obj(table, section) if not isinstance(table, dict) else
+                        {name: _entry_obj(v, section, name) for name, v in table.items()})
     return out
 
 
@@ -343,6 +349,11 @@ def _run_range(cfg: FuzzConfig, lo: int, hi: int):
     return _merge(_run_sample(cfg, index) for index in range(lo, hi))
 
 
+def pool_size(workers: int, samples: int, cpus: int) -> int:
+    """Processes for a fuzz run: as asked, but at most one per sample and per usable CPU."""
+    return max(1, min(workers, samples, cpus))
+
+
 def run_fuzz(cfg: FuzzConfig) -> tuple[dict, int]:
     try:
         FieldSpec.prime(cfg.prime)
@@ -353,7 +364,8 @@ def run_fuzz(cfg: FuzzConfig) -> tuple[dict, int]:
     if cfg.workers < 1:
         raise InputError("--workers: expected a positive count")
 
-    workers = min(cfg.workers, cfg.samples) if cfg.samples else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = pool_size(cfg.workers, cfg.samples, cpus or 1)
     if workers <= 1:
         parts = [_run_range(cfg, 0, cfg.samples)]
     else:

@@ -15,7 +15,8 @@ Arithmetic results skip that: `FieldSpec._wrap` takes a raw value computed
 from the canonical values of the same field by +, -, * and exact division,
 reduces it once mod p over F_p, and keeps the Fraction as it is over Q.
 Other modules of this package evaluate fused formulas on the raw `_value`s
-of their operands and wrap the result the same way.
+of their operands, or on plain ints, and build the result the same way;
+`FieldSpec._ratio` does so with the one division of a num/den pair.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ class FieldError(Exception):
 
 
 class InvalidFieldSpec(FieldError):
-    """Modulus is 2, composite, or otherwise not an odd prime."""
+    """Modulus is 2, composite, not below MAX_MODULUS, or otherwise not an odd prime."""
 
 
 class MalformedLiteral(FieldError):
     """Element literal does not match the interchange grammar."""
+
+
+class LiteralTooLong(FieldError):
+    """Literal, or the literal of a computed value, with over MAX_LITERAL_DIGITS digits."""
 
 
 class ZeroDenominator(FieldError):
@@ -48,17 +53,29 @@ class MixedFields(FieldError):
     """Operands drawn from different fields."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster 2015); larger moduli are rejected.
+MAX_MODULUS = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    # trial division; moduli at desk scale are small
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin, exact for n < MAX_MODULUS."""
+    if n < 2 or any(n % b == 0 for b in _WITNESSES):
+        return n in _WITNESSES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -82,6 +99,8 @@ class FieldSpec:
         if p is not None:
             if p == 2:
                 raise InvalidFieldSpec("characteristic 2 is excluded")
+            if p >= MAX_MODULUS:
+                raise InvalidFieldSpec(f"modulus {p} is not below {MAX_MODULUS}")
             if not _is_prime(p):
                 raise InvalidFieldSpec(f"modulus {p} is not prime")
         spec = object.__new__(cls)
@@ -140,12 +159,22 @@ class FieldSpec:
         element._value = value if p is None else value % p
         return element
 
+    def _ratio(self, num, den) -> "FieldElement":
+        """Element num/den from raw values, den nonzero in this field: one division."""
+        p = self.p
+        return self._wrap(Fraction(num, den) if p is None else num * pow(den, -1, p))
+
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p!r})"
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F_{self.p}"
 
+
+# Every integer in a literal, read or written, has at most this many digits:
+# the interpreter's default limit for int/str conversion.
+MAX_LITERAL_DIGITS = 4300
+_LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 _RATIONAL_LIT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 _INTEGER_LIT = re.compile(r"-?[0-9]+")
@@ -198,7 +227,10 @@ class FieldElement:
     def literal(self) -> str:
         # Fraction prints "n" or "n/d" with positive denominator, which is
         # exactly the interchange grammar; residues print in decimal.
-        return str(self._value)
+        v = self._value
+        if self.spec.p is None and max(abs(v.numerator), v.denominator) >= _LITERAL_BOUND:
+            raise LiteralTooLong(f"value has over {MAX_LITERAL_DIGITS} digits")
+        return str(v)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -253,13 +285,10 @@ class FieldElement:
         return self._divide(o, self._value)
 
     def _divide(self, num, den):
-        # over Q one of num, den is this element's Fraction, so `/` stays exact
         p = self.spec.p
         if (den if p is None else den % p) == 0:
             raise DivisionByZero("the zero element has no inverse")
-        if p is None:
-            return self.spec._wrap(num / den)
-        return self.spec._wrap(num * pow(den, -1, p))
+        return self.spec._ratio(num, den)
 
     def __neg__(self):
         return self.spec._wrap(-self._value)
@@ -295,18 +324,15 @@ class FieldElement:
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse an element literal: `[-]?digits(/digits)?` over Q, `[-]?digits` over F_p."""
-    if spec.p is None:
-        if not _RATIONAL_LIT.fullmatch(text):
-            raise MalformedLiteral(f"{text!r} is not a rational literal")
-        num, _, den = text.partition("/")
-        if not den:
-            return FieldElement(spec, Fraction(int(num)))
-        if int(den) == 0:
-            raise ZeroDenominator(f"{text!r} has denominator zero")
-        return FieldElement(spec, Fraction(int(num), int(den)))
-    if not _INTEGER_LIT.fullmatch(text):
-        raise MalformedLiteral(f"{text!r} is not an integer literal")
-    return FieldElement(spec, int(text))
+    if not (_RATIONAL_LIT if spec.p is None else _INTEGER_LIT).fullmatch(text):
+        kind = "a rational" if spec.p is None else "an integer"
+        raise MalformedLiteral(f"{text!r} is not {kind} literal")
+    num, _, den = text.partition("/")
+    if max(len(num.lstrip("-")), len(den)) > MAX_LITERAL_DIGITS:
+        raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
+    if den and int(den) == 0:
+        raise ZeroDenominator(f"{text!r} has denominator zero")
+    return FieldElement(spec, Fraction(int(num), int(den)) if den else int(num))
 
 
 def render(x: FieldElement) -> str:

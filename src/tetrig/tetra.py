@@ -11,10 +11,13 @@ with a machine-readable reason rather than silently substituted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import lcm
 from typing import Union
 
 from .affine import Point3, b_project, displacement, translate
-from .blinalg import SymmetricForm, Vector3, b_cross, scalar_triple, shared_spec
+from .blinalg import (SymmetricForm, Vector3, adj_cross_values, b_cross, dot_values,
+                      shared_spec)
 from .field import FieldElement, MixedFields
 from .trig import (archimedes, quadrance, quadrume, solid_spread_from_parts,
                    spread_from_parts)
@@ -224,88 +227,94 @@ def skew_quadrance_closed_form(tet: Tetrahedron, pairing) -> FieldElement:
 
 
 def analyze(tet: Tetrahedron) -> InvariantReport:
-    """Compute the full invariant report from the defining formulas."""
-    form = tet.form
-    # each edge vector is built once; the reverse direction is its negation
-    edge = {}
-    for (i, j) in EDGES:
-        v = displacement(tet.vertex(i), tet.vertex(j))
-        edge[(i, j)], edge[(j, i)] = v, -v
-    q = {e: form.quadrance(edge[e]) for e in EDGES}
-    a = {}
-    for (i, j, k) in FACES:
-        a[(i, j, k)] = archimedes(q[edge_key(j, k)], q[edge_key(i, k)], q[edge_key(i, j)])
-    vol = quadrume(tet)
+    """Compute the full invariant report from the defining formulas, on plain ints.
 
-    face_spreads = {}
-    for (i, j, k) in FACE_SPREAD_KEYS:
-        qij, qik = q[edge_key(i, j)], q[edge_key(i, k)]
-        if qij.is_zero or qik.is_zero:
-            face_spreads[(i, j, k)] = Undefined(REASON_NULL_EDGE)
-        else:
-            face_spreads[(i, j, k)] = spread_from_parts(form.dot(edge[(i, j)], edge[(i, k)]),
-                                                        qij, qik)
+    Over Q the points are scaled by L, the lcm of their coordinate denominators,
+    and the form by M (`SymmetricForm._ints`); with s = L^2 M each entry's one
+    division takes the scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2,
+    spreads unscaled.  Over F_p, s = 1 and values are reduced mod p as they grow.
+    """
+    form, spec, p = tet.form, tet.spec, tet.spec.p
+    b, adj, det = form._ints, form._adj, form._int_det
+    coords = [c._value for point in tet.points for c in point.coordinates()]
+    scale = lcm(*(c.denominator for c in coords))  # 1 over F_p, as is form._scale
+    coords = [c.numerator * (scale // c.denominator) for c in coords]
+    s = scale * scale * form._scale
+    red = int if p is None else p.__rmod__  # int() leaves an int as it is; x -> x % p
+
+    def dot(v, w):
+        return red(dot_values(b, v, w))
+
+    def cross(v, w):  # b_cross
+        return tuple(map(red, adj_cross_values(adj, v, w)))
+
+    def entry(zero, reason, parts):
+        return Undefined(reason) if zero else spec._ratio(*parts)
+
+    # each edge vector and quadrance is built once, keyed both ways round
+    edge, q = {}, {}
+    for (i, j) in EDGES:
+        v = tuple(coords[3 * j + c] - coords[3 * i + c] for c in range(3))
+        edge[i, j], edge[j, i] = v, tuple(-x for x in v)
+        q[i, j] = q[j, i] = dot(v, v)
+    a = {(i, j, k): red(archimedes(q[j, k], q[i, k], q[i, j])) for (i, j, k) in FACES}
+    t = {i: dot(edge[i, j], cross(edge[i, k], edge[i, l]))
+         for i in VERTICES for j, k, l in [_others(i)]}
+
+    face_spreads = {(i, j, k): entry(0 in (q[i, j], q[i, k]), REASON_NULL_EDGE,
+                                     spread_from_parts(dot(edge[i, j], edge[i, k]),
+                                                       q[i, j], q[i, k]))
+                    for (i, j, k) in FACE_SPREAD_KEYS}
 
     # One normal per face, with its quadrance Q(n) = det B * A / 4: it is zero
     # exactly where the face quadrea is, so the A == 0 gates below decide
     # Undefined.  A normal built at another vertex of the face differs only in
     # sign, which the squares in every spread cancel.
-    normals = {}
-    qn = {}
-    for (i, j, k) in FACES:
-        n = b_cross(edge[(i, j)], edge[(i, k)], form)
-        normals[(i, j, k)], qn[(i, j, k)] = n, form.quadrance(n)
+    normals = {(i, j, k): cross(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
+    qn = {f: dot(n, n) for f, n in normals.items()}
 
     dihedral_spreads = {}
     for (i, j) in EDGES:
-        k, l = _others(i, j)
-        f1, f2 = face_key(i, j, k), face_key(i, j, l)
-        if a[f1].is_zero or a[f2].is_zero:
-            dihedral_spreads[(i, j)] = Undefined(REASON_NULL_NORMAL)
-        else:
-            dihedral_spreads[(i, j)] = spread_from_parts(form.dot(normals[f1], normals[f2]),
-                                                         qn[f1], qn[f2])
+        f1, f2 = (face_key(i, j, k) for k in _others(i, j))
+        dihedral_spreads[(i, j)] = entry(0 in (a[f1], a[f2]), REASON_NULL_NORMAL,
+                                         spread_from_parts(dot(normals[f1], normals[f2]),
+                                                           qn[f1], qn[f2]))
 
-    solid_spreads = {}
-    for i in VERTICES:
-        j, k, l = _others(i)
-        if any(q[edge_key(i, m)].is_zero for m in (j, k, l)):
-            solid_spreads[i] = Undefined(REASON_NULL_EDGE)
-        else:
-            t = scalar_triple(edge[(i, j)], edge[(i, k)], edge[(i, l)], form)
-            solid_spreads[i] = solid_spread_from_parts(t, q[edge_key(i, j)], q[edge_key(i, k)],
-                                                       q[edge_key(i, l)], form)
+    solid_spreads = {i: entry(any(q[i, m] == 0 for m in _others(i)), REASON_NULL_EDGE,
+                              solid_spread_from_parts(t[i], *(q[i, m] for m in _others(i)), det))
+                     for i in VERTICES}
 
     # the dual solid spread is the solid spread of the normals of the three
     # faces at the vertex
     dual_solid_spreads = {}
     for i in VERTICES:
-        j, k, l = _others(i)
-        faces_at = (face_key(i, j, k), face_key(i, j, l), face_key(i, k, l))
-        if any(a[f].is_zero for f in faces_at):
-            dual_solid_spreads[i] = Undefined(REASON_NULL_NORMAL)
-        else:
-            t = scalar_triple(*(normals[f] for f in faces_at), form)
-            dual_solid_spreads[i] = solid_spread_from_parts(t, *(qn[f] for f in faces_at), form)
+        faces_at = [face_key(i, j, k) for j, k in combinations(_others(i), 2)]
+        n1, n2, n3 = (normals[f] for f in faces_at)
+        dual_solid_spreads[i] = entry(any(a[f] == 0 for f in faces_at), REASON_NULL_NORMAL,
+                                      solid_spread_from_parts(dot(n1, cross(n2, n3)),
+                                                              *(qn[f] for f in faces_at), det))
 
-    if any(a[f].is_zero for f in FACES):
-        ratio_constant: Entry = Undefined(REASON_ZERO_QUADREA)
-    else:
-        prod_a = a[FACES[0]] * a[FACES[1]] * a[FACES[2]] * a[FACES[3]]
-        ratio_constant = vol * vol * 16 / prod_a
+    # V = 4 t^2 / det B from the scalar triple of the edges at vertex 0
+    vol_num, vol_den = 4 * t[0] * t[0], s * s * s * det
+    prod_a = a[FACES[0]] * a[FACES[1]] * a[FACES[2]] * a[FACES[3]]
+    ratio_constant = entry(0 in a.values(), REASON_ZERO_QUADREA,
+                           (16 * vol_num * vol_num * s * s, det * det * prod_a))
 
     # den = 4 Q(n) / det B for the common perpendicular n, so a nonzero
-    # denominator is exactly the case where the projection route is defined
+    # denominator is exactly the case where the projection is defined; the
+    # gap is the projection of the edge w joining the lines: (n . w)^2 / Q(n)
     skew_quadrances = {}
     for pairing in SKEW_PAIRINGS:
-        if _skew_denominator(q, pairing).is_zero:
-            skew_quadrances[pairing] = Undefined(REASON_ZERO_DENOMINATOR)
-        else:
-            skew_quadrances[pairing] = skew_quadrance(tet, pairing)
+        (i, j), (k, l) = pairing
+        n = cross(edge[i, j], edge[k, l])
+        g = dot(n, edge[i, k])
+        skew_quadrances[pairing] = entry(red(_skew_denominator(q, pairing)) == 0,
+                                         REASON_ZERO_DENOMINATOR, (g * g, dot(n, n) * s))
 
-    return InvariantReport(tet, q, a, vol, face_spreads, dihedral_spreads,
-                           solid_spreads, dual_solid_spreads, ratio_constant,
-                           skew_quadrances)
+    return InvariantReport(tet, {e: spec._ratio(q[e], s) for e in EDGES},
+                           {f: spec._ratio(a[f], s * s) for f in FACES},
+                           spec._ratio(vol_num, vol_den), face_spreads, dihedral_spreads,
+                           solid_spreads, dual_solid_spreads, ratio_constant, skew_quadrances)
 
 
 def _all_defined(*entries: Entry) -> bool:

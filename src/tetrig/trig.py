@@ -8,6 +8,7 @@ for nonzero vectors; those cases raise instead of returning a sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import truediv
 from typing import TYPE_CHECKING
 
 from .affine import Line, Plane, Point3, displacement, plane_normal
@@ -108,17 +109,17 @@ def quadrume_from_quadrances(q01: FieldElement, q02: FieldElement, q03: FieldEle
     return mat3_det((r0, r1, r2)) / 2
 
 
-def spread_from_parts(d: FieldElement, q1: FieldElement, q2: FieldElement) -> FieldElement:
-    """1 - d^2/(q1 q2): the spread of two directions with dot product d and
-    nonzero quadrances q1, q2."""
-    return 1 - d * d / (q1 * q2)
+def spread_from_parts(d, q1, q2):
+    """(numerator, denominator) of the spread 1 - d^2/(q1 q2) of two directions
+    with dot product d and nonzero quadrances q1, q2; field elements or raw ints."""
+    qq = q1 * q2
+    return qq - d * d, qq
 
 
-def solid_spread_from_parts(t: FieldElement, q1: FieldElement, q2: FieldElement,
-                            q3: FieldElement, form: SymmetricForm) -> FieldElement:
-    """t^2/(det B q1 q2 q3): the solid spread of three directions with scalar
-    triple t and nonzero quadrances q1, q2, q3."""
-    return t * t / (form.det * q1 * q2 * q3)
+def solid_spread_from_parts(t, q1, q2, q3, det):
+    """(numerator, denominator) of the solid spread t^2/(det B q1 q2 q3) of three
+    directions with scalar triple t and nonzero quadrances q1, q2, q3."""
+    return t * t, det * q1 * q2 * q3
 
 
 def spread_vectors(v1: Vector3, v2: Vector3, form: SymmetricForm) -> FieldElement:
@@ -127,7 +128,7 @@ def spread_vectors(v1: Vector3, v2: Vector3, form: SymmetricForm) -> FieldElemen
     q2 = form.quadrance(v2)
     if q1.is_zero or q2.is_zero:
         raise NullDirection("spread undefined: a direction has quadrance zero")
-    return spread_from_parts(form.dot(v1, v2), q1, q2)
+    return truediv(*spread_from_parts(form.dot(v1, v2), q1, q2))
 
 
 def spread(l1: Line, l2: Line, form: SymmetricForm) -> FieldElement:
@@ -142,7 +143,7 @@ def dihedral_spread(p1: Plane, p2: Plane, form: SymmetricForm) -> FieldElement:
     q2 = form.quadrance(n2)
     if q1.is_zero or q2.is_zero:
         raise NullNormal("dihedral spread undefined: a normal has quadrance zero")
-    return spread_from_parts(form.dot(n1, n2), q1, q2)
+    return truediv(*spread_from_parts(form.dot(n1, n2), q1, q2))
 
 
 def dihedral_spread_common_edge(shared: Vector3, w1: Vector3, w2: Vector3,
@@ -163,8 +164,8 @@ def solid_spread(lines: TriLines, form: SymmetricForm) -> FieldElement:
     q3 = form.quadrance(lines.d3)
     if q1.is_zero or q2.is_zero or q3.is_zero:
         raise NullDirection("solid spread undefined: a direction has quadrance zero")
-    return solid_spread_from_parts(scalar_triple(lines.d1, lines.d2, lines.d3, form),
-                                   q1, q2, q3, form)
+    return truediv(*solid_spread_from_parts(scalar_triple(lines.d1, lines.d2, lines.d3, form),
+                                            q1, q2, q3, form.det))
 
 
 def dual_solid_spread(lines: TriLines, form: SymmetricForm) -> FieldElement:

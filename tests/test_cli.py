@@ -1,13 +1,15 @@
 """CLI surface: interchange format, exit codes, fuzz reproducibility."""
 
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from tetrig import FieldSpec, parse_element
 from tetrig.cli import (FuzzConfig, InputError, document_from_obj, document_to_obj,
-                        load_document, main, run_fuzz, run_report, run_verify)
+                        load_document, main, pool_size, run_fuzz, run_report, run_verify)
 from support import Q
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -175,6 +177,30 @@ def test_input_rejects_composite_modulus():
         })
 
 
+def _doc_with_coordinate(literal):
+    doc = json.loads(UNIT_DOC.read_text())
+    doc["points"][1][0] = literal
+    return json.dumps(doc)
+
+
+def test_oversized_input_literal_is_exit_2(monkeypatch, capsys):
+    # 5000 digits: past both the documented bound and int()'s own limit
+    monkeypatch.setattr("sys.stdin", io.StringIO(_doc_with_coordinate("7" * 5000)))
+    assert main(["report"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: points[1][0]: ") and "4300 digits" in err
+
+
+def test_oversized_report_literal_is_exit_2(monkeypatch, capsys):
+    # 1500 digits parse, but a face spread grows past 4300 digits
+    monkeypatch.setattr("sys.stdin", io.StringIO(_doc_with_coordinate("7" * 1500)))
+    assert main(["report"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: report entry s.1;23: ") and "4300 digits" in err
+
+
 def test_input_rejects_wrong_point_count():
     with pytest.raises(InputError, match="points"):
         document_from_obj({
@@ -217,6 +243,29 @@ def test_fuzz_reproducible_and_worker_independent():
     assert json.dumps(s1) == json.dumps(s2)
 
 
+def test_pool_size_is_capped_by_samples_and_cpus():
+    assert pool_size(10**6, 1000, 2) == 2
+    assert pool_size(2, 1000, 2) == 2
+    assert pool_size(8, 3, 16) == 3
+    assert pool_size(1, 1000, 16) == 1
+    assert pool_size(4, 0, 16) == 1
+    assert pool_size(3, 1000, 1) == 1
+
+
+def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
+    # with one usable CPU no pool starts, whatever --workers asks for
+    import tetrig.cli as cli
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    capped, _ = run_fuzz(FuzzConfig(prime=101, samples=6, seed=3, workers=10**6))
+    single, _ = run_fuzz(FuzzConfig(prime=101, samples=6, seed=3, workers=1))
+    assert capped == single
+
+
 def test_fuzz_random_form_counts_rejections():
     summary, code = run_fuzz(FuzzConfig(prime=7, samples=40, seed=4, random_form=True))
     assert code == 0
@@ -236,8 +285,11 @@ def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
     # replayable input document, not as an exception from inside analyze
     from tetrig import tetra
     solid_spread = tetra.solid_spread_from_parts
-    monkeypatch.setattr(tetra, "solid_spread_from_parts",
-                        lambda *args: solid_spread(*args) + 1)
+
+    def off_by_one(*args):  # num/den + 1
+        num, den = solid_spread(*args)
+        return num + den, den
+    monkeypatch.setattr(tetra, "solid_spread_from_parts", off_by_one)
     summary, code = run_fuzz(FuzzConfig(prime=101, samples=3, seed=1))
     assert code == 1
     recorded = [f for f in summary["failures"]

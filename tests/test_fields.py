@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from tetrig import (DivisionByZero, FieldElement, FieldSpec, InvalidFieldSpec,
-                    MalformedLiteral, MixedFields, ZeroDenominator, invert,
-                    parse_element, render)
+                    LiteralTooLong, MalformedLiteral, MixedFields, ZeroDenominator,
+                    invert, parse_element, render)
+from tetrig.field import MAX_LITERAL_DIGITS, MAX_MODULUS, _is_prime
 from support import Q, rng
 
 F7 = FieldSpec.prime(7)
@@ -67,6 +68,16 @@ def test_parse_zero_denominator():
         parse_element("3/0", Q)
 
 
+def test_literal_digit_bound():
+    longest = "9" * MAX_LITERAL_DIGITS
+    assert render(parse_element(f"-{longest}/7", Q)) == f"-{longest}/7"
+    for text, spec in ((longest + "9", Q), (f"1/{longest}9", Q), (longest + "9", F7)):
+        with pytest.raises(LiteralTooLong):
+            parse_element(text, spec)
+    with pytest.raises(LiteralTooLong):
+        (parse_element(longest, Q) * 10).literal()
+
+
 def test_round_trip_is_identity():
     rnd = rng(1)
     for spec in (Q, F7, FieldSpec.prime(101)):
@@ -88,6 +99,39 @@ def test_invalid_moduli_rejected(p):
 def test_odd_primes_accepted():
     for p in (3, 7, 101, 10007):
         assert FieldSpec.prime(p).p == p
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    return all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(-3, 10**5) if _is_prime(n) != _trial_division(n)] == []
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+def test_strong_pseudoprimes_rejected(n):
+    # Carmichael number; strong pseudoprimes to bases 2..7 and 2..23
+    assert not _is_prime(n)
+    with pytest.raises(InvalidFieldSpec, match="not prime"):
+        FieldSpec.prime(n)
+
+
+def test_large_prime_modulus_builds_fast():
+    p = 2**61 - 1
+    start = time.perf_counter()
+    assert FieldSpec.prime(p).p == p
+    assert time.perf_counter() - start < 1.0
+
+
+def test_modulus_beyond_primality_bound_rejected():
+    # MAX_MODULUS itself passes all 13 Miller-Rabin bases but is composite
+    assert _is_prime(MAX_MODULUS)
+    for p in (MAX_MODULUS, 2**89 - 1):
+        with pytest.raises(InvalidFieldSpec, match="not below"):
+            FieldSpec.prime(p)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ DOCUMENTS = {
     "unit_tri_rectangular": (FIXTURES / "unit_tri_rectangular.json").read_text(),
     "tri_rectangular_mixed_corner": (FIXTURES / "tri_rectangular_mixed_corner.json").read_text(),
     "tri_rectangular_f101": (FIXTURES / "tri_rectangular_f101.json").read_text(),
+    # 6-digit numerators over 3-digit denominators, off-diagonal form
+    "tall_literal_q": (FIXTURES / "tall_literal_q.json").read_text(),
     "skew_denominator_counterexample": json.dumps(
         json.loads((FIXTURES / "skew_denominator_counterexample.json").read_text())["input"]),
 }

@@ -1,19 +1,21 @@
 """Invariant reports, identity verification, skew quadrances, tri-rectangular checks."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams,
                     DegeneratePlane, FieldSpec, NotSkewOrDegenerate,
                     NotTriRectangular, NullCommonPerpendicular, NullCross,
-                    NullNormal, NullPivot, Point3, SymmetricForm, Tetrahedron,
-                    TriLines, TriRectParams, Undefined, Vector3, analyze,
-                    b_cross, b_dot, dihedral_spread, dual_solid_spread,
-                    is_defined, plane_through, quadrance_vec, skew_quadrance,
-                    skew_quadrance_closed_form, translate,
-                    tri_rectangular_checks, tri_rectangular_frame,
-                    verify_identities)
+                    NullDirection, NullNormal, NullPivot, Point3, SymmetricForm,
+                    Tetrahedron, Triangle, TriLines, TriRectParams, Undefined,
+                    Vector3, analyze, b_cross, b_dot, dihedral_spread,
+                    dual_solid_spread, is_defined, plane_through, quadrance,
+                    quadrance_vec, quadrea, quadrume, quadrume_from_gram,
+                    skew_quadrance, skew_quadrance_closed_form, solid_spread,
+                    spread_vectors, translate, tri_rectangular_checks,
+                    tri_rectangular_frame, verify_identities)
 from support import Q, rand_element, rand_form, rand_point, rng
 
 F7 = FieldSpec.prime(7)
@@ -104,13 +106,18 @@ def test_analyze_null_edge_over_f7():
     assert rep.face_spreads[(2, 0, 1)] != Undefined("NullEdge")
 
 
+def _undefined_on(reason, compute, *errors):
+    """Value of compute(), or Undefined(reason) when it raises one of errors."""
+    try:
+        return compute()
+    except errors:
+        return Undefined(reason)
+
+
 def _trig_entry(compute):
     """Value of a trig spread, or the Undefined that analyze reports when a
     face normal vanishes or has quadrance zero."""
-    try:
-        return compute()
-    except (DegeneratePlane, NullNormal, NullCross):
-        return Undefined("NullNormal")
+    return _undefined_on("NullNormal", compute, DegeneratePlane, NullNormal, NullCross)
 
 
 def _trig_dual_solid(tet, i):
@@ -123,32 +130,66 @@ def _trig_dual_solid(tet, i):
     return _trig_entry(lambda: dual_solid_spread(lines, tet.form))
 
 
-@pytest.mark.parametrize("spec", [Q, F7, FieldSpec.prime(10007)], ids=str)
-def test_analyze_shared_normals_agree_with_trig(spec):
-    # analyze builds each face normal once and gates on A == 0; trig builds
-    # fresh normals at the vertex and raises when one has quadrance zero
+def _tall_point(rnd):
+    """Rational point with 6-digit numerators and denominators up to 999."""
+    return Point3(*(Q.element(Fraction(rnd.choice((-1, 1)) * rnd.randint(100_000, 999_999),
+                                       rnd.randint(1, 999))) for _ in range(3)))
+
+
+@pytest.mark.parametrize("spec, tall, count", [
+    (Q, False, 200), (Q, True, 100), (F7, False, 200), (FieldSpec.prime(10007), False, 200),
+    (FieldSpec.prime(2**61 - 1), False, 100)],
+    ids=["Q", "Q-tall", "F_7", "F_10007", "F_2305843009213693951"])
+def test_analyze_shared_normals_agree_with_trig(spec, tall, count):
+    # analyze evaluates every entry on integers, builds each face normal once
+    # and gates on Q == 0, A == 0 and the skew denominator; the FieldElement
+    # routes of trig and skew_quadrance build everything afresh and raise
+    # where a quadrance they divide by vanishes
     rnd = rng(41)
-    undefined = 0
-    for _ in range(200):
-        tet = rand_tet(spec, rnd)
-        form = tet.form
+    reasons = set()
+    for _ in range(count):
+        form = rand_form(spec, rnd)
+        tet = (Tetrahedron(*(_tall_point(rnd) for _ in range(4)), form) if tall
+               else rand_tet(spec, rnd, form))
         rep = analyze(tet)
+        P = tet.vertex
+        for (i, j) in EDGES:
+            assert rep.quadrances[(i, j)] == quadrance(P(i), P(j), form)
+        vol = quadrume(tet)
+        assert rep.quadrume == vol == quadrume_from_gram(tet)
         for (i, j, k) in FACES:
+            assert rep.quadreas[(i, j, k)] == quadrea(Triangle(P(i), P(j), P(k)), form)
             n = b_cross(tet.edge_vector(i, j), tet.edge_vector(i, k), form)
             assert quadrance_vec(n, form) * 4 == form.det * rep.quadreas[(i, j, k)]
+        for (i, j, k), entry in rep.face_spreads.items():
+            assert entry == _undefined_on("NullEdge", lambda: spread_vectors(
+                tet.edge_vector(i, j), tet.edge_vector(i, k), form), NullDirection)
         for (i, j) in EDGES:
             k, l = (m for m in range(4) if m not in (i, j))
             expected = _trig_entry(lambda: dihedral_spread(
-                plane_through(tet.vertex(i), tet.vertex(j), tet.vertex(k)),
-                plane_through(tet.vertex(i), tet.vertex(j), tet.vertex(l)), form))
+                plane_through(P(i), P(j), P(k)), plane_through(P(i), P(j), P(l)), form))
             assert rep.dihedral_spreads[(i, j)] == expected
-            undefined += not is_defined(expected)
         for i in range(4):
-            expected = _trig_dual_solid(tet, i)
-            assert rep.dual_solid_spreads[i] == expected
-            undefined += not is_defined(expected)
+            j, k, l = (m for m in range(4) if m != i)
+            assert rep.solid_spreads[i] == _undefined_on("NullEdge", lambda: solid_spread(
+                TriLines(P(i), tet.edge_vector(i, j), tet.edge_vector(i, k),
+                         tet.edge_vector(i, l)), form), NullDirection, ValueError)
+            assert rep.dual_solid_spreads[i] == _trig_dual_solid(tet, i)
+        prod_a = rep.quadreas[(0, 1, 2)] * rep.quadreas[(0, 1, 3)] * rep.quadreas[(0, 2, 3)]
+        prod_a = prod_a * rep.quadreas[(1, 2, 3)]
+        assert rep.ratio_constant == (Undefined("ZeroQuadrea") if prod_a.is_zero
+                                      else vol * vol * 16 / prod_a)
+        for pairing in SKEW_PAIRINGS:
+            assert rep.skew_quadrances[pairing] == _undefined_on(
+                "ZeroDenominator", lambda: skew_quadrance(tet, pairing),
+                NotSkewOrDegenerate, NullCommonPerpendicular)
+        entries = [rep.ratio_constant]
+        for table in (rep.face_spreads, rep.dihedral_spreads, rep.solid_spreads,
+                      rep.dual_solid_spreads, rep.skew_quadrances):
+            entries.extend(table.values())
+        reasons |= {e.reason for e in entries if not is_defined(e)}
     if spec.p == 7:
-        assert undefined > 0
+        assert reasons == {"NullEdge", "NullNormal", "ZeroQuadrea", "ZeroDenominator"}
 
 
 def _ekey(perm, i, j):
