@@ -133,7 +133,7 @@ def document_from_obj(obj) -> InputDocument:
 def load_document(text: str) -> InputDocument:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, nesting or integer length
         raise InputError(f"invalid JSON: {exc}") from exc
     return document_from_obj(obj)
 
@@ -293,20 +293,26 @@ def _run_sample(cfg: FuzzConfig, index: int):
     rng = random.Random((cfg.seed << 32) + index)
     spec = FieldSpec.prime(cfg.prime)
     tet, rejected_forms, rejected_degenerate = _sample_tetrahedron(cfg, rng, spec)
-    report = analyze(tet)
-    verdicts = list(verify_identities(report).verdicts)
-    for pairing in SKEW_PAIRINGS:
-        entry = report.skew_quadrances[pairing]
-        if not is_defined(entry):
-            verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing),
-                                    INAPPLICABLE))
-            continue
-        params = (spec.element(rng.randrange(cfg.prime)),
-                  spec.element(rng.randrange(cfg.prime)))
-        moved = skew_quadrance(tet, pairing, params=params)
-        verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing),
-                                PASS if moved == entry else FAIL))
     tally = {name: [0, 0, 0] for name in FUZZ_IDENTITY_NAMES}  # checked/passed/inapplicable
+    try:
+        report = analyze(tet)
+        verdicts = list(verify_identities(report).verdicts)
+        for pairing in SKEW_PAIRINGS:
+            entry = report.skew_quadrances[pairing]
+            if not is_defined(entry):
+                verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing),
+                                        INAPPLICABLE))
+                continue
+            params = (spec.element(rng.randrange(cfg.prime)),
+                      spec.element(rng.randrange(cfg.prime)))
+            moved = skew_quadrance(tet, pairing, params=params)
+            verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing),
+                                    PASS if moved == entry else FAIL))
+    except (FieldError, RuntimeError) as exc:
+        # an internal fault: record the sample with its input, tally nothing, go on
+        failure = {"sample": index, "input": document_to_obj(tet),
+                   "error": {"exception": type(exc).__name__, "message": str(exc)}}
+        return tally, [failure], rejected_forms, rejected_degenerate
     failed = []
     for v in verdicts:
         row = tally[v.identity]
@@ -459,10 +465,7 @@ def main(argv=None) -> int:
         summary, code = run_fuzz(cfg)
         _write_output(args.output, summary)
         return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

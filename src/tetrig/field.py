@@ -16,7 +16,9 @@ from the canonical values of the same field by +, -, * and exact division,
 reduces it once mod p over F_p, and keeps the Fraction as it is over Q.
 Other modules of this package evaluate fused formulas on the raw `_value`s
 of their operands, or on plain ints, and build the result the same way;
-`FieldSpec._ratio` does so with the one division of a num/den pair.
+`FieldSpec._ratio` does so with the one division of a num/den pair.  The
+way back is `FieldElement._parts`, an element as an integer pair (num, den),
+and `FieldSpec._red`, which reduces a raw integer mod p (over Q: unchanged).
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class FieldSpec:
     invalid modulus raises on every call and is never cached.
     """
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_red")
     _interned: dict = {}  # modulus -> its only instance; None stands for Q
 
     def __new__(cls, p: int | None = None) -> "FieldSpec":
@@ -105,6 +107,7 @@ class FieldSpec:
                 raise InvalidFieldSpec(f"modulus {p} is not prime")
         spec = object.__new__(cls)
         object.__setattr__(spec, "p", p)
+        object.__setattr__(spec, "_red", int if p is None else p.__rmod__)
         # setdefault: threads racing on a new modulus all get the same instance
         return cls._interned.setdefault(p, spec)
 
@@ -162,7 +165,9 @@ class FieldSpec:
     def _ratio(self, num, den) -> "FieldElement":
         """Element num/den from raw values, den nonzero in this field: one division."""
         p = self.p
-        return self._wrap(Fraction(num, den) if p is None else num * pow(den, -1, p))
+        if p is None:
+            return self._wrap(Fraction(num, den))
+        return self._wrap(num if den == 1 else num * pow(den, -1, p))
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p!r})"
@@ -217,6 +222,11 @@ class FieldElement:
         if self.spec.p is not None:
             raise TypeError("denominator is a rational-field view")
         return self._value.denominator
+
+    def _parts(self) -> tuple[int, int]:
+        """(num, den) with den > 0: the reduced fraction over Q, (residue, 1) over F_p."""
+        v = self._value
+        return v.numerator, v.denominator
 
     @property
     def residue(self) -> int:

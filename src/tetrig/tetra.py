@@ -71,8 +71,9 @@ IDENTITY_NAMES = (
 )
 
 
-def _others(*fixed: int) -> tuple[int, ...]:
-    return tuple(m for m in VERTICES if m not in fixed)
+# the vertices off each vertex and off each edge
+_REST_OF_VERTEX = {i: tuple(m for m in VERTICES if m != i) for i in VERTICES}
+_REST_OF_EDGE = {edge: tuple(m for m in VERTICES if m not in edge) for edge in EDGES}
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
@@ -87,10 +88,8 @@ def spread_key(apex: int, j: int, k: int) -> tuple[int, int, int]:
     return (apex, j, k) if j < k else (apex, k, j)
 
 
-FACE_SPREAD_KEYS = tuple(spread_key(i, j, k)
-                         for i in VERTICES
-                         for j, k in ((a, b) for ai, a in enumerate(_others(i))
-                                      for b in _others(i)[ai + 1:]))
+FACE_SPREAD_KEYS = tuple((i, j, k) for i, rest in _REST_OF_VERTEX.items()
+                         for j, k in combinations(rest, 2))
 
 
 def pairing_name(pairing) -> str:
@@ -184,7 +183,9 @@ class CheckResults:
         return not self.failures
 
 
-def _skew_denominator(q: dict, pairing) -> FieldElement:
+def _skew_denominator(q: dict, pairing):
+    """4 Q_ab Q_cd - (Q_ac + Q_bd - Q_ad - Q_bc)^2 for the pairing (ab, cd), in the
+    type of the quadrances `q` (elements, or raw ints), keyed by `edge_key`."""
     (a, b), (c, d) = pairing
     diff = q[edge_key(a, c)] + q[edge_key(b, d)] - q[edge_key(a, d)] - q[edge_key(b, c)]
     return q[edge_key(a, b)] * q[edge_key(c, d)] * 4 - diff * diff
@@ -240,7 +241,7 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     scale = lcm(*(c.denominator for c in coords))  # 1 over F_p, as is form._scale
     coords = [c.numerator * (scale // c.denominator) for c in coords]
     s = scale * scale * form._scale
-    red = int if p is None else p.__rmod__  # int() leaves an int as it is; x -> x % p
+    red = spec._red
 
     def dot(v, w):
         return red(dot_values(b, v, w))
@@ -259,7 +260,7 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
         q[i, j] = q[j, i] = dot(v, v)
     a = {(i, j, k): red(archimedes(q[j, k], q[i, k], q[i, j])) for (i, j, k) in FACES}
     t = {i: dot(edge[i, j], cross(edge[i, k], edge[i, l]))
-         for i in VERTICES for j, k, l in [_others(i)]}
+         for i, (j, k, l) in _REST_OF_VERTEX.items()}
 
     face_spreads = {(i, j, k): entry(0 in (q[i, j], q[i, k]), REASON_NULL_EDGE,
                                      spread_from_parts(dot(edge[i, j], edge[i, k]),
@@ -275,20 +276,20 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
 
     dihedral_spreads = {}
     for (i, j) in EDGES:
-        f1, f2 = (face_key(i, j, k) for k in _others(i, j))
+        f1, f2 = (face_key(i, j, k) for k in _REST_OF_EDGE[i, j])
         dihedral_spreads[(i, j)] = entry(0 in (a[f1], a[f2]), REASON_NULL_NORMAL,
                                          spread_from_parts(dot(normals[f1], normals[f2]),
                                                            qn[f1], qn[f2]))
 
-    solid_spreads = {i: entry(any(q[i, m] == 0 for m in _others(i)), REASON_NULL_EDGE,
-                              solid_spread_from_parts(t[i], *(q[i, m] for m in _others(i)), det))
-                     for i in VERTICES}
+    solid_spreads = {i: entry(any(q[i, m] == 0 for m in rest), REASON_NULL_EDGE,
+                              solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det))
+                     for i, rest in _REST_OF_VERTEX.items()}
 
     # the dual solid spread is the solid spread of the normals of the three
     # faces at the vertex
     dual_solid_spreads = {}
     for i in VERTICES:
-        faces_at = [face_key(i, j, k) for j, k in combinations(_others(i), 2)]
+        faces_at = [face_key(i, j, k) for j, k in combinations(_REST_OF_VERTEX[i], 2)]
         n1, n2, n3 = (normals[f] for f in faces_at)
         dual_solid_spreads[i] = entry(any(a[f] == 0 for f in faces_at), REASON_NULL_NORMAL,
                                       solid_spread_from_parts(dot(n1, cross(n2, n3)),
@@ -321,89 +322,95 @@ def _all_defined(*entries: Entry) -> bool:
     return all(is_defined(e) for e in entries)
 
 
+def _side(const: int, factors) -> tuple[int, int]:
+    """(num, den) of const times the product of (num, den) factors."""
+    num, den = const, 1
+    for n, d in factors:
+        num *= n
+        den *= d
+    return num, den
+
+
 def verify_identities(report: InvariantReport) -> CheckResults:
-    """One verdict per identity instance, from the report entries alone."""
-    q = report.quadrances
-    a = report.quadreas
-    vol = report.quadrume
-    s = report.face_spreads
-    e = report.dihedral_spreads
-    sol = report.solid_spreads
-    dual = report.dual_solid_spreads
-    rich = report.ratio_constant
+    """One verdict per identity instance, from the report entries alone.
+
+    Each entry is read once as an integer pair (num, den) and each identity
+    `c * prod(lhs) == c' * prod(rhs)` is decided by one cross-multiplied
+    comparison of integers, reduced mod p over F_p.  An instance with an
+    Undefined factor is inapplicable.
+    """
+    red = report.tetrahedron.spec._red
+
+    def part(entry):
+        return entry._parts() if is_defined(entry) else None
+
+    def parts(table):
+        return {key: part(entry) for key, entry in table.items()}
+
+    q, a, s = parts(report.quadrances), parts(report.quadreas), parts(report.face_spreads)
+    e, sol = parts(report.dihedral_spreads), parts(report.solid_spreads)
+    dual, skew = parts(report.dual_solid_spreads), parts(report.skew_quadrances)
+    vol, rich = part(report.quadrume), part(report.ratio_constant)
+    for i, j in EDGES:
+        q[j, i] = q[i, j]
     verdicts = []
 
-    def emit(identity, instance, applicable, holds):
-        if not applicable:
-            verdicts.append(Verdict(identity, instance, INAPPLICABLE))
+    def emit(identity, instance, lconst, lhs, rconst, rhs):
+        if None in lhs or None in rhs:
+            status = INAPPLICABLE
         else:
-            verdicts.append(Verdict(identity, instance, PASS if holds() else FAIL))
+            (ln, ld), (rn, rd) = _side(lconst, lhs), _side(rconst, rhs)
+            status = PASS if red(ln * rd - rn * ld) == 0 else FAIL
+        verdicts.append(Verdict(identity, instance, status))
 
-    for anchor in VERTICES:
-        x, y, z = _others(anchor)
-        lhs_keys = (spread_key(x, anchor, y), spread_key(y, anchor, z), spread_key(z, anchor, x))
-        rhs_keys = (spread_key(x, anchor, z), spread_key(y, anchor, x), spread_key(z, anchor, y))
-        emit("alternating-spreads", f"vertex-{anchor}",
-             _all_defined(*(s[key] for key in lhs_keys + rhs_keys)),
-             lambda lk=lhs_keys, rk=rhs_keys: (s[lk[0]] * s[lk[1]] * s[lk[2]]
-                                               == s[rk[0]] * s[rk[1]] * s[rk[2]]))
+    for i in VERTICES:
+        x, y, z = _REST_OF_VERTEX[i]
+        emit("alternating-spreads", f"vertex-{i}",
+             1, [s[spread_key(x, i, y)], s[spread_key(y, i, z)], s[spread_key(z, i, x)]],
+             1, [s[spread_key(x, i, z)], s[spread_key(y, i, x)], s[spread_key(z, i, y)]])
 
     for (i, j) in EDGES:
-        k, l = _others(i, j)
-        f1, f2 = face_key(i, j, k), face_key(i, j, l)
-        emit("dihedral-spread-formula", f"E{i}{j}", _all_defined(e[(i, j)]),
-             lambda ij=(i, j), f1=f1, f2=f2: e[ij] * a[f1] * a[f2] == q[ij] * vol * 4)
+        k, l = _REST_OF_EDGE[i, j]
+        emit("dihedral-spread-formula", f"E{i}{j}",
+             1, [e[i, j], a[face_key(i, j, k)], a[face_key(i, j, l)]], 4, [q[i, j], vol])
 
-    for pair1, pair2 in SKEW_PAIRINGS:
-        emit("dihedral-spread-ratio",
-             f"{pair1[0]}{pair1[1]}|{pair2[0]}{pair2[1]}",
-             _all_defined(e[pair1], e[pair2], rich),
-             lambda p1=pair1, p2=pair2: e[p1] * e[p2] == rich * q[p1] * q[p2])
+    for p1, p2 in SKEW_PAIRINGS:
+        emit("dihedral-spread-ratio", f"{p1[0]}{p1[1]}|{p2[0]}{p2[1]}",
+             1, [e[p1], e[p2]], 1, [rich, q[p1], q[p2]])
 
     for i in VERTICES:
-        j, k, l = _others(i)
-        emit("solid-spread-formula", f"S{i}", _all_defined(sol[i]),
-             lambda i=i, j=j, k=k, l=l: sol[i] * q[edge_key(i, j)] * q[edge_key(i, k)]
-             * q[edge_key(i, l)] * 4 == vol)
+        j, k, l = _REST_OF_VERTEX[i]
+        emit("solid-spread-formula", f"S{i}", 4, [sol[i], q[i, j], q[i, k], q[i, l]], 1, [vol])
 
-    for i in VERTICES:
-        for j in VERTICES[i + 1:]:
-            k, l = _others(i, j)
-            emit("solid-spread-ratio", f"S{i}|S{j}", _all_defined(sol[i], sol[j]),
-                 lambda i=i, j=j, k=k, l=l: sol[i] * q[edge_key(i, k)] * q[edge_key(i, l)]
-                 == sol[j] * q[edge_key(j, k)] * q[edge_key(j, l)])
+    for (i, j) in EDGES:
+        k, l = _REST_OF_EDGE[i, j]
+        emit("solid-spread-ratio", f"S{i}|S{j}",
+             1, [sol[i], q[i, k], q[i, l]], 1, [sol[j], q[j, k], q[j, l]])
 
     for (i, j), (k, l) in SKEW_PAIRINGS:
         emit("solid-spread-pair-ratio", f"{i}{j}|{k}{l}",
-             _all_defined(sol[i], sol[j], sol[k], sol[l]),
-             lambda i=i, j=j, k=k, l=l: sol[i] * sol[j] * q[(i, j)] * q[(i, j)]
-             == sol[k] * sol[l] * q[(k, l)] * q[(k, l)])
+             1, [sol[i], sol[j], q[i, j], q[i, j]], 1, [sol[k], sol[l], q[k, l], q[k, l]])
 
-    prod_q2 = None
-    for key in EDGES:
-        prod_q2 = q[key] * q[key] if prod_q2 is None else prod_q2 * q[key] * q[key]
-    for omitted in VERTICES:
-        i, j, k = _others(omitted)
+    prod_q2 = _side(1, [q[key] for key in EDGES for _ in (0, 1)])
+    for o in VERTICES:
+        i, j, k = _REST_OF_VERTEX[o]
         emit("solid-spread-triple-ratio", f"S{i}S{j}S{k}",
-             _all_defined(sol[i], sol[j], sol[k]),
-             lambda i=i, j=j, k=k, o=omitted: sol[i] * sol[j] * sol[k] * prod_q2 * 64
-             == vol * vol * vol * q[edge_key(i, o)] * q[edge_key(j, o)] * q[edge_key(k, o)])
+             64, [sol[i], sol[j], sol[k], prod_q2], 1, [vol, vol, vol, q[i, o], q[j, o], q[k, o]])
 
     for i in VERTICES:
-        j, k, l = _others(i)
-        emit("dual-solid-spread-formula", f"D{i}", _all_defined(dual[i]),
-             lambda i=i, j=j, k=k, l=l: dual[i] * a[face_key(i, j, k)] * a[face_key(i, j, l)]
-             * a[face_key(i, k, l)] == vol * vol * 4)
+        emit("dual-solid-spread-formula", f"D{i}",
+             1, [dual[i], *(a[f] for f in FACES if i in f)], 4, [vol, vol])
 
     for i in VERTICES:
-        opposite = face_key(*_others(i))
-        emit("dual-solid-quadrea-ratio", f"D{i}", _all_defined(dual[i], rich),
-             lambda i=i, opp=opposite: dual[i] * 4 == rich * a[opp])
+        emit("dual-solid-quadrea-ratio", f"D{i}", 4, [dual[i]], 1, [rich, a[_REST_OF_VERTEX[i]]])
 
+    # the skew denominator is homogeneous of degree 2 in the quadrances, so
+    # over their common denominator d it is _skew_denominator(numerators) / d^2
+    d = lcm(*(q[key][1] for key in EDGES))
+    q_num = {key: q[key][0] * (d // q[key][1]) for key in EDGES}
     for pairing in SKEW_PAIRINGS:
-        entry = report.skew_quadrances[pairing]
-        emit("skew-quadrance-formula", pairing_name(pairing), _all_defined(entry),
-             lambda p=pairing, ent=entry: ent * _skew_denominator(q, p) == vol)
+        emit("skew-quadrance-formula", pairing_name(pairing),
+             1, [skew[pairing], (_skew_denominator(q_num, pairing), d * d)], 1, [vol])
 
     return CheckResults(verdicts)
 

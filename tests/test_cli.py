@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tetrig import FieldSpec, parse_element
+from tetrig import DivisionByZero, FieldSpec, parse_element
 from tetrig.cli import (FuzzConfig, InputError, document_from_obj, document_to_obj,
                         load_document, main, pool_size, run_fuzz, run_report, run_verify)
 from support import Q
@@ -300,6 +300,52 @@ def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
         assert document_to_obj(doc.tetrahedron) == failure["input"]
     _, code = run_verify(load_fixture_doc())
     assert code == 1
+
+
+@pytest.mark.parametrize("target, fault", [
+    ("analyze", DivisionByZero("injected")),
+    ("verify_identities", RuntimeError("injected")),
+    ("skew_quadrance", DivisionByZero("injected"))])
+def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
+    # a fault raised while sample 2 is checked is recorded with its input;
+    # the other samples are tallied as before and the run exits 1
+    import tetrig.cli as cli
+    cfg = FuzzConfig(prime=101, samples=5, seed=8)
+    clean, _ = run_fuzz(cfg)
+    sample_2 = cli._run_sample(cfg, 2)[0]
+    sampled = []
+    sample, real = cli._sample_tetrahedron, getattr(cli, target)
+
+    def tracking_sample(*args):
+        drawn = sample(*args)
+        sampled.append(drawn[0])
+        return drawn
+
+    def faulty(*args, **kwargs):
+        if len(sampled) == 3:
+            raise fault
+        return real(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
+    monkeypatch.setattr(cli, target, faulty)
+    assert main(["fuzz", "--prime", "101", "--samples", "5", "--seed", "8",
+                 "--workers", "1"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["failures"] == [{
+        "sample": 2, "input": document_to_obj(sampled[2]),
+        "error": {"exception": type(fault).__name__, "message": "injected"}}]
+    for name, row in summary["identities"].items():
+        expected = clean["identities"][name]
+        assert [row["checked"], row["passed"], row["inapplicable"]] == [
+            expected["checked"] - sample_2[name][0], expected["passed"] - sample_2[name][1],
+            expected["inapplicable"] - sample_2[name][2]]
+    assert sample_2["skew-quadrance-projection"][1] > 0  # the skew route ran in sample 2
+    monkeypatch.undo()
+    _, code = run_verify(load_document(json.dumps(summary["failures"][0]["input"])))
+    assert code == 0
 
 
 def test_fuzz_invalid_prime_is_exit_2(capsys):

@@ -266,6 +266,19 @@ def test_invert_zero_raises():
             spec.one() / spec.zero()
 
 
+@pytest.mark.parametrize("spec", [Q, F7], ids=["Q", "F_7"])
+def test_ratio_over_one_is_the_element_without_an_inverse(spec, monkeypatch):
+    import tetrig.field as field
+
+    def no_pow(*args):
+        raise AssertionError("an inverse was computed")
+    monkeypatch.setattr(field, "pow", no_pow, raising=False)
+    for n in (-15, -7, -1, 0, 1, 6, 7, 8, 10**30 + 3):
+        x = spec._ratio(n, 1)
+        assert x == FieldElement(spec, n)
+        assert spec._ratio(*x._parts()) == x
+
+
 # ---------------------------------------------------------------------------
 # axioms and canonical form
 # ---------------------------------------------------------------------------
