@@ -20,11 +20,11 @@ from dataclasses import dataclass
 from .affine import Point3
 from .blinalg import DegenerateForm, SymmetricForm
 from .field import FieldElement, FieldError, FieldSpec, LiteralTooLong, parse_element
-from .tetra import (FAIL, IDENTITY_NAMES, INAPPLICABLE, PASS, SKEW_PAIRINGS,
-                    CheckResults, DegenerateParams, InvariantReport,
-                    NotTriRectangular, Tetrahedron, Verdict, analyze,
-                    is_defined, pairing_name, skew_quadrance,
-                    tri_rectangular_checks, verify_identities)
+from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
+                    PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
+                    InvariantReport, NotTriRectangular, Tetrahedron, Verdict, analyze,
+                    is_defined, pairing_name, skew_quadrance, tri_rectangular_checks,
+                    verify_identities)
 from .trig import quadrume
 
 FUZZ_IDENTITY_NAMES = IDENTITY_NAMES + ("skew-quadrance-projection",)
@@ -160,6 +160,28 @@ def document_to_obj(tet: Tetrahedron, options: ReportOptions | None = None) -> d
 
 # -- report / verify -------------------------------------------------------
 
+# report sections in print order: section -> (InvariantReport field, {entry
+# name: key}), or (field, None) for a section that is one entry
+_SECTIONS = {
+    "Q": ("quadrances", {"%d%d" % k: k for k in EDGES}),
+    "A": ("quadreas", {"%d%d%d" % k: k for k in FACES}),
+    "V": ("quadrume", None),
+    "s": ("face_spreads", {"%d;%d%d" % k: k for k in FACE_SPREAD_KEYS}),
+    "E": ("dihedral_spreads", {"%d%d" % k: k for k in EDGES}),
+    "S": ("solid_spreads", {str(i): i for i in VERTICES}),
+    "D": ("dual_solid_spreads", {str(i): i for i in VERTICES}),
+    "R": ("ratio_constant", None),
+    "skew": ("skew_quadrances", {pairing_name(k): k for k in SKEW_PAIRINGS}),
+}
+# every entry by its printed name, which is its --corrupt key ('V', 'Q.01',
+# 's.0;12', ...): (field, key) of a table entry, (None, field) of a section
+_ENTRY_KEYS = {section: (None, field)
+               for section, (field, names) in _SECTIONS.items() if names is None}
+_ENTRY_KEYS.update((f"{section}.{name}", (field, key))
+                   for section, (field, names) in _SECTIONS.items() if names
+                   for name, key in names.items())
+
+
 def _entry_obj(entry, *path: str):
     if not is_defined(entry):
         return {"undefined": entry.reason}
@@ -170,22 +192,13 @@ def _entry_obj(entry, *path: str):
 
 
 def report_to_obj(report: InvariantReport, options: ReportOptions) -> dict:
-    sections = {
-        "Q": {f"{i}{j}": v for (i, j), v in report.quadrances.items()},
-        "A": {f"{i}{j}{k}": v for (i, j, k), v in report.quadreas.items()},
-        "V": report.quadrume,
-        "s": {f"{i};{j}{k}": v for (i, j, k), v in report.face_spreads.items()},
-        "E": {f"{i}{j}": v for (i, j), v in report.dihedral_spreads.items()},
-        "S": {str(i): v for i, v in report.solid_spreads.items()},
-        "D": {str(i): v for i, v in report.dual_solid_spreads.items()},
-        "R": report.ratio_constant,
-    }
-    if options.skew:
-        sections["skew"] = {pairing_name(p): v for p, v in report.skew_quadrances.items()}
     out = {"field": _field_spec_obj(report.tetrahedron.spec)}
-    for section, table in sections.items():  # entries named like --corrupt keys
-        out[section] = (_entry_obj(table, section) if not isinstance(table, dict) else
-                        {name: _entry_obj(v, section, name) for name, v in table.items()})
+    for section, (field, names) in _SECTIONS.items():
+        if section != "skew" or options.skew:
+            table = getattr(report, field)
+            out[section] = (_entry_obj(table, section) if names is None else
+                            {name: _entry_obj(table[key], section, name)
+                             for name, key in names.items()})
     return out
 
 
@@ -199,65 +212,41 @@ def results_to_obj(results: CheckResults) -> dict:
     }
 
 
+def _right_corner(report: InvariantReport) -> CheckResults:
+    try:
+        return tri_rectangular_checks(report)
+    except (NotTriRectangular, DegenerateParams) as exc:
+        raise InputError(f"tri_rectangular: {exc}") from exc
+
+
 def run_report(doc: InputDocument) -> dict:
     report = analyze(doc.tetrahedron)
     out = report_to_obj(report, doc.options)
     if doc.options.checks:
         out["identities"] = results_to_obj(verify_identities(report))
     if doc.options.tri_rectangular:
-        try:
-            out["tri_rectangular"] = results_to_obj(tri_rectangular_checks(report))
-        except (NotTriRectangular, DegenerateParams) as exc:
-            raise InputError(f"tri_rectangular: {exc}") from exc
+        out["tri_rectangular"] = results_to_obj(_right_corner(report))
     return out
 
 
 def corrupt_entry(report: InvariantReport, key: str) -> None:
-    """Debug aid: add 1 to one defined report entry, e.g. 'E.01' or 'V'."""
-    one = report.tetrahedron.spec.one()
-    if key == "V":
-        report.quadrume = report.quadrume + one
-        return
-    if key == "R":
-        if not is_defined(report.ratio_constant):
-            raise InputError(f"--corrupt {key}: entry is undefined")
-        report.ratio_constant = report.ratio_constant + one
-        return
-    section, _, name = key.partition(".")
-    tables = {
-        "Q": (report.quadrances, lambda t: (int(t[0]), int(t[1]))),
-        "A": (report.quadreas, lambda t: (int(t[0]), int(t[1]), int(t[2]))),
-        "s": (report.face_spreads, lambda t: (int(t[0]), int(t[2]), int(t[3]))),
-        "E": (report.dihedral_spreads, lambda t: (int(t[0]), int(t[1]))),
-        "S": (report.solid_spreads, lambda t: int(t)),
-        "D": (report.dual_solid_spreads, lambda t: int(t)),
-        "skew": (report.skew_quadrances,
-                 lambda t: ((int(t[0]), int(t[1])), (int(t[3]), int(t[4])))),
-    }
-    if section not in tables or not name:
+    """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
+    if key not in _ENTRY_KEYS:
         raise InputError(f"--corrupt {key}: unknown entry")
-    table, parse_key = tables[section]
-    try:
-        entry_key = parse_key(name)
-        entry = table[entry_key]
-    except (ValueError, IndexError, KeyError) as exc:
-        raise InputError(f"--corrupt {key}: unknown entry") from exc
-    if not is_defined(entry):
+    field, entry_key = _ENTRY_KEYS[key]
+    table = getattr(report, field) if field else vars(report)
+    if not is_defined(table[entry_key]):
         raise InputError(f"--corrupt {key}: entry is undefined")
-    table[entry_key] = entry + one
+    table[entry_key] = table[entry_key] + report.tetrahedron.spec.one()
 
 
 def run_verify(doc: InputDocument, corrupt: str | None = None) -> tuple[dict, int]:
     report = analyze(doc.tetrahedron)
     if corrupt is not None:
         corrupt_entry(report, corrupt)
-    results = verify_identities(report)
-    verdicts = list(results.verdicts)
+    verdicts = list(verify_identities(report).verdicts)
     if doc.options.tri_rectangular:
-        try:
-            verdicts.extend(tri_rectangular_checks(report).verdicts)
-        except (NotTriRectangular, DegenerateParams) as exc:
-            raise InputError(f"tri_rectangular: {exc}") from exc
+        verdicts.extend(_right_corner(report).verdicts)
     combined = CheckResults(verdicts)
     return results_to_obj(combined), 1 if combined.failures else 0
 

@@ -318,10 +318,6 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
                            solid_spreads, dual_solid_spreads, ratio_constant, skew_quadrances)
 
 
-def _all_defined(*entries: Entry) -> bool:
-    return all(is_defined(e) for e in entries)
-
-
 def _side(const: int, factors) -> tuple[int, int]:
     """(num, den) of const times the product of (num, den) factors."""
     num, den = const, 1
@@ -331,36 +327,57 @@ def _side(const: int, factors) -> tuple[int, int]:
     return num, den
 
 
+def _sum(*terms):
+    """(num, den) of the sum of (num, den) terms; None when a term is None."""
+    if None in terms:
+        return None
+    num, den = 0, 1
+    for n, d in terms:
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+def _decide(red, lconst: int, lhs, rconst: int, rhs):
+    """PASS or FAIL for `lconst * prod(lhs) == rconst * prod(rhs)`, by one
+    cross-multiplied integer comparison reduced by `red`; None when a factor is
+    None (an Undefined entry).  Every den must be nonzero."""
+    if None in lhs or None in rhs:
+        return None
+    (ln, ld), (rn, rd) = _side(lconst, lhs), _side(rconst, rhs)
+    return PASS if red(ln * rd - rn * ld) == 0 else FAIL
+
+
+def _report_parts(report: InvariantReport):
+    """The entries of `report` in field order (Q, A, V, s, E, S, D, R, skew), each
+    read once as (num, den), None where Undefined; quadrances keyed both ways round."""
+    def part(entry):
+        return entry._parts() if is_defined(entry) else None
+
+    parts = [{key: part(v) for key, v in t.items()} if isinstance(t, dict) else part(t)
+             for t in (report.quadrances, report.quadreas, report.quadrume,
+                       report.face_spreads, report.dihedral_spreads, report.solid_spreads,
+                       report.dual_solid_spreads, report.ratio_constant,
+                       report.skew_quadrances)]
+    q = parts[0]
+    for i, j in EDGES:
+        q[j, i] = q[i, j]
+    return parts
+
+
 def verify_identities(report: InvariantReport) -> CheckResults:
     """One verdict per identity instance, from the report entries alone.
 
     Each entry is read once as an integer pair (num, den) and each identity
-    `c * prod(lhs) == c' * prod(rhs)` is decided by one cross-multiplied
-    comparison of integers, reduced mod p over F_p.  An instance with an
-    Undefined factor is inapplicable.
+    `c * prod(lhs) == c' * prod(rhs)` is decided by `_decide`, one
+    cross-multiplied comparison of integers, reduced mod p over F_p.  An
+    instance with an Undefined factor is inapplicable.
     """
     red = report.tetrahedron.spec._red
-
-    def part(entry):
-        return entry._parts() if is_defined(entry) else None
-
-    def parts(table):
-        return {key: part(entry) for key, entry in table.items()}
-
-    q, a, s = parts(report.quadrances), parts(report.quadreas), parts(report.face_spreads)
-    e, sol = parts(report.dihedral_spreads), parts(report.solid_spreads)
-    dual, skew = parts(report.dual_solid_spreads), parts(report.skew_quadrances)
-    vol, rich = part(report.quadrume), part(report.ratio_constant)
-    for i, j in EDGES:
-        q[j, i] = q[i, j]
+    q, a, vol, s, e, sol, dual, rich, skew = _report_parts(report)
     verdicts = []
 
     def emit(identity, instance, lconst, lhs, rconst, rhs):
-        if None in lhs or None in rhs:
-            status = INAPPLICABLE
-        else:
-            (ln, ld), (rn, rd) = _side(lconst, lhs), _side(rconst, rhs)
-            status = PASS if red(ln * rd - rn * ld) == 0 else FAIL
+        status = _decide(red, lconst, lhs, rconst, rhs) or INAPPLICABLE
         verdicts.append(Verdict(identity, instance, status))
 
     for i in VERTICES:
@@ -457,51 +474,6 @@ class TriRectParams:
     def cross_sum(self) -> FieldElement:
         return self.k1 * self.k2 + self.k1 * self.k3 + self.k2 * self.k3
 
-    def expected_quadrances(self) -> dict:
-        return {(1, 2): self.k1 + self.k2, (1, 3): self.k1 + self.k3,
-                (2, 3): self.k2 + self.k3}
-
-    def expected_quadrume(self) -> FieldElement:
-        return self.k1 * self.k2 * self.k3 * 4
-
-    def expected_quadreas(self) -> dict:
-        return {(0, 1, 2): self.k1 * self.k2 * 4,
-                (0, 1, 3): self.k1 * self.k3 * 4,
-                (0, 2, 3): self.k2 * self.k3 * 4,
-                (1, 2, 3): self.cross_sum * 4}
-
-    def expected_face_spreads(self) -> dict:
-        k1, k2, k3 = self.k1, self.k2, self.k3
-        cs = self.cross_sum
-        return {(1, 0, 2): k2 / (k1 + k2),
-                (1, 0, 3): k3 / (k1 + k3),
-                (1, 2, 3): cs / ((k1 + k2) * (k1 + k3)),
-                (2, 0, 1): k1 / (k1 + k2),
-                (2, 0, 3): k3 / (k2 + k3),
-                (2, 1, 3): cs / ((k1 + k2) * (k2 + k3)),
-                (3, 0, 1): k1 / (k1 + k3),
-                (3, 0, 2): k2 / (k2 + k3),
-                (3, 1, 2): cs / ((k1 + k3) * (k2 + k3))}
-
-    def expected_dihedral_spreads(self) -> dict:
-        k1, k2, k3 = self.k1, self.k2, self.k3
-        cs = self.cross_sum
-        return {(1, 2): k3 * (k1 + k2) / cs,
-                (1, 3): k2 * (k1 + k3) / cs,
-                (2, 3): k1 * (k2 + k3) / cs}
-
-    def expected_solid_spreads(self) -> dict:
-        k1, k2, k3 = self.k1, self.k2, self.k3
-        return {1: k2 * k3 / ((k1 + k2) * (k1 + k3)),
-                2: k1 * k3 / ((k1 + k2) * (k2 + k3)),
-                3: k1 * k2 / ((k1 + k3) * (k2 + k3))}
-
-    def expected_dual_solid_spreads(self) -> dict:
-        cs = self.cross_sum
-        return {1: self.k2 * self.k3 / cs,
-                2: self.k1 * self.k3 / cs,
-                3: self.k1 * self.k2 / cs}
-
 
 def corner_params(tet: Tetrahedron) -> TriRectParams:
     """Validate tri-rectangularity at vertex 0 and extract the corner quadrances."""
@@ -514,57 +486,60 @@ def corner_params(tet: Tetrahedron) -> TriRectParams:
 
 
 def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
-    """Verdicts for the right-corner closed forms and sum relations of `report`."""
+    """Verdicts for the right-corner closed forms and sum relations of `report`.
+
+    K1, K2, K3 come from the tetrahedron, not from the report.  Each relation is
+    decided by `_decide`, like an identity of `verify_identities`, but an
+    Undefined entry fails it.  Cross-multiplying is exact: TriRectParams rejects
+    zero K_i, K_i + K_j and K1 K2 + K1 K3 + K2 K3, the only denominators besides
+    the entries' own.
+    """
     params = corner_params(report.tetrahedron)
-    one = report.tetrahedron.spec.one()
+    red = report.tetrahedron.spec._red
+    q, a, vol, s, e, sol, dual, _, _ = _report_parts(report)
+    k = {1: params.k1._parts(), 2: params.k2._parts(), 3: params.k3._parts()}
+    kk = {(i, j): _sum(k[i], k[j]) for i in k for j in k if i != j}  # K_i + K_j
+    cs = _sum(*(_side(1, [k[i], k[j]]) for i, j in ((1, 2), (1, 3), (2, 3))))
     verdicts = []
 
-    def compare(identity, instance, entry, expected):
-        status = PASS if is_defined(entry) and entry == expected else FAIL
+    def emit(identity, instance, lconst, lhs, rconst, rhs):
+        status = _decide(red, lconst, lhs, rconst, rhs) or FAIL
         verdicts.append(Verdict(identity, instance, status))
 
-    for (j, k), expected in params.expected_quadrances().items():
-        compare("closed-form-quadrance", f"Q{j}{k}", report.quadrances[(j, k)], expected)
-    compare("closed-form-quadrume", "V", report.quadrume, params.expected_quadrume())
-    for key, expected in params.expected_quadreas().items():
-        compare("closed-form-quadrea", f"A{key[0]}{key[1]}{key[2]}", report.quadreas[key], expected)
-    for key, expected in params.expected_face_spreads().items():
-        compare("closed-form-face-spread", f"s{key[0]};{key[1]}{key[2]}",
-                report.face_spreads[key], expected)
-    for key, expected in params.expected_dihedral_spreads().items():
-        compare("closed-form-dihedral-spread", f"E{key[0]}{key[1]}",
-                report.dihedral_spreads[key], expected)
-    for i, expected in params.expected_solid_spreads().items():
-        compare("closed-form-solid-spread", f"S{i}", report.solid_spreads[i], expected)
-    for i, expected in params.expected_dual_solid_spreads().items():
-        compare("closed-form-dual-solid-spread", f"D{i}", report.dual_solid_spreads[i], expected)
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        emit("closed-form-quadrance", f"Q{j}{m}", 1, [q[j, m]], 1, [kk[j, m]])
+    emit("closed-form-quadrume", "V", 1, [vol], 4, [k[1], k[2], k[3]])
+    for f in FACES:
+        emit("closed-form-quadrea", "A%d%d%d" % f, 1, [a[f]],
+             4, [cs] if f == (1, 2, 3) else [k[f[1]], k[f[2]]])
+    # at apex i: s_i;0m = K_m / (K_i + K_m), s_i;jm = cs / ((K_i + K_j)(K_i + K_m))
+    for i, j, m in FACE_SPREAD_KEYS[3:]:
+        emit("closed-form-face-spread", f"s{i};{j}{m}", 1,
+             [s[i, j, m], kk[i, m]] + ([kk[i, j]] if j else []), 1, [cs if j else k[m]])
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        emit("closed-form-dihedral-spread", f"E{j}{m}",
+             1, [e[j, m], cs], 1, [k[6 - j - m], kk[j, m]])
+    for i in (1, 2, 3):
+        j, m = _REST_OF_EDGE[0, i]
+        emit("closed-form-solid-spread", f"S{i}", 1, [sol[i], kk[i, j], kk[i, m]],
+             1, [k[j], k[m]])
+    for i in (1, 2, 3):
+        j, m = _REST_OF_EDGE[0, i]
+        emit("closed-form-dual-solid-spread", f"D{i}", 1, [dual[i], cs], 1, [k[j], k[m]])
 
-    for (j, k) in ((1, 2), (1, 3), (2, 3)):
-        compare("right-corner-units", f"s0;{j}{k}", report.face_spreads[(0, j, k)], one)
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        emit("right-corner-units", f"s0;{j}{m}", 1, [s[0, j, m]], 1, [])
     for j in (1, 2, 3):
-        compare("right-corner-units", f"E0{j}", report.dihedral_spreads[(0, j)], one)
-    compare("right-corner-units", "S0", report.solid_spreads[0], one)
-    compare("right-corner-units", "D0", report.dual_solid_spreads[0], one)
+        emit("right-corner-units", f"E0{j}", 1, [e[0, j]], 1, [])
+    emit("right-corner-units", "S0", 1, [sol[0]], 1, [])
+    emit("right-corner-units", "D0", 1, [dual[0]], 1, [])
 
-    a = report.quadreas
-    verdicts.append(Verdict("face-quadrea-sum", "A123",
-                            PASS if a[(1, 2, 3)] == a[(0, 1, 2)] + a[(0, 1, 3)] + a[(0, 2, 3)]
-                            else FAIL))
-
-    e12, e13, e23 = (report.dihedral_spreads[key] for key in ((1, 2), (1, 3), (2, 3)))
-    status = (PASS if _all_defined(e12, e13, e23) and e12 + e13 + e23 == one * 2 else FAIL)
-    verdicts.append(Verdict("dihedral-spread-sum", "E12+E13+E23", status))
-
-    s1, s2, s3 = (report.solid_spreads[i] for i in (1, 2, 3))
-    if _all_defined(s1, s2, s3):
-        rest = 1 - s1 - s2 - s3
-        status = PASS if rest * rest == s1 * s2 * s3 * 4 else FAIL
-    else:
-        status = FAIL
-    verdicts.append(Verdict("solid-spread-square", "(1-S1-S2-S3)^2", status))
-
-    d1, d2, d3 = (report.dual_solid_spreads[i] for i in (1, 2, 3))
-    status = (PASS if _all_defined(d1, d2, d3) and d1 + d2 + d3 == one else FAIL)
-    verdicts.append(Verdict("dual-solid-spread-sum", "D1+D2+D3", status))
+    emit("face-quadrea-sum", "A123",
+         1, [a[1, 2, 3]], 1, [_sum(a[0, 1, 2], a[0, 1, 3], a[0, 2, 3])])
+    emit("dihedral-spread-sum", "E12+E13+E23", 1, [_sum(e[1, 2], e[1, 3], e[2, 3])], 2, [])
+    total = _sum(sol[1], sol[2], sol[3])
+    rest = None if total is None else (total[1] - total[0], total[1])  # 1 - S1 - S2 - S3
+    emit("solid-spread-square", "(1-S1-S2-S3)^2", 1, [rest, rest], 4, [sol[1], sol[2], sol[3]])
+    emit("dual-solid-spread-sum", "D1+D2+D3", 1, [_sum(dual[1], dual[2], dual[3])], 1, [])
 
     return CheckResults(verdicts)

@@ -134,6 +134,16 @@ def test_verify_corrupt_unknown_key_rejected():
         run_verify(load_fixture_doc(), corrupt="X.99")
 
 
+@pytest.mark.parametrize("key", ["Q.0123", "s.0;12zz", "E.01x", "A.0124", "skew.01;23;45",
+                                 "S.+1", "S. 1"])
+def test_verify_corrupt_takes_only_exact_entry_names(key, capsys):
+    # each key starts like a real entry name; none may be read as that entry
+    assert main(["verify", "--input", str(UNIT_DOC), "--corrupt", key]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --corrupt {key}: unknown entry\n"
+
+
 def test_exit_codes_on_golden_fixtures(tmp_path, capsys):
     ok = main(["verify", "--input", str(UNIT_DOC), "--output",
                str(tmp_path / "ok.json")])

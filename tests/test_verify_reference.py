@@ -1,22 +1,28 @@
-"""`verify_identities` against a plain Fraction / residue reference.
+"""`verify_identities` and `tri_rectangular_checks` against a plain
+Fraction / residue reference.
 
 The reference reads every report entry as a `Fraction` over Q or a residue
-over F_p, evaluates both sides of each identity in that arithmetic and
-compares them; `verify_identities` cross-multiplies integer pairs instead.
-The two must agree verdict for verdict, on clean reports (where every
-applicable identity holds) and after any one defined entry is bumped by 1,
-as `tetrig verify --corrupt` does.
+over F_p, evaluates both sides of each identity (or each right-corner closed
+form and sum relation, from K1, K2, K3 of the tetrahedron) in that arithmetic
+and compares them; the library cross-multiplies integer pairs instead.  The
+two must agree verdict for verdict, on clean reports (where every applicable
+relation holds) and after any one defined entry is bumped by 1, as
+`tetrig verify --corrupt` does.
 """
 
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from tetrig import (EDGES, FACES, SKEW_PAIRINGS, FieldSpec, Point3, Tetrahedron, analyze,
-                    is_defined, verify_identities)
-from tetrig.cli import ReportOptions, corrupt_entry, report_to_obj
+from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec, NullPivot,
+                    Point3, Tetrahedron, Undefined, analyze, is_defined, translate,
+                    tri_rectangular_checks, tri_rectangular_frame, verify_identities)
+from tetrig.cli import ReportOptions, corrupt_entry, load_document, report_to_obj
 from support import Q, rand_form, rand_point, rng
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 VERTICES = range(4)
 
@@ -25,13 +31,19 @@ def _rest(*fixed):
     return [m for m in VERTICES if m not in fixed]
 
 
-def reference_verdicts(report):
-    p = report.tetrahedron.spec.p
-
+def entry_reader(p):
+    """Reads a report entry as a Fraction over Q (p None) or as a residue mod p;
+    None where it is Undefined."""
     def val(entry):
         if not is_defined(entry):
             return None
         return Fraction(entry.numerator, entry.denominator) if p is None else entry.residue
+    return val
+
+
+def reference_verdicts(report):
+    p = report.tetrahedron.spec.p
+    val = entry_reader(p)
 
     def table(entries):
         return {key: val(entry) for key, entry in entries.items()}
@@ -162,3 +174,146 @@ def test_verify_matches_reference_on_clean_and_corrupted_reports(spec, tall, cou
     assert {"pass", "fail"} <= statuses
     if spec.p == 7:
         assert "inapplicable" in statuses
+
+
+# ---------------------------------------------------------------------------
+# right-corner relations
+# ---------------------------------------------------------------------------
+
+def reference_right_corner(report):
+    """Verdicts of the tri-rectangular closed forms, units and sum relations,
+    each entry compared with its expected value in plain arithmetic; an
+    Undefined entry fails."""
+    tet = report.tetrahedron
+    p = tet.spec.p
+    val = entry_reader(p)
+
+    def div(x, y):
+        return Fraction(x) / y if p is None else x * pow(y, -1, p) % p
+
+    def same(x, y):
+        return x == y if p is None else (x - y) % p == 0
+
+    a1, a2, a3, b1, b2, b3 = (val(x) for x in tet.form.entries())
+    rows = ((a1, b3, b2), (b3, a2, b1), (b2, b1, a3))
+    origin = [val(c) for c in tet.vertex(0).coordinates()]
+    k = {}
+    for i in (1, 2, 3):
+        v = [val(c) - o for c, o in zip(tet.vertex(i).coordinates(), origin)]
+        k[i] = sum(v[r] * rows[r][c] * v[c] for r in range(3) for c in range(3))
+    cs = k[1] * k[2] + k[1] * k[3] + k[2] * k[3]
+    q = {key: val(x) for key, x in report.quadrances.items()}
+    a = {key: val(x) for key, x in report.quadreas.items()}
+    s = {key: val(x) for key, x in report.face_spreads.items()}
+    e = {key: val(x) for key, x in report.dihedral_spreads.items()}
+    sol = {key: val(x) for key, x in report.solid_spreads.items()}
+    dual = {key: val(x) for key, x in report.dual_solid_spreads.items()}
+    out = []
+
+    def check(identity, instance, entries, lhs, rhs):
+        ok = all(x is not None for x in entries) and same(lhs(), rhs())
+        out.append((identity, instance, "pass" if ok else "fail"))
+
+    def closed(identity, instance, entry, expected):
+        check(identity, instance, [entry], lambda: entry, lambda: expected)
+
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        closed("closed-form-quadrance", f"Q{j}{m}", q[j, m], k[j] + k[m])
+    closed("closed-form-quadrume", "V", val(report.quadrume), 4 * k[1] * k[2] * k[3])
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        closed("closed-form-quadrea", f"A0{j}{m}", a[0, j, m], 4 * k[j] * k[m])
+    closed("closed-form-quadrea", "A123", a[1, 2, 3], 4 * cs)
+    for i in (1, 2, 3):
+        j, m = _rest(0, i)
+        closed("closed-form-face-spread", f"s{i};0{j}", s[i, 0, j], div(k[j], k[i] + k[j]))
+        closed("closed-form-face-spread", f"s{i};0{m}", s[i, 0, m], div(k[m], k[i] + k[m]))
+        closed("closed-form-face-spread", f"s{i};{j}{m}", s[i, j, m],
+               div(cs, (k[i] + k[j]) * (k[i] + k[m])))
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        (n,) = _rest(0, j, m)
+        closed("closed-form-dihedral-spread", f"E{j}{m}", e[j, m], div(k[n] * (k[j] + k[m]), cs))
+    for i in (1, 2, 3):
+        j, m = _rest(0, i)
+        closed("closed-form-solid-spread", f"S{i}", sol[i],
+               div(k[j] * k[m], (k[i] + k[j]) * (k[i] + k[m])))
+    for i in (1, 2, 3):
+        j, m = _rest(0, i)
+        closed("closed-form-dual-solid-spread", f"D{i}", dual[i], div(k[j] * k[m], cs))
+    for j, m in ((1, 2), (1, 3), (2, 3)):
+        closed("right-corner-units", f"s0;{j}{m}", s[0, j, m], 1)
+    for j in (1, 2, 3):
+        closed("right-corner-units", f"E0{j}", e[0, j], 1)
+    closed("right-corner-units", "S0", sol[0], 1)
+    closed("right-corner-units", "D0", dual[0], 1)
+    check("face-quadrea-sum", "A123", [],
+          lambda: a[1, 2, 3], lambda: a[0, 1, 2] + a[0, 1, 3] + a[0, 2, 3])
+    check("dihedral-spread-sum", "E12+E13+E23", [e[1, 2], e[1, 3], e[2, 3]],
+          lambda: e[1, 2] + e[1, 3] + e[2, 3], lambda: 2)
+    check("solid-spread-square", "(1-S1-S2-S3)^2", [sol[1], sol[2], sol[3]],
+          lambda: (1 - sol[1] - sol[2] - sol[3]) ** 2, lambda: 4 * sol[1] * sol[2] * sol[3])
+    check("dual-solid-spread-sum", "D1+D2+D3", [dual[1], dual[2], dual[3]],
+          lambda: dual[1] + dual[2] + dual[3], lambda: 1)
+    return out
+
+
+def right_corner_verdicts(report):
+    return [(v.identity, v.instance, v.status)
+            for v in tri_rectangular_checks(report).verdicts]
+
+
+def right_corners(spec, count, seed):
+    """Corners on tri_rectangular_frame of random forms; frames that hit a null
+    pivot or degenerate corner quadrances are skipped."""
+    rnd = rng(seed)
+    while count:
+        form = rand_form(spec, rnd)
+        try:
+            v1, v2, v3 = tri_rectangular_frame(form)
+        except NullPivot:
+            continue
+        base = rand_point(spec, rnd)
+        tet = Tetrahedron(base, translate(base, v1), translate(base, v2), translate(base, v3),
+                          form)
+        try:
+            tri_rectangular_checks(analyze(tet))
+        except DegenerateParams:
+            continue
+        count -= 1
+        yield tet
+
+
+def fixture_corners():
+    for name in ("unit_tri_rectangular", "tri_rectangular_mixed_corner", "tri_rectangular_f101"):
+        yield load_document((FIXTURES / f"{name}.json").read_text()).tetrahedron
+
+
+@pytest.mark.parametrize("corners", [
+    fixture_corners, lambda: right_corners(Q, 4, 71),
+    lambda: right_corners(FieldSpec.prime(7), 10, 72),
+    lambda: right_corners(FieldSpec.prime(101), 6, 73)],
+    ids=["fixtures", "Q", "F_7", "F_101"])
+def test_right_corner_matches_reference_on_clean_and_corrupted_reports(corners):
+    seen = 0
+    for tet in corners():
+        report = analyze(tet)
+        clean = right_corner_verdicts(report)
+        assert clean == reference_right_corner(report)
+        assert {status for _, _, status in clean} == {"pass"}
+        for key in defined_entry_keys(report):
+            corrupted = copy_report(report)
+            corrupt_entry(corrupted, key)
+            assert right_corner_verdicts(corrupted) == reference_right_corner(corrupted), key
+        seen += 1
+    assert seen >= 3
+
+
+def test_right_corner_undefined_entry_fails():
+    report = copy_report(analyze(next(fixture_corners())))
+    report.solid_spreads[1] = Undefined("NullEdge")
+    verdicts = right_corner_verdicts(report)
+    assert verdicts == reference_right_corner(report)
+    failed = {(identity, instance) for identity, instance, status in verdicts
+              if status == "fail"}
+    assert failed == {("closed-form-solid-spread", "S1"),
+                      ("solid-spread-square", "(1-S1-S2-S3)^2")}
+    assert "inapplicable" not in {status for _, _, status in verdicts}
