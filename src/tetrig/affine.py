@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .blinalg import SymmetricForm, Vector3, b_cross, cross3, det3, shared_spec
+from .blinalg import Frozen, SymmetricForm, Vector3, b_cross, cross3, det3, shared_spec
 from .field import FieldElement, FieldSpec, MixedFields
 
 
@@ -16,16 +14,16 @@ class NullAxis(Exception):
     """Projection axis has quadrance zero, so the projection is undefined."""
 
 
-@dataclass(frozen=True)
-class Point3:
+class Point3(Frozen):
     """Affine position with three exact coordinates."""
 
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        shared_spec(self.x, self.y, self.z)
+    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        shared_spec(x, y, z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def of(cls, spec: FieldSpec, x, y, z) -> "Point3":
@@ -48,29 +46,29 @@ def translate(point: Point3, move: Vector3) -> Point3:
     return Point3(point.x + move.x, point.y + move.y, point.z + move.z)
 
 
-@dataclass(frozen=True)
-class Line:
-    base: Point3
-    direction: Vector3
+class Line(Frozen):
+    __slots__ = ("base", "direction")
 
-    def __post_init__(self) -> None:
-        if self.base.spec != self.direction.spec:
+    def __init__(self, base: Point3, direction: Vector3):
+        if base.spec != direction.spec:
             raise MixedFields("line base and direction drawn from different fields")
-        if self.direction.is_zero:
+        if direction.is_zero:
             raise ValueError("line direction must be nonzero")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class Plane:
-    base: Point3
-    span1: Vector3
-    span2: Vector3
+class Plane(Frozen):
+    __slots__ = ("base", "span1", "span2")
 
-    def __post_init__(self) -> None:
-        if not (self.base.spec == self.span1.spec == self.span2.spec):
+    def __init__(self, base: Point3, span1: Vector3, span2: Vector3):
+        if not (base.spec == span1.spec == span2.spec):
             raise MixedFields("plane base and spans drawn from different fields")
-        if cross3(self.span1, self.span2).is_zero:
+        if cross3(span1, span2).is_zero:
             raise DegeneratePlane("spanning vectors are linearly dependent")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "span1", span1)
+        object.__setattr__(self, "span2", span2)
 
 
 def line_through(x: Point3, y: Point3) -> Line:

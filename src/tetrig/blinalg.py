@@ -9,7 +9,6 @@ not 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .field import FieldElement, FieldSpec, MixedFields
@@ -27,16 +26,53 @@ def shared_spec(*elements: FieldElement) -> FieldSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class Vector3:
+class Record:
+    """Value type whose fields are its `__slots__`: equal when of one type with
+    equal fields (so not hashable), a `repr` of the fields, and pickling and
+    copying through the constructor, which takes the fields in slot order."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+
+class Frozen(Record):
+    """Immutable, hashable record; `__init__` sets fields with `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, *value):  # *value: empty when called as __delattr__
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Vector3(Frozen):
     """Displacement vector with three exact components."""
 
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        shared_spec(self.x, self.y, self.z)
+    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        shared_spec(x, y, z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def of(cls, spec: FieldSpec, x, y, z) -> "Vector3":

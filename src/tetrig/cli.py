@@ -14,11 +14,11 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from importlib import import_module
+from time import perf_counter
 
 from .affine import Point3
-from .blinalg import DegenerateForm, SymmetricForm
+from .blinalg import DegenerateForm, Record, SymmetricForm
 from .field import FieldElement, FieldError, FieldSpec, LiteralTooLong, parse_element
 from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
                     PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
@@ -36,29 +36,34 @@ class InputError(Exception):
     """Invalid input document or configuration; maps to exit code 2."""
 
 
-@dataclass
-class ReportOptions:
-    checks: bool = False
-    skew: bool = True
-    tri_rectangular: bool = False
+class ReportOptions(Record):
+    __slots__ = ("checks", "skew", "tri_rectangular")
+
+    def __init__(self, checks: bool = False, skew: bool = True, tri_rectangular: bool = False):
+        self.checks, self.skew, self.tri_rectangular = checks, skew, tri_rectangular
 
 
-@dataclass
-class InputDocument:
-    spec: FieldSpec
-    form: SymmetricForm
-    tetrahedron: Tetrahedron
-    options: ReportOptions
+class InputDocument(Record):
+    __slots__ = ("spec", "form", "tetrahedron", "options")
+
+    def __init__(self, spec: FieldSpec, form: SymmetricForm, tetrahedron: Tetrahedron,
+                 options: ReportOptions):
+        self.spec, self.form, self.tetrahedron, self.options = spec, form, tetrahedron, options
 
 
-@dataclass
-class FuzzConfig:
-    prime: int
-    samples: int
-    seed: int
-    reject_degenerate: bool = True
-    random_form: bool = False
-    workers: int = 1
+class FuzzConfig(Record):
+    __slots__ = ("prime", "samples", "seed", "reject_degenerate", "random_form", "workers")
+
+    def __init__(self, prime: int, samples: int, seed: int, reject_degenerate: bool = True,
+                 random_form: bool = False, workers: int = 1):
+        self.prime, self.samples, self.seed, self.workers = prime, samples, seed, workers
+        self.reject_degenerate, self.random_form = reject_degenerate, random_form
+
+
+def _untimed(phase: str, fn, *args):
+    """Default `run` of run_report, run_verify and run_fuzz, which call each phase
+    as run(phase, fn, *args); `main` passes one that also times it."""
+    return fn(*args)
 
 
 # -- input documents -------------------------------------------------------
@@ -174,8 +179,8 @@ _SECTIONS = {
     "skew": ("skew_quadrances", {pairing_name(k): k for k in SKEW_PAIRINGS}),
 }
 # every entry by its printed name, which is its --corrupt key ('V', 'Q.01',
-# 's.0;12', ...): (field, key) of a table entry, (None, field) of a section
-_ENTRY_KEYS = {section: (None, field)
+# 's.0;12', ...): (field, key) of a table entry, (field, None) of a section
+_ENTRY_KEYS = {section: (field, None)
                for section, (field, names) in _SECTIONS.items() if names is None}
 _ENTRY_KEYS.update((f"{section}.{name}", (field, key))
                    for section, (field, names) in _SECTIONS.items() if names
@@ -219,13 +224,15 @@ def _right_corner(report: InvariantReport) -> CheckResults:
         raise InputError(f"tri_rectangular: {exc}") from exc
 
 
-def run_report(doc: InputDocument) -> dict:
-    report = analyze(doc.tetrahedron)
-    out = report_to_obj(report, doc.options)
+def run_report(doc: InputDocument, run=_untimed) -> dict:
+    report = run("analyze", analyze, doc.tetrahedron)
+    out = run("serialise", report_to_obj, report, doc.options)
     if doc.options.checks:
-        out["identities"] = results_to_obj(verify_identities(report))
+        out["identities"] = run("serialise", results_to_obj,
+                                run("verify", verify_identities, report))
     if doc.options.tri_rectangular:
-        out["tri_rectangular"] = results_to_obj(_right_corner(report))
+        out["tri_rectangular"] = run("serialise", results_to_obj,
+                                     run("right corner", _right_corner, report))
     return out
 
 
@@ -234,21 +241,27 @@ def corrupt_entry(report: InvariantReport, key: str) -> None:
     if key not in _ENTRY_KEYS:
         raise InputError(f"--corrupt {key}: unknown entry")
     field, entry_key = _ENTRY_KEYS[key]
-    table = getattr(report, field) if field else vars(report)
-    if not is_defined(table[entry_key]):
+    table = getattr(report, field)
+    entry = table if entry_key is None else table[entry_key]
+    if not is_defined(entry):
         raise InputError(f"--corrupt {key}: entry is undefined")
-    table[entry_key] = table[entry_key] + report.tetrahedron.spec.one()
+    entry = entry + report.tetrahedron.spec.one()
+    if entry_key is None:
+        setattr(report, field, entry)
+    else:
+        table[entry_key] = entry
 
 
-def run_verify(doc: InputDocument, corrupt: str | None = None) -> tuple[dict, int]:
-    report = analyze(doc.tetrahedron)
+def run_verify(doc: InputDocument, corrupt: str | None = None,
+               run=_untimed) -> tuple[dict, int]:
+    report = run("analyze", analyze, doc.tetrahedron)
     if corrupt is not None:
         corrupt_entry(report, corrupt)
-    verdicts = list(verify_identities(report).verdicts)
+    verdicts = list(run("verify", verify_identities, report).verdicts)
     if doc.options.tri_rectangular:
-        verdicts.extend(_right_corner(report).verdicts)
+        verdicts.extend(run("right corner", _right_corner, report).verdicts)
     combined = CheckResults(verdicts)
-    return results_to_obj(combined), 1 if combined.failures else 0
+    return run("serialise", results_to_obj, combined), 1 if combined.failures else 0
 
 
 # -- fuzzing ----------------------------------------------------------------
@@ -349,7 +362,7 @@ def pool_size(workers: int, samples: int, cpus: int) -> int:
     return max(1, min(workers, samples, cpus))
 
 
-def run_fuzz(cfg: FuzzConfig) -> tuple[dict, int]:
+def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
     try:
         FieldSpec.prime(cfg.prime)
     except FieldError as exc:
@@ -362,13 +375,17 @@ def run_fuzz(cfg: FuzzConfig) -> tuple[dict, int]:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = pool_size(cfg.workers, cfg.samples, cpus or 1)
     if workers <= 1:
-        parts = [_run_range(cfg, 0, cfg.samples)]
+        parts = [run("samples", _run_range, cfg, 0, cfg.samples)]
     else:
         step = -(-cfg.samples // workers)
         ranges = [(lo, min(lo + step, cfg.samples)) for lo in range(0, cfg.samples, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_range, [cfg] * len(ranges),
-                                  [r[0] for r in ranges], [r[1] for r in ranges]))
+        # start-up: import the pool (report, verify and one-worker fuzz never do),
+        # create it and hand out the ranges, which starts the workers
+        futures = run("pool start-up", import_module, "concurrent.futures")
+        with run("pool start-up", futures.ProcessPoolExecutor, workers) as pool:
+            results = run("pool start-up", pool.map, _run_range, [cfg] * len(ranges),
+                          [r[0] for r in ranges], [r[1] for r in ranges])
+            parts = run("samples", list, results)
 
     tally, failures, rejected_forms, rejected_degenerate = _merge(parts)
     failures.sort(key=lambda f: f["sample"])
@@ -433,30 +450,51 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--workers", type=int, default=1,
                       help="worker processes; the summary does not depend on this")
     fuzz.add_argument("--output", help="output path (default: stdout)")
+    for command in (report, verify, fuzz):
+        command.add_argument("--timings", action="store_true",
+                             help="write one JSON line of timings per phase to stderr")
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, startup=None) -> int:
+    """Run the CLI; `startup` is (seconds importing this module, process CPU
+    seconds so far), as timed by `__main__` for --timings."""
     args = _build_parser().parse_args(argv)
+    timings = {}  # phase -> {"ms": wall milliseconds, other figures}, for --timings
+    if startup is not None:
+        timings["import"] = {"ms": startup[0] * 1000, "process_cpu_ms": startup[1] * 1000}
+
+    def run(phase: str, fn, *args):
+        start = perf_counter()
+        out = fn(*args)
+        timings.setdefault(phase, {"ms": 0.0})["ms"] += (perf_counter() - start) * 1000
+        return out
+
     try:
         if args.command == "report":
-            doc = load_document(_read_input(args.input))
-            _write_output(args.output, run_report(doc))
+            doc = run("parse", load_document, _read_input(args.input))
+            run("serialise", _write_output, args.output, run_report(doc, run))
             return 0
         if args.command == "verify":
-            doc = load_document(_read_input(args.input))
-            out, code = run_verify(doc, corrupt=args.corrupt)
-            _write_output(args.output, out)
+            doc = run("parse", load_document, _read_input(args.input))
+            out, code = run_verify(doc, args.corrupt, run)
+            run("serialise", _write_output, args.output, out)
             return code
         cfg = FuzzConfig(prime=args.prime, samples=args.samples, seed=args.seed,
                          reject_degenerate=not args.allow_degenerate,
                          random_form=args.random_form, workers=args.workers)
-        summary, code = run_fuzz(cfg)
-        _write_output(args.output, summary)
+        summary, code = run_fuzz(cfg, run)
+        timings["samples"]["samples_per_s"] = cfg.samples * 1000 / timings["samples"]["ms"]
+        run("serialise", _write_output, args.output, summary)
         return code
     except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if args.timings:
+            for phase, figures in timings.items():
+                figures = {name: round(value, 3) for name, value in figures.items()}
+                print(json.dumps({"phase": phase, **figures}), file=sys.stderr)
 
 
 if __name__ == "__main__":

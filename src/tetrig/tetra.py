@@ -10,14 +10,12 @@ with a machine-readable reason rather than silently substituted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
-from typing import Union
 
 from .affine import Point3, b_project, displacement, translate
-from .blinalg import (SymmetricForm, Vector3, adj_cross_values, b_cross, dot_values,
-                      shared_spec)
+from .blinalg import (Frozen, Record, SymmetricForm, Vector3, adj_cross_values, b_cross,
+                      dot_values, shared_spec)
 from .field import FieldElement, MixedFields
 from .trig import (archimedes, quadrance, quadrume, solid_spread_from_parts,
                    spread_from_parts)
@@ -97,20 +95,20 @@ def pairing_name(pairing) -> str:
     return f"{a}{b};{c}{d}"
 
 
-@dataclass(frozen=True)
-class Tetrahedron:
+class Tetrahedron(Frozen):
     """Four affine points measured against one symmetric form."""
 
-    a0: Point3
-    a1: Point3
-    a2: Point3
-    a3: Point3
-    form: SymmetricForm
+    __slots__ = ("a0", "a1", "a2", "a3", "form")
 
-    def __post_init__(self) -> None:
-        shared_spec(self.a0.x, self.a1.x, self.a2.x, self.a3.x)
-        if self.a0.spec != self.form.spec:
+    def __init__(self, a0: Point3, a1: Point3, a2: Point3, a3: Point3, form: SymmetricForm):
+        shared_spec(a0.x, a1.x, a2.x, a3.x)
+        if a0.spec != form.spec:
             raise MixedFields("points and form drawn from different fields")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "form", form)
 
     @property
     def spec(self):
@@ -127,46 +125,52 @@ class Tetrahedron:
         return displacement(self.points[i], self.points[j])
 
 
-@dataclass(frozen=True)
-class Undefined:
+class Undefined(Frozen):
     """Placeholder for a quantity whose defining formula divides by zero."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
-Entry = Union[FieldElement, Undefined]
-
-
-def is_defined(entry: Entry) -> bool:
+def is_defined(entry: FieldElement | Undefined) -> bool:
     return isinstance(entry, FieldElement)
 
 
-@dataclass
-class InvariantReport:
-    """Every metrical invariant of one tetrahedron, fully expanded."""
+class InvariantReport(Record):
+    """Every metrical invariant of one tetrahedron, fully expanded.  Tables are
+    keyed like EDGES, FACES, FACE_SPREAD_KEYS, VERTICES and SKEW_PAIRINGS; spreads,
+    the ratio constant and skew quadrances may be Undefined."""
 
-    tetrahedron: Tetrahedron
-    quadrances: dict  # (i, j) -> FieldElement
-    quadreas: dict  # (i, j, k) -> FieldElement
-    quadrume: FieldElement
-    face_spreads: dict  # (apex, j, k) -> Entry
-    dihedral_spreads: dict  # (i, j) -> Entry
-    solid_spreads: dict  # i -> Entry
-    dual_solid_spreads: dict  # i -> Entry
-    ratio_constant: Entry
-    skew_quadrances: dict  # pairing -> Entry
+    __slots__ = ("tetrahedron", "quadrances", "quadreas", "quadrume", "face_spreads",
+                 "dihedral_spreads", "solid_spreads", "dual_solid_spreads",
+                 "ratio_constant", "skew_quadrances")
 
-
-@dataclass(frozen=True)
-class Verdict:
-    identity: str
-    instance: str
-    status: str
+    def __init__(self, tetrahedron, quadrances, quadreas, quadrume, face_spreads,
+                 dihedral_spreads, solid_spreads, dual_solid_spreads, ratio_constant,
+                 skew_quadrances):
+        self.tetrahedron, self.quadrances, self.quadreas = tetrahedron, quadrances, quadreas
+        self.quadrume, self.face_spreads = quadrume, face_spreads
+        self.dihedral_spreads, self.solid_spreads = dihedral_spreads, solid_spreads
+        self.dual_solid_spreads, self.ratio_constant = dual_solid_spreads, ratio_constant
+        self.skew_quadrances = skew_quadrances
 
 
-@dataclass
-class CheckResults:
-    verdicts: list
+class Verdict(Frozen):
+    __slots__ = ("identity", "instance", "status")
+
+    def __init__(self, identity: str, instance: str, status: str):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "status", status)
+
+
+class CheckResults(Record):
+    __slots__ = ("verdicts",)
+
+    def __init__(self, verdicts: list):
+        self.verdicts = verdicts
 
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, INAPPLICABLE: 0}
@@ -452,27 +456,23 @@ def tri_rectangular_frame(form: SymmetricForm):
     return tuple(frame)
 
 
-@dataclass(frozen=True)
-class TriRectParams:
+class TriRectParams(Frozen):
     """Corner quadrances of a tetrahedron that is tri-rectangular at vertex 0."""
 
-    k1: FieldElement
-    k2: FieldElement
-    k3: FieldElement
+    __slots__ = ("k1", "k2", "k3")
 
-    def __post_init__(self) -> None:
-        shared_spec(self.k1, self.k2, self.k3)
-        if self.k1.is_zero or self.k2.is_zero or self.k3.is_zero:
+    def __init__(self, k1: FieldElement, k2: FieldElement, k3: FieldElement):
+        shared_spec(k1, k2, k3)
+        if k1.is_zero or k2.is_zero or k3.is_zero:
             raise DegenerateParams("a corner quadrance is zero")
-        for u, w in ((self.k1, self.k2), (self.k1, self.k3), (self.k2, self.k3)):
+        for u, w in ((k1, k2), (k1, k3), (k2, k3)):
             if (u + w).is_zero:
                 raise DegenerateParams("an opposite edge quadrance K_i + K_j is zero")
-        if self.cross_sum.is_zero:
+        if (k1 * k2 + k1 * k3 + k2 * k3).is_zero:
             raise DegenerateParams("the face quadrea opposite the corner is zero")
-
-    @property
-    def cross_sum(self) -> FieldElement:
-        return self.k1 * self.k2 + self.k1 * self.k3 + self.k2 * self.k3
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "k3", k3)
 
 
 def corner_params(tet: Tetrahedron) -> TriRectParams:

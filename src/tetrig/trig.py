@@ -7,17 +7,14 @@ for nonzero vectors; those cases raise instead of returning a sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import truediv
-from typing import TYPE_CHECKING
 
 from .affine import Line, Plane, Point3, displacement, plane_normal
-from .blinalg import (SymmetricForm, Vector3, b_cross, mat3_det,
+from .blinalg import (Frozen, SymmetricForm, Vector3, b_cross, mat3_det,
                       scalar_triple, shared_spec)
 from .field import FieldElement
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .tetra import Tetrahedron
+# "Tetrahedron" in annotations is tetra.Tetrahedron; tetra imports this module
 
 
 class NullDirection(Exception):
@@ -32,31 +29,31 @@ class NullCross(Exception):
     """A pairwise cross direction has quadrance zero; the dual solid spread is undefined."""
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """Unordered triple of points; degeneracy is allowed (quadrea is then 0)."""
 
-    a1: Point3
-    a2: Point3
-    a3: Point3
+    __slots__ = ("a1", "a2", "a3")
 
-    def __post_init__(self) -> None:
-        shared_spec(self.a1.x, self.a2.x, self.a3.x)
+    def __init__(self, a1: Point3, a2: Point3, a3: Point3):
+        shared_spec(a1.x, a2.x, a3.x)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
 
 
-@dataclass(frozen=True)
-class TriLines:
+class TriLines(Frozen):
     """Three concurrent lines through a common apex, given by directions."""
 
-    apex: Point3
-    d1: Vector3
-    d2: Vector3
-    d3: Vector3
+    __slots__ = ("apex", "d1", "d2", "d3")
 
-    def __post_init__(self) -> None:
-        shared_spec(self.apex.x, self.d1.x, self.d2.x, self.d3.x)
-        if self.d1.is_zero or self.d2.is_zero or self.d3.is_zero:
+    def __init__(self, apex: Point3, d1: Vector3, d2: Vector3, d3: Vector3):
+        shared_spec(apex.x, d1.x, d2.x, d3.x)
+        if d1.is_zero or d2.is_zero or d3.is_zero:
             raise ValueError("line directions must be nonzero")
+        object.__setattr__(self, "apex", apex)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "d3", d3)
 
     def directions(self) -> tuple[Vector3, Vector3, Vector3]:
         return (self.d1, self.d2, self.d3)

@@ -1,8 +1,11 @@
 """CLI surface: interchange format, exit codes, fuzz reproducibility."""
 
+import concurrent.futures
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from support import Q
 
 FIXTURES = Path(__file__).parent / "fixtures"
 UNIT_DOC = FIXTURES / "unit_tri_rectangular.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def load_fixture_doc():
@@ -264,13 +268,11 @@ def test_pool_size_is_capped_by_samples_and_cpus():
 
 def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
     # with one usable CPU no pool starts, whatever --workers asks for
-    import tetrig.cli as cli
-
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     capped, _ = run_fuzz(FuzzConfig(prime=101, samples=6, seed=3, workers=10**6))
     single, _ = run_fuzz(FuzzConfig(prime=101, samples=6, seed=3, workers=1))
     assert capped == single
@@ -338,7 +340,7 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
     monkeypatch.setattr(cli, target, faulty)
     assert main(["fuzz", "--prime", "101", "--samples", "5", "--seed", "8",
@@ -379,3 +381,61 @@ def test_report_stdin_stdout(monkeypatch, capsys):
     assert main(["report"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["V"] == "4"
+
+
+# ---------------------------------------------------------------------------
+# start-up and --timings
+# ---------------------------------------------------------------------------
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+
+def test_cli_import_loads_no_pool_dataclasses_or_typing():
+    # modules a fresh interpreter gains by importing the CLI; report and verify
+    # must not pay for the process pool or for dataclasses' inspect/typing
+    proc = run_python("-c", "import sys; bare = set(sys.modules); import tetrig.cli; "
+                            "print(*sorted(set(sys.modules) - bare))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.decode().split())
+    assert "tetrig.cli" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+                         "typing"}
+
+
+MIXED_CORNER = str(FIXTURES / "tri_rectangular_mixed_corner.json")
+
+
+@pytest.mark.parametrize("argv, phases", [
+    (["report", "--input", MIXED_CORNER],
+     ["parse", "analyze", "serialise", "verify", "right corner"]),
+    (["verify", "--input", MIXED_CORNER],
+     ["parse", "analyze", "verify", "right corner", "serialise"]),
+    (["fuzz", "--prime", "101", "--samples", "6", "--seed", "3", "--workers", "2"],
+     ["pool start-up", "samples", "serialise"])])
+def test_timings_go_to_stderr_and_leave_stdout_alone(argv, phases, monkeypatch, capsys):
+    # two usable CPUs, so the fuzz run starts its pool on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = main(argv)
+    plain = capsys.readouterr()
+    assert main(argv + ["--timings"]) == code
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    lines = [json.loads(line) for line in timed.err.splitlines()]
+    assert [line["phase"] for line in lines] == phases
+    assert all(line["ms"] >= 0 for line in lines)
+    if argv[0] == "fuzz":
+        assert lines[1]["samples_per_s"] > 0
+
+
+def test_timings_time_the_import_under_python_m():
+    fixture = str(FIXTURES / "unit_tri_rectangular.json")
+    proc = run_python("-m", "tetrig", "report", "--timings", "--input", fixture)
+    assert proc.returncode == 0
+    assert proc.stdout == (FIXTURES / "golden" / "report-unit_tri_rectangular.json").read_bytes()
+    lines = [json.loads(line) for line in proc.stderr.decode().splitlines()]
+    assert [line["phase"] for line in lines] == ["import", "parse", "analyze", "serialise"]
+    assert lines[0]["ms"] > 0 and lines[0]["process_cpu_ms"] > 0

@@ -10,15 +10,15 @@ relation holds) and after any one defined entry is bumped by 1, as
 `tetrig verify --corrupt` does.
 """
 
-import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec, NullPivot,
-                    Point3, Tetrahedron, Undefined, analyze, is_defined, translate,
-                    tri_rectangular_checks, tri_rectangular_frame, verify_identities)
+from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
+                    InvariantReport, NullPivot, Point3, Tetrahedron, Undefined, analyze,
+                    is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
+                    verify_identities)
 from tetrig.cli import ReportOptions, corrupt_entry, load_document, report_to_obj
 from support import Q, rand_form, rand_point, rng
 
@@ -135,9 +135,8 @@ def defined_entry_keys(report):
 
 
 def copy_report(report):
-    return dataclasses.replace(report, **{
-        f.name: dict(getattr(report, f.name)) for f in dataclasses.fields(report)
-        if isinstance(getattr(report, f.name), dict)})
+    fields = (getattr(report, name) for name in InvariantReport.__slots__)
+    return InvariantReport(*(dict(v) if isinstance(v, dict) else v for v in fields))
 
 
 def _tall_point(rnd):
