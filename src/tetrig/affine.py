@@ -20,6 +20,7 @@ class Point3(Frozen):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        # not Record.__init__: built tens of times per document or sample
         shared_spec(x, y, z)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -54,8 +55,7 @@ class Line(Frozen):
             raise MixedFields("line base and direction drawn from different fields")
         if direction.is_zero:
             raise ValueError("line direction must be nonzero")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "direction", direction)
+        super().__init__(base, direction)
 
 
 class Plane(Frozen):
@@ -66,9 +66,7 @@ class Plane(Frozen):
             raise MixedFields("plane base and spans drawn from different fields")
         if cross3(span1, span2).is_zero:
             raise DegeneratePlane("spanning vectors are linearly dependent")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "span1", span1)
-        object.__setattr__(self, "span2", span2)
+        super().__init__(base, span1, span2)
 
 
 def line_through(x: Point3, y: Point3) -> Line:

@@ -33,6 +33,13 @@ class Record:
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
@@ -69,6 +76,7 @@ class Vector3(Frozen):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        # not Record.__init__: built tens of times per document or sample
         shared_spec(x, y, z)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)

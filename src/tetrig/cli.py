@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from importlib import import_module
 from time import perf_counter
 
@@ -44,11 +45,7 @@ class ReportOptions(Record):
 
 
 class InputDocument(Record):
-    __slots__ = ("spec", "form", "tetrahedron", "options")
-
-    def __init__(self, spec: FieldSpec, form: SymmetricForm, tetrahedron: Tetrahedron,
-                 options: ReportOptions):
-        self.spec, self.form, self.tetrahedron, self.options = spec, form, tetrahedron, options
+    __slots__ = ("tetrahedron", "options")
 
 
 class FuzzConfig(Record):
@@ -132,7 +129,7 @@ def document_from_obj(obj) -> InputDocument:
             setattr(options, name, options_obj[name])
 
     tet = Tetrahedron(points[0], points[1], points[2], points[3], form)
-    return InputDocument(spec, form, tet, options)
+    return InputDocument(tet, options)
 
 
 def load_document(text: str) -> InputDocument:
@@ -290,12 +287,12 @@ def _sample_tetrahedron(cfg: FuzzConfig, rng: random.Random, spec: FieldSpec):
 
 
 def _run_sample(cfg: FuzzConfig, index: int):
+    """(verdicts, failure record or None, rejected_forms, rejected_degenerate) of one sample."""
     # per-sample stream derived from (seed, index): the summary cannot
     # depend on how samples are scheduled across workers
     rng = random.Random((cfg.seed << 32) + index)
     spec = FieldSpec.prime(cfg.prime)
     tet, rejected_forms, rejected_degenerate = _sample_tetrahedron(cfg, rng, spec)
-    tally = {name: [0, 0, 0] for name in FUZZ_IDENTITY_NAMES}  # checked/passed/inapplicable
     try:
         report = analyze(tet)
         verdicts = list(verify_identities(report).verdicts)
@@ -314,47 +311,26 @@ def _run_sample(cfg: FuzzConfig, index: int):
         # an internal fault: record the sample with its input, tally nothing, go on
         failure = {"sample": index, "input": document_to_obj(tet),
                    "error": {"exception": type(exc).__name__, "message": str(exc)}}
-        return tally, [failure], rejected_forms, rejected_degenerate
-    failed = []
-    for v in verdicts:
-        row = tally[v.identity]
-        row[0] += 1
-        if v.status == PASS:
-            row[1] += 1
-        elif v.status == INAPPLICABLE:
-            row[2] += 1
-        else:
-            failed.append(v)
-    failures = []
-    if failed:
-        failures.append({
-            "sample": index,
-            "input": document_to_obj(tet),
-            "failed": [{"identity": v.identity, "instance": v.instance} for v in failed],
-        })
-    return tally, failures, rejected_forms, rejected_degenerate
-
-
-def _merge(parts):
-    """Sum (tally, failures, rejected_forms, rejected_degenerate) parts in order."""
-    tally = {name: [0, 0, 0] for name in FUZZ_IDENTITY_NAMES}
-    failures = []
-    rejected_forms = 0
-    rejected_degenerate = 0
-    for part_tally, part_failures, forms, degenerate in parts:
-        for name, row in part_tally.items():
-            agg = tally[name]
-            agg[0] += row[0]
-            agg[1] += row[1]
-            agg[2] += row[2]
-        failures.extend(part_failures)
-        rejected_forms += forms
-        rejected_degenerate += degenerate
-    return tally, failures, rejected_forms, rejected_degenerate
+        return [], failure, rejected_forms, rejected_degenerate
+    failed = [{"identity": v.identity, "instance": v.instance}
+              for v in verdicts if v.status == FAIL]
+    failure = ({"sample": index, "input": document_to_obj(tet), "failed": failed}
+               if failed else None)
+    return verdicts, failure, rejected_forms, rejected_degenerate
 
 
 def _run_range(cfg: FuzzConfig, lo: int, hi: int):
-    return _merge(_run_sample(cfg, index) for index in range(lo, hi))
+    """Samples lo..hi-1: a Counter of verdicts by (identity, status) and of rejections by
+    "singular_forms" and "degenerate_tetrahedra", and the failure records in order."""
+    counts, failures = Counter(), []
+    for index in range(lo, hi):
+        verdicts, failure, rejected_forms, rejected_degenerate = _run_sample(cfg, index)
+        counts.update((v.identity, v.status) for v in verdicts)
+        counts["singular_forms"] += rejected_forms
+        counts["degenerate_tetrahedra"] += rejected_degenerate
+        if failure is not None:
+            failures.append(failure)
+    return counts, failures
 
 
 def pool_size(workers: int, samples: int, cpus: int) -> int:
@@ -387,18 +363,21 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
                           [r[0] for r in ranges], [r[1] for r in ranges])
             parts = run("samples", list, results)
 
-    tally, failures, rejected_forms, rejected_degenerate = _merge(parts)
-    failures.sort(key=lambda f: f["sample"])
+    # ranges are ascending and kept in order, so the failures are in sample order
+    counts, failures = Counter(), []
+    for part_counts, part_failures in parts:
+        counts.update(part_counts)
+        failures.extend(part_failures)
 
     summary = {
         "config": {"prime": cfg.prime, "samples": cfg.samples, "seed": cfg.seed,
                    "reject_degenerate": cfg.reject_degenerate,
                    "random_form": cfg.random_form},
-        "rejected": {"degenerate_tetrahedra": rejected_degenerate,
-                     "singular_forms": rejected_forms},
-        "identities": {name: {"checked": row[0], "passed": row[1],
-                              "inapplicable": row[2]}
-                       for name, row in tally.items()},
+        "rejected": {key: counts[key] for key in ("degenerate_tetrahedra", "singular_forms")},
+        "identities": {name: {"checked": sum(counts[name, s] for s in (PASS, FAIL, INAPPLICABLE)),
+                              "passed": counts[name, PASS],
+                              "inapplicable": counts[name, INAPPLICABLE]}
+                       for name in FUZZ_IDENTITY_NAMES},
         "failures": failures,
     }
     return summary, (1 if failures else 0)

@@ -104,11 +104,7 @@ class Tetrahedron(Frozen):
         shared_spec(a0.x, a1.x, a2.x, a3.x)
         if a0.spec != form.spec:
             raise MixedFields("points and form drawn from different fields")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
-        object.__setattr__(self, "form", form)
+        super().__init__(a0, a1, a2, a3, form)
 
     @property
     def spec(self):
@@ -130,9 +126,6 @@ class Undefined(Frozen):
 
     __slots__ = ("reason",)
 
-    def __init__(self, reason: str):
-        object.__setattr__(self, "reason", reason)
-
 
 def is_defined(entry: FieldElement | Undefined) -> bool:
     return isinstance(entry, FieldElement)
@@ -147,20 +140,12 @@ class InvariantReport(Record):
                  "dihedral_spreads", "solid_spreads", "dual_solid_spreads",
                  "ratio_constant", "skew_quadrances")
 
-    def __init__(self, tetrahedron, quadrances, quadreas, quadrume, face_spreads,
-                 dihedral_spreads, solid_spreads, dual_solid_spreads, ratio_constant,
-                 skew_quadrances):
-        self.tetrahedron, self.quadrances, self.quadreas = tetrahedron, quadrances, quadreas
-        self.quadrume, self.face_spreads = quadrume, face_spreads
-        self.dihedral_spreads, self.solid_spreads = dihedral_spreads, solid_spreads
-        self.dual_solid_spreads, self.ratio_constant = dual_solid_spreads, ratio_constant
-        self.skew_quadrances = skew_quadrances
-
 
 class Verdict(Frozen):
     __slots__ = ("identity", "instance", "status")
 
     def __init__(self, identity: str, instance: str, status: str):
+        # not Record.__init__: built tens of times per document or sample
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "instance", instance)
         object.__setattr__(self, "status", status)
@@ -168,9 +153,6 @@ class Verdict(Frozen):
 
 class CheckResults(Record):
     __slots__ = ("verdicts",)
-
-    def __init__(self, verdicts: list):
-        self.verdicts = verdicts
 
     def counts(self) -> dict:
         out = {PASS: 0, FAIL: 0, INAPPLICABLE: 0}
@@ -352,16 +334,13 @@ def _decide(red, lconst: int, lhs, rconst: int, rhs):
 
 
 def _report_parts(report: InvariantReport):
-    """The entries of `report` in field order (Q, A, V, s, E, S, D, R, skew), each
+    """The fields after `report.tetrahedron` (Q, A, V, s, E, S, D, R, skew), each entry
     read once as (num, den), None where Undefined; quadrances keyed both ways round."""
     def part(entry):
         return entry._parts() if is_defined(entry) else None
 
     parts = [{key: part(v) for key, v in t.items()} if isinstance(t, dict) else part(t)
-             for t in (report.quadrances, report.quadreas, report.quadrume,
-                       report.face_spreads, report.dihedral_spreads, report.solid_spreads,
-                       report.dual_solid_spreads, report.ratio_constant,
-                       report.skew_quadrances)]
+             for t in report._fields()[1:]]
     q = parts[0]
     for i, j in EDGES:
         q[j, i] = q[i, j]
@@ -470,9 +449,7 @@ class TriRectParams(Frozen):
                 raise DegenerateParams("an opposite edge quadrance K_i + K_j is zero")
         if (k1 * k2 + k1 * k3 + k2 * k3).is_zero:
             raise DegenerateParams("the face quadrea opposite the corner is zero")
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "k3", k3)
+        super().__init__(k1, k2, k3)
 
 
 def corner_params(tet: Tetrahedron) -> TriRectParams:

@@ -36,9 +36,7 @@ class Triangle(Frozen):
 
     def __init__(self, a1: Point3, a2: Point3, a3: Point3):
         shared_spec(a1.x, a2.x, a3.x)
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "a3", a3)
+        super().__init__(a1, a2, a3)
 
 
 class TriLines(Frozen):
@@ -50,10 +48,7 @@ class TriLines(Frozen):
         shared_spec(apex.x, d1.x, d2.x, d3.x)
         if d1.is_zero or d2.is_zero or d3.is_zero:
             raise ValueError("line directions must be nonzero")
-        object.__setattr__(self, "apex", apex)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "d3", d3)
+        super().__init__(apex, d1, d2, d3)
 
     def directions(self) -> tuple[Vector3, Vector3, Vector3]:
         return (self.d1, self.d2, self.d3)

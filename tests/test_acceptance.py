@@ -285,14 +285,14 @@ def test_criterion_5_skew_denominator():
     rep = analyze(tet)
     q = rep.quadrances
     for key, literal in fixture["quadrances"].items():
-        assert q[(int(key[0]), int(key[1]))] == doc.spec.element(int(literal))
+        assert q[(int(key[0]), int(key[1]))] == doc.tetrahedron.spec.element(int(literal))
     projected = skew_quadrance(tet, pairing)
-    assert projected == doc.spec.element(4) / 5
+    assert projected == doc.tetrahedron.spec.element(4) / 5
     assert projected == skew_quadrance_closed_form(tet, pairing)
     misprint_den = (4 * q[(0, 2)] * q[(1, 3)]
                     - (q[(0, 1)] + q[(2, 3)] - q[(0, 3)] - q[(1, 2)]) ** 2)
     misprinted = rep.quadrume / misprint_den
-    assert misprinted == doc.spec.element(9) / 10
+    assert misprinted == doc.tetrahedron.spec.element(9) / 10
     assert misprinted != projected
 
 

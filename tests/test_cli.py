@@ -13,6 +13,7 @@ import pytest
 from tetrig import DivisionByZero, FieldSpec, parse_element
 from tetrig.cli import (FuzzConfig, InputError, document_from_obj, document_to_obj,
                         load_document, main, pool_size, run_fuzz, run_report, run_verify)
+from tetrig.tetra import FAIL, INAPPLICABLE, PASS
 from support import Q
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,7 +41,7 @@ def test_report_contains_exact_literals():
 def test_report_round_trips_to_identical_elements():
     doc = load_fixture_doc()
     out = run_report(doc)
-    spec = doc.spec
+    spec = doc.tetrahedron.spec
     from tetrig import analyze
     rep = analyze(doc.tetrahedron)
     assert parse_element(out["V"], spec) == rep.quadrume
@@ -324,7 +325,7 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     import tetrig.cli as cli
     cfg = FuzzConfig(prime=101, samples=5, seed=8)
     clean, _ = run_fuzz(cfg)
-    sample_2 = cli._run_sample(cfg, 2)[0]
+    sample_2 = cli._run_range(cfg, 2, 3)[0]
     sampled = []
     sample, real = cli._sample_tetrahedron, getattr(cli, target)
 
@@ -351,10 +352,12 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
         "error": {"exception": type(fault).__name__, "message": "injected"}}]
     for name, row in summary["identities"].items():
         expected = clean["identities"][name]
+        passed, inapplicable = sample_2[name, PASS], sample_2[name, INAPPLICABLE]
+        checked = passed + inapplicable + sample_2[name, FAIL]
         assert [row["checked"], row["passed"], row["inapplicable"]] == [
-            expected["checked"] - sample_2[name][0], expected["passed"] - sample_2[name][1],
-            expected["inapplicable"] - sample_2[name][2]]
-    assert sample_2["skew-quadrance-projection"][1] > 0  # the skew route ran in sample 2
+            expected["checked"] - checked, expected["passed"] - passed,
+            expected["inapplicable"] - inapplicable]
+    assert sample_2["skew-quadrance-projection", PASS] > 0  # the skew route ran in sample 2
     monkeypatch.undo()
     _, code = run_verify(load_document(json.dumps(summary["failures"][0]["input"])))
     assert code == 0

@@ -118,3 +118,17 @@ def test_every_value_type_round_trips(clone):
         if name not in ("Tetrahedron", "InvariantReport", "InputDocument"):
             # these three hold a SymmetricForm, which compares by identity
             assert twin == value, name
+
+
+# the types that take their fields through Record.__init__
+RECORD_INIT = ("Line", "Plane", "Triangle", "TriLines", "Tetrahedron", "TriRectParams",
+               "Undefined", "InvariantReport", "CheckResults", "InputDocument")
+
+
+@pytest.mark.parametrize("name", RECORD_INIT)
+def test_wrong_field_count_is_a_type_error_naming_the_type(name):
+    value = instances()[name]
+    fields = value._fields()
+    for wrong in (fields[:-1], fields + fields[-1:]):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            type(value)(*wrong)
