@@ -345,6 +345,8 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
         raise InputError(f"--prime: {exc}") from exc
     if cfg.samples < 0:
         raise InputError("--samples: expected a non-negative count")
+    if cfg.seed < 0:  # random.Random(-k) replays the stream of k
+        raise InputError("--seed: expected a non-negative integer")
     if cfg.workers < 1:
         raise InputError("--workers: expected a positive count")
 

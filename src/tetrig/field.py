@@ -208,10 +208,6 @@ class FieldElement:
         return self._value == 0
 
     @property
-    def is_one(self) -> bool:
-        return self._value == 1
-
-    @property
     def numerator(self) -> int:
         if self.spec.p is not None:
             raise TypeError("numerator is a rational-field view")

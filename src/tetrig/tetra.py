@@ -3,15 +3,17 @@ skew quadrances of opposite edges, and the tri-rectangular specialization.
 
 A report stores every invariant fully expanded, computed from the defining
 formulas; the closed forms are used only as verification identities, so
-`verify_identities` is the one place that checks them.  Quantities whose
-defining formula divides by a vanishing quadrance are recorded as Undefined
-with a machine-readable reason rather than silently substituted.
+`verify_identities` is the one place that checks them.  An entry is Undefined
+exactly when the denominator of its defining formula vanishes, with a reason
+naming what vanished: a null edge (face and solid spreads), a null face normal
+(dihedral and dual solid spreads), a zero quadrea (R) or the zero skew
+denominator.  Quadrances, quadreas and the quadrume are always defined.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 
 from .affine import Point3, b_project, displacement, translate
 from .blinalg import (Frozen, Record, SymmetricForm, Vector3, adj_cross_values, b_cross,
@@ -50,10 +52,11 @@ PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
-REASON_NULL_EDGE = "NullEdge"
-REASON_NULL_NORMAL = "NullNormal"
-REASON_ZERO_QUADREA = "ZeroQuadrea"
-REASON_ZERO_DENOMINATOR = "ZeroDenominator"
+# why an entry of each InvariantReport field is Undefined: what vanished to make
+# its denominator zero.  Q, A and V never are, as s and det B are nonzero.
+_UNDEFINED_REASONS = {"face_spreads": "NullEdge", "solid_spreads": "NullEdge",
+                      "dihedral_spreads": "NullNormal", "dual_solid_spreads": "NullNormal",
+                      "ratio_constant": "ZeroQuadrea", "skew_quadrances": "ZeroDenominator"}
 
 IDENTITY_NAMES = (
     "alternating-spreads",
@@ -69,17 +72,15 @@ IDENTITY_NAMES = (
 )
 
 
-# the vertices off each vertex and off each edge
+# the vertices off each vertex and off each edge; the faces at each vertex and on each edge
 _REST_OF_VERTEX = {i: tuple(m for m in VERTICES if m != i) for i in VERTICES}
 _REST_OF_EDGE = {edge: tuple(m for m in VERTICES if m not in edge) for edge in EDGES}
+_FACES_AT = {i: tuple(f for f in FACES if i in f) for i in VERTICES}
+_FACES_ON = {edge: tuple(f for f in FACES if set(edge) < set(f)) for edge in EDGES}
 
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
-
-
-def face_key(i: int, j: int, k: int) -> tuple[int, int, int]:
-    return tuple(sorted((i, j, k)))
 
 
 def spread_key(apex: int, j: int, k: int) -> tuple[int, int, int]:
@@ -220,8 +221,13 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     and the form by M (`SymmetricForm._ints`); with s = L^2 M each entry's one
     division takes the scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2,
     spreads unscaled.  Over F_p, s = 1 and values are reduced mod p as they grow.
+
+    The core builds every entry as an integer pair (num, den) and branches on
+    no value; the boundary at the end makes an entry Undefined exactly when its
+    own den is zero (mod p over F_p), with the reason its field's denominator
+    names, and num / den otherwise.
     """
-    form, spec, p = tet.form, tet.spec, tet.spec.p
+    form, spec = tet.form, tet.spec
     b, adj, det = form._ints, form._adj, form._int_det
     coords = [c._value for point in tet.points for c in point.coordinates()]
     scale = lcm(*(c.denominator for c in coords))  # 1 over F_p, as is form._scale
@@ -235,9 +241,6 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     def cross(v, w):  # b_cross
         return tuple(map(red, adj_cross_values(adj, v, w)))
 
-    def entry(zero, reason, parts):
-        return Undefined(reason) if zero else spec._ratio(*parts)
-
     # each edge vector and quadrance is built once, keyed both ways round
     edge, q = {}, {}
     for (i, j) in EDGES:
@@ -248,60 +251,47 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     t = {i: dot(edge[i, j], cross(edge[i, k], edge[i, l]))
          for i, (j, k, l) in _REST_OF_VERTEX.items()}
 
-    face_spreads = {(i, j, k): entry(0 in (q[i, j], q[i, k]), REASON_NULL_EDGE,
-                                     spread_from_parts(dot(edge[i, j], edge[i, k]),
-                                                       q[i, j], q[i, k]))
-                    for (i, j, k) in FACE_SPREAD_KEYS}
-
-    # One normal per face, with its quadrance Q(n) = det B * A / 4: it is zero
-    # exactly where the face quadrea is, so the A == 0 gates below decide
-    # Undefined.  A normal built at another vertex of the face differs only in
-    # sign, which the squares in every spread cancel.
+    # One normal per face, with its quadrance Q(n) = det B * A / 4, so the
+    # normal spreads' denominators vanish exactly where a face quadrea does.  A
+    # normal built at another vertex of the face differs only in sign, which
+    # the squares in every spread cancel.
     normals = {(i, j, k): cross(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
     qn = {f: dot(n, n) for f, n in normals.items()}
+    # the common perpendicular of each pair of opposite edges; Q(n) = det B * den / 4
+    # for the denominator den of the skew quadrance's closed form
+    perp = {pairing: cross(edge[pairing[0]], edge[pairing[1]]) for pairing in SKEW_PAIRINGS}
+    vol_num = 4 * t[0] * t[0]  # V = 4 t^2 / det B from the edges at vertex 0
 
-    dihedral_spreads = {}
-    for (i, j) in EDGES:
-        f1, f2 = (face_key(i, j, k) for k in _REST_OF_EDGE[i, j])
-        dihedral_spreads[(i, j)] = entry(0 in (a[f1], a[f2]), REASON_NULL_NORMAL,
-                                         spread_from_parts(dot(normals[f1], normals[f2]),
-                                                           qn[f1], qn[f2]))
+    parts = {  # (num, den) of every entry, by InvariantReport field
+        "quadrances": {e: (q[e], s) for e in EDGES},
+        "quadreas": {f: (a[f], s * s) for f in FACES},
+        "quadrume": (vol_num, s * s * s * det),
+        "face_spreads": {(i, j, k): spread_from_parts(dot(edge[i, j], edge[i, k]),
+                                                      q[i, j], q[i, k])
+                         for (i, j, k) in FACE_SPREAD_KEYS},
+        "dihedral_spreads": {e: spread_from_parts(dot(normals[f1], normals[f2]), qn[f1], qn[f2])
+                             for e, (f1, f2) in _FACES_ON.items()},
+        "solid_spreads": {i: solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det)
+                          for i, rest in _REST_OF_VERTEX.items()},
+        # the solid spread of the normals of the three faces at the vertex
+        "dual_solid_spreads": {i: solid_spread_from_parts(
+            dot(normals[f1], cross(normals[f2], normals[f3])), qn[f1], qn[f2], qn[f3], det)
+            for i, (f1, f2, f3) in _FACES_AT.items()},
+        "ratio_constant": (16 * vol_num * vol_num * s * s, det * det * prod(a.values())),
+        # the gap is the projection of the edge w from one line to the other onto
+        # their common perpendicular n: (n . w)^2 / Q(n)
+        "skew_quadrances": {((i, j), (k, l)): (dot(n, edge[i, k]) ** 2, dot(n, n) * s)
+                            for ((i, j), (k, l)), n in perp.items()},
+    }
 
-    solid_spreads = {i: entry(any(q[i, m] == 0 for m in rest), REASON_NULL_EDGE,
-                              solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det))
-                     for i, rest in _REST_OF_VERTEX.items()}
+    def boundary(name, part):  # the report field `name` from its (num, den) pairs
+        if isinstance(part, dict):
+            return {key: boundary(name, pair) for key, pair in part.items()}
+        num, den = part
+        return Undefined(_UNDEFINED_REASONS[name]) if red(den) == 0 else spec._ratio(num, den)
 
-    # the dual solid spread is the solid spread of the normals of the three
-    # faces at the vertex
-    dual_solid_spreads = {}
-    for i in VERTICES:
-        faces_at = [face_key(i, j, k) for j, k in combinations(_REST_OF_VERTEX[i], 2)]
-        n1, n2, n3 = (normals[f] for f in faces_at)
-        dual_solid_spreads[i] = entry(any(a[f] == 0 for f in faces_at), REASON_NULL_NORMAL,
-                                      solid_spread_from_parts(dot(n1, cross(n2, n3)),
-                                                              *(qn[f] for f in faces_at), det))
-
-    # V = 4 t^2 / det B from the scalar triple of the edges at vertex 0
-    vol_num, vol_den = 4 * t[0] * t[0], s * s * s * det
-    prod_a = a[FACES[0]] * a[FACES[1]] * a[FACES[2]] * a[FACES[3]]
-    ratio_constant = entry(0 in a.values(), REASON_ZERO_QUADREA,
-                           (16 * vol_num * vol_num * s * s, det * det * prod_a))
-
-    # den = 4 Q(n) / det B for the common perpendicular n, so a nonzero
-    # denominator is exactly the case where the projection is defined; the
-    # gap is the projection of the edge w joining the lines: (n . w)^2 / Q(n)
-    skew_quadrances = {}
-    for pairing in SKEW_PAIRINGS:
-        (i, j), (k, l) = pairing
-        n = cross(edge[i, j], edge[k, l])
-        g = dot(n, edge[i, k])
-        skew_quadrances[pairing] = entry(red(_skew_denominator(q, pairing)) == 0,
-                                         REASON_ZERO_DENOMINATOR, (g * g, dot(n, n) * s))
-
-    return InvariantReport(tet, {e: spec._ratio(q[e], s) for e in EDGES},
-                           {f: spec._ratio(a[f], s * s) for f in FACES},
-                           spec._ratio(vol_num, vol_den), face_spreads, dihedral_spreads,
-                           solid_spreads, dual_solid_spreads, ratio_constant, skew_quadrances)
+    return InvariantReport(tet, *(boundary(name, parts[name])
+                                  for name in InvariantReport.__slots__[1:]))
 
 
 def _side(const: int, factors) -> tuple[int, int]:
@@ -369,10 +359,8 @@ def verify_identities(report: InvariantReport) -> CheckResults:
              1, [s[spread_key(x, i, y)], s[spread_key(y, i, z)], s[spread_key(z, i, x)]],
              1, [s[spread_key(x, i, z)], s[spread_key(y, i, x)], s[spread_key(z, i, y)]])
 
-    for (i, j) in EDGES:
-        k, l = _REST_OF_EDGE[i, j]
-        emit("dihedral-spread-formula", f"E{i}{j}",
-             1, [e[i, j], a[face_key(i, j, k)], a[face_key(i, j, l)]], 4, [q[i, j], vol])
+    for (i, j), (f1, f2) in _FACES_ON.items():
+        emit("dihedral-spread-formula", f"E{i}{j}", 1, [e[i, j], a[f1], a[f2]], 4, [q[i, j], vol])
 
     for p1, p2 in SKEW_PAIRINGS:
         emit("dihedral-spread-ratio", f"{p1[0]}{p1[1]}|{p2[0]}{p2[1]}",
@@ -399,7 +387,7 @@ def verify_identities(report: InvariantReport) -> CheckResults:
 
     for i in VERTICES:
         emit("dual-solid-spread-formula", f"D{i}",
-             1, [dual[i], *(a[f] for f in FACES if i in f)], 4, [vol, vol])
+             1, [dual[i], *(a[f] for f in _FACES_AT[i])], 4, [vol, vol])
 
     for i in VERTICES:
         emit("dual-solid-quadrea-ratio", f"D{i}", 4, [dual[i]], 1, [rich, a[_REST_OF_VERTEX[i]]])

@@ -368,6 +368,14 @@ def test_fuzz_invalid_prime_is_exit_2(capsys):
     assert "prime" in capsys.readouterr().err
 
 
+def test_fuzz_negative_seed_is_exit_2(capsys):
+    # random.Random seeds from |seed|, so seed -1 would replay seed 1's samples
+    assert main(["fuzz", "--prime", "101", "--samples", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed: expected a non-negative integer\n"
+
+
 def test_fuzz_cli_output(tmp_path):
     out = tmp_path / "fuzz.json"
     code = main(["fuzz", "--prime", "101", "--samples", "25", "--seed", "2",

@@ -137,14 +137,15 @@ def _tall_point(rnd):
 
 
 @pytest.mark.parametrize("spec, tall, count", [
-    (Q, False, 200), (Q, True, 100), (F7, False, 200), (FieldSpec.prime(10007), False, 200),
+    (Q, False, 200), (Q, True, 100), (FieldSpec.prime(3), False, 100),
+    (FieldSpec.prime(5), False, 100), (F7, False, 200), (FieldSpec.prime(10007), False, 200),
     (FieldSpec.prime(2**61 - 1), False, 100)],
-    ids=["Q", "Q-tall", "F_7", "F_10007", "F_2305843009213693951"])
+    ids=["Q", "Q-tall", "F_3", "F_5", "F_7", "F_10007", "F_2305843009213693951"])
 def test_analyze_shared_normals_agree_with_trig(spec, tall, count):
-    # analyze evaluates every entry on integers, builds each face normal once
-    # and gates on Q == 0, A == 0 and the skew denominator; the FieldElement
-    # routes of trig and skew_quadrance build everything afresh and raise
-    # where a quadrance they divide by vanishes
+    # analyze evaluates every entry on integers as (num, den), builds each face
+    # normal once, and makes an entry Undefined exactly where its own den
+    # vanishes; the FieldElement routes of trig and skew_quadrance build
+    # everything afresh and raise where a quadrance they divide by vanishes
     rnd = rng(41)
     reasons = set()
     for _ in range(count):
@@ -188,7 +189,7 @@ def test_analyze_shared_normals_agree_with_trig(spec, tall, count):
                       rep.dual_solid_spreads, rep.skew_quadrances):
             entries.extend(table.values())
         reasons |= {e.reason for e in entries if not is_defined(e)}
-    if spec.p == 7:
+    if spec.p in (3, 5, 7):
         assert reasons == {"NullEdge", "NullNormal", "ZeroQuadrea", "ZeroDenominator"}
 
 
