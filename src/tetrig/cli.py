@@ -15,12 +15,15 @@ import os
 import random
 import sys
 from collections import Counter
+from functools import partial
 from importlib import import_module
+from math import lcm
 from time import perf_counter
 
 from .affine import Point3
 from .blinalg import DegenerateForm, Record, SymmetricForm
-from .field import FieldElement, FieldError, FieldSpec, LiteralTooLong, parse_element
+from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError, FieldSpec,
+                    LiteralTooLong, parse_element)
 from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
                     PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
                     InvariantReport, NotTriRectangular, Tetrahedron, Verdict, analyze,
@@ -72,7 +75,7 @@ def _field_spec_from_obj(obj, path: str) -> FieldSpec:
     if kind == "rational":
         return FieldSpec.rational()
     if kind == "prime":
-        if not isinstance(obj.get("p"), int):
+        if not isinstance(obj.get("p"), int) or isinstance(obj["p"], bool):  # JSON true, false
             raise InputError(f"{path}.p: expected an integer modulus")
         try:
             return FieldSpec.prime(obj["p"])
@@ -117,6 +120,15 @@ def document_from_obj(obj) -> InputDocument:
             raise InputError(f"points[{i}]: expected a triple of literals")
         coords = [_element_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
         points.append(Point3(*coords))
+    if spec.is_rational:  # analyze works on these integers: bound them as literals are
+        values = [c._value for point in points for c in point.coordinates()]
+        scale = lcm(*(v.denominator for v in values))
+        scaled = {"form": (form._scale, *form._ints),
+                  "points": (scale, *(v.numerator * (scale // v.denominator) for v in values))}
+        for path, ints in scaled.items():
+            if max(max(ints), -min(ints)) >= _LITERAL_BOUND:
+                raise InputError(f"{path}: an integer over the common denominator has over "
+                                 f"{MAX_LITERAL_DIGITS} digits")
 
     options_obj = obj.get("options", {})
     if not isinstance(options_obj, dict):
@@ -205,12 +217,10 @@ def report_to_obj(report: InvariantReport, options: ReportOptions) -> dict:
 
 
 def results_to_obj(results: CheckResults) -> dict:
-    counts = results.counts()
     return {
         "verdicts": [{"identity": v.identity, "instance": v.instance, "status": v.status}
                      for v in results.verdicts],
-        "summary": {PASS: counts[PASS], FAIL: counts[FAIL],
-                    INAPPLICABLE: counts[INAPPLICABLE]},
+        "summary": results.counts(),
     }
 
 
@@ -287,50 +297,34 @@ def _sample_tetrahedron(cfg: FuzzConfig, rng: random.Random, spec: FieldSpec):
 
 
 def _run_sample(cfg: FuzzConfig, index: int):
-    """(verdicts, failure record or None, rejected_forms, rejected_degenerate) of one sample."""
+    """One sample: a Counter of its verdicts by (identity, status) and of its rejections
+    by "singular_forms" and "degenerate_tetrahedra", and its failure record or None."""
     # per-sample stream derived from (seed, index): the summary cannot
     # depend on how samples are scheduled across workers
     rng = random.Random((cfg.seed << 32) + index)
     spec = FieldSpec.prime(cfg.prime)
     tet, rejected_forms, rejected_degenerate = _sample_tetrahedron(cfg, rng, spec)
+    counts = Counter(singular_forms=rejected_forms, degenerate_tetrahedra=rejected_degenerate)
     try:
         report = analyze(tet)
         verdicts = list(verify_identities(report).verdicts)
         for pairing in SKEW_PAIRINGS:
             entry = report.skew_quadrances[pairing]
-            if not is_defined(entry):
-                verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing),
-                                        INAPPLICABLE))
-                continue
-            params = (spec.element(rng.randrange(cfg.prime)),
-                      spec.element(rng.randrange(cfg.prime)))
-            moved = skew_quadrance(tet, pairing, params=params)
-            verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing),
-                                    PASS if moved == entry else FAIL))
+            status = INAPPLICABLE
+            if is_defined(entry):
+                params = (spec.element(rng.randrange(cfg.prime)),
+                          spec.element(rng.randrange(cfg.prime)))
+                status = PASS if skew_quadrance(tet, pairing, params=params) == entry else FAIL
+            verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing), status))
     except (FieldError, RuntimeError) as exc:
-        # an internal fault: record the sample with its input, tally nothing, go on
-        failure = {"sample": index, "input": document_to_obj(tet),
-                   "error": {"exception": type(exc).__name__, "message": str(exc)}}
-        return [], failure, rejected_forms, rejected_degenerate
+        # an internal fault: record the sample with its input, tally no verdict, go on
+        return counts, {"sample": index, "input": document_to_obj(tet),
+                        "error": {"exception": type(exc).__name__, "message": str(exc)}}
+    counts.update((v.identity, v.status) for v in verdicts)
     failed = [{"identity": v.identity, "instance": v.instance}
               for v in verdicts if v.status == FAIL]
-    failure = ({"sample": index, "input": document_to_obj(tet), "failed": failed}
-               if failed else None)
-    return verdicts, failure, rejected_forms, rejected_degenerate
-
-
-def _run_range(cfg: FuzzConfig, lo: int, hi: int):
-    """Samples lo..hi-1: a Counter of verdicts by (identity, status) and of rejections by
-    "singular_forms" and "degenerate_tetrahedra", and the failure records in order."""
-    counts, failures = Counter(), []
-    for index in range(lo, hi):
-        verdicts, failure, rejected_forms, rejected_degenerate = _run_sample(cfg, index)
-        counts.update((v.identity, v.status) for v in verdicts)
-        counts["singular_forms"] += rejected_forms
-        counts["degenerate_tetrahedra"] += rejected_degenerate
-        if failure is not None:
-            failures.append(failure)
-    return counts, failures
+    return counts, ({"sample": index, "input": document_to_obj(tet), "failed": failed}
+                    if failed else None)
 
 
 def pool_size(workers: int, samples: int, cpus: int) -> int:
@@ -352,24 +346,23 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = pool_size(cfg.workers, cfg.samples, cpus or 1)
+    sample, indices = partial(_run_sample, cfg), range(cfg.samples)
     if workers <= 1:
-        parts = [run("samples", _run_range, cfg, 0, cfg.samples)]
+        results = run("samples", list, map(sample, indices))
     else:
-        step = -(-cfg.samples // workers)
-        ranges = [(lo, min(lo + step, cfg.samples)) for lo in range(0, cfg.samples, step)]
-        # start-up: import the pool (report, verify and one-worker fuzz never do),
-        # create it and hand out the ranges, which starts the workers
+        # start-up: import the pool (report, verify and one-worker fuzz never do), create it
+        # and hand each worker one run of consecutive samples (chunksize), which starts them
         futures = run("pool start-up", import_module, "concurrent.futures")
         with run("pool start-up", futures.ProcessPoolExecutor, workers) as pool:
-            results = run("pool start-up", pool.map, _run_range, [cfg] * len(ranges),
-                          [r[0] for r in ranges], [r[1] for r in ranges])
-            parts = run("samples", list, results)
+            chunks = partial(pool.map, sample, chunksize=-(-cfg.samples // workers))
+            results = run("samples", list, run("pool start-up", chunks, indices))
 
-    # ranges are ascending and kept in order, so the failures are in sample order
+    # map keeps sample order, so the failures are in sample order
     counts, failures = Counter(), []
-    for part_counts, part_failures in parts:
-        counts.update(part_counts)
-        failures.extend(part_failures)
+    for sample_counts, failure in results:
+        counts.update(sample_counts)
+        if failure is not None:
+            failures.append(failure)
 
     summary = {
         "config": {"prime": cfg.prime, "samples": cfg.samples, "seed": cfg.seed,

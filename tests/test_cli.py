@@ -192,6 +192,17 @@ def test_input_rejects_composite_modulus():
         })
 
 
+@pytest.mark.parametrize("p", [True, False])
+def test_input_rejects_boolean_modulus(p):
+    # JSON true and false load as Python bools, which are ints; neither is a modulus
+    with pytest.raises(InputError, match=r"^field\.p: expected an integer modulus$"):
+        document_from_obj({
+            "field": {"kind": "prime", "p": p},
+            "form": {"a1": "1", "a2": "1", "a3": "1", "b1": "0", "b2": "0", "b3": "0"},
+            "points": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        })
+
+
 def _doc_with_coordinate(literal):
     doc = json.loads(UNIT_DOC.read_text())
     doc["points"][1][0] = literal
@@ -214,6 +225,22 @@ def test_oversized_report_literal_is_exit_2(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: report entry s.1;23: ") and "4300 digits" in err
+
+
+@pytest.mark.parametrize("section, digits", [("points", 400), ("form", 800)])
+def test_oversized_common_denominator_is_exit_2(section, digits, monkeypatch, capsys):
+    # each literal is short, but analyze scales the points by the lcm of their 12
+    # denominators and the form by the lcm of its 6: here over 4300 digits
+    doc = json.loads(UNIT_DOC.read_text())
+    if section == "points":
+        doc["points"] = [[f"1/{10 ** (digits - 1) + 3 * i + j}" for j in range(3)]
+                         for i in range(4)]
+    else:
+        doc["form"] = {key: f"1/{10 ** (digits - 1) + k}" for k, key in enumerate(doc["form"])}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["verify"]) == 2
+    assert capsys.readouterr() == ("", f"error: {section}: an integer over the common "
+                                       "denominator has over 4300 digits\n")
 
 
 def test_input_rejects_wrong_point_count():
@@ -279,6 +306,33 @@ def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
     assert capped == single
 
 
+def test_fuzz_pool_gets_one_run_of_samples_per_worker(monkeypatch):
+    # a stand-in pool that maps in process: 10 samples on 3 workers go out
+    # in chunks of 4, and the summary is the one-worker summary
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, workers):
+            asked.append(("workers", workers))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            asked.append(("chunksize", chunksize))
+            return map(fn, iterable)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    pooled, _ = run_fuzz(FuzzConfig(prime=101, samples=10, seed=6, workers=3))
+    assert asked == [("workers", 3), ("chunksize", 4)]
+    single, _ = run_fuzz(FuzzConfig(prime=101, samples=10, seed=6, workers=1))
+    assert json.dumps(pooled) == json.dumps(single)
+
+
 def test_fuzz_random_form_counts_rejections():
     summary, code = run_fuzz(FuzzConfig(prime=7, samples=40, seed=4, random_form=True))
     assert code == 0
@@ -325,7 +379,7 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     import tetrig.cli as cli
     cfg = FuzzConfig(prime=101, samples=5, seed=8)
     clean, _ = run_fuzz(cfg)
-    sample_2 = cli._run_range(cfg, 2, 3)[0]
+    sample_2 = cli._run_sample(cfg, 2)[0]
     sampled = []
     sample, real = cli._sample_tetrahedron, getattr(cli, target)
 
