@@ -17,7 +17,6 @@ import sys
 from collections import Counter
 from functools import partial
 from importlib import import_module
-from math import lcm
 from time import perf_counter
 
 from .affine import Point3
@@ -26,10 +25,9 @@ from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError
                     LiteralTooLong, parse_element)
 from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
                     PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
-                    InvariantReport, NotTriRectangular, Tetrahedron, Verdict, analyze,
-                    is_defined, pairing_name, skew_quadrance, tri_rectangular_checks,
-                    verify_identities)
-from .trig import quadrume
+                    InvariantReport, NotTriRectangular, Tetrahedron, Verdict, _analyze_parts,
+                    _decide, _scaled_coordinates, _verify_parts, analyze, is_defined,
+                    pairing_name, skew_quadrance, tri_rectangular_checks, verify_identities)
 
 FUZZ_IDENTITY_NAMES = IDENTITY_NAMES + ("skew-quadrance-projection",)
 
@@ -121,10 +119,8 @@ def document_from_obj(obj) -> InputDocument:
         coords = [_element_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
         points.append(Point3(*coords))
     if spec.is_rational:  # analyze works on these integers: bound them as literals are
-        values = [c._value for point in points for c in point.coordinates()]
-        scale = lcm(*(v.denominator for v in values))
-        scaled = {"form": (form._scale, *form._ints),
-                  "points": (scale, *(v.numerator * (scale // v.denominator) for v in values))}
+        scale, coords = _scaled_coordinates(points)
+        scaled = {"form": (form._scale, *form._ints), "points": (scale, *coords)}
         for path, ints in scaled.items():
             if max(max(ints), -min(ints)) >= _LITERAL_BOUND:
                 raise InputError(f"{path}: an integer over the common denominator has over "
@@ -273,51 +269,48 @@ def run_verify(doc: InputDocument, corrupt: str | None = None,
 
 # -- fuzzing ----------------------------------------------------------------
 
-def _sample_tetrahedron(cfg: FuzzConfig, rng: random.Random, spec: FieldSpec):
-    """One reproducible sample; returns (tetrahedron, rejected_forms, rejected_degenerate)."""
-    rejected_forms = 0
-    if cfg.random_form:
-        while True:
-            entries = [spec.element(rng.randrange(cfg.prime)) for _ in range(6)]
-            try:
-                form = SymmetricForm(*entries)
-                break
-            except DegenerateForm:
-                rejected_forms += 1
-    else:
-        form = SymmetricForm.identity(spec)
-    rejected_degenerate = 0
-    while True:
-        points = [Point3.of(spec, rng.randrange(cfg.prime), rng.randrange(cfg.prime),
-                            rng.randrange(cfg.prime)) for _ in range(4)]
-        tet = Tetrahedron(points[0], points[1], points[2], points[3], form)
-        if not cfg.reject_degenerate or not quadrume(tet).is_zero:
-            return tet, rejected_forms, rejected_degenerate
-        rejected_degenerate += 1
+def _sample_tetrahedron(rng: random.Random, form: SymmetricForm) -> Tetrahedron:
+    """One draw: four uniformly random points over the prime field of `form`."""
+    p = form.spec.p
+    points = [Point3.of(form.spec, rng.randrange(p), rng.randrange(p), rng.randrange(p))
+              for _ in range(4)]
+    return Tetrahedron(points[0], points[1], points[2], points[3], form)
 
 
 def _run_sample(cfg: FuzzConfig, index: int):
     """One sample: a Counter of its verdicts by (identity, status) and of its rejections
-    by "singular_forms" and "degenerate_tetrahedra", and its failure record or None."""
+    by "singular_forms" and "degenerate_tetrahedra", and its failure record or None.
+    Each draw goes through the kernel, whose V numerator decides degeneracy, and the
+    accepted draw's (num, den) parts are checked as they are."""
     # per-sample stream derived from (seed, index): the summary cannot
     # depend on how samples are scheduled across workers
     rng = random.Random((cfg.seed << 32) + index)
     spec = FieldSpec.prime(cfg.prime)
-    tet, rejected_forms, rejected_degenerate = _sample_tetrahedron(cfg, rng, spec)
-    counts = Counter(singular_forms=rejected_forms, degenerate_tetrahedra=rejected_degenerate)
+    red, counts = spec._red, Counter()
+    form = None if cfg.random_form else SymmetricForm.identity(spec)
+    while form is None:
+        try:
+            form = SymmetricForm(*(spec.element(rng.randrange(cfg.prime)) for _ in range(6)))
+        except DegenerateForm:
+            counts["singular_forms"] += 1
     try:
-        report = analyze(tet)
-        verdicts = list(verify_identities(report).verdicts)
+        while True:
+            tet = _sample_tetrahedron(rng, form)
+            parts = _analyze_parts(tet)
+            if not cfg.reject_degenerate or red(parts["quadrume"][0]) != 0:
+                break
+            counts["degenerate_tetrahedra"] += 1
+        verdicts = list(_verify_parts(red, parts).verdicts)
         for pairing in SKEW_PAIRINGS:
-            entry = report.skew_quadrances[pairing]
-            status = INAPPLICABLE
-            if is_defined(entry):
+            skew, status = parts["skew_quadrances"][pairing], INAPPLICABLE
+            if red(skew[1]) != 0:
                 params = (spec.element(rng.randrange(cfg.prime)),
                           spec.element(rng.randrange(cfg.prime)))
-                status = PASS if skew_quadrance(tet, pairing, params=params) == entry else FAIL
+                reference = skew_quadrance(tet, pairing, params=params)._parts()
+                status = _decide(red, 1, [reference], 1, [skew])
             verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing), status))
     except (FieldError, RuntimeError) as exc:
-        # an internal fault: record the sample with its input, tally no verdict, go on
+        # an internal fault: record the sample with the draw it was on, tally no verdict, go on
         return counts, {"sample": index, "input": document_to_obj(tet),
                         "error": {"exception": type(exc).__name__, "message": str(exc)}}
     counts.update((v.identity, v.status) for v in verdicts)
@@ -330,6 +323,16 @@ def _run_sample(cfg: FuzzConfig, index: int):
 def pool_size(workers: int, samples: int, cpus: int) -> int:
     """Processes for a fuzz run: as asked, but at most one per sample and per usable CPU."""
     return max(1, min(workers, samples, cpus))
+
+
+def _fold(results) -> tuple[Counter, list]:
+    """Adds the per-sample Counters and keeps the failures, in sample order, as results arrive."""
+    counts, failures = Counter(), []
+    for sample_counts, failure in results:
+        counts.update(sample_counts)
+        if failure is not None:
+            failures.append(failure)
+    return counts, failures
 
 
 def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
@@ -348,21 +351,14 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
     workers = pool_size(cfg.workers, cfg.samples, cpus or 1)
     sample, indices = partial(_run_sample, cfg), range(cfg.samples)
     if workers <= 1:
-        results = run("samples", list, map(sample, indices))
+        counts, failures = run("samples", _fold, map(sample, indices))
     else:
         # start-up: import the pool (report, verify and one-worker fuzz never do), create it
         # and hand each worker one run of consecutive samples (chunksize), which starts them
         futures = run("pool start-up", import_module, "concurrent.futures")
         with run("pool start-up", futures.ProcessPoolExecutor, workers) as pool:
             chunks = partial(pool.map, sample, chunksize=-(-cfg.samples // workers))
-            results = run("samples", list, run("pool start-up", chunks, indices))
-
-    # map keeps sample order, so the failures are in sample order
-    counts, failures = Counter(), []
-    for sample_counts, failure in results:
-        counts.update(sample_counts)
-        if failure is not None:
-            failures.append(failure)
+            counts, failures = run("samples", _fold, run("pool start-up", chunks, indices))
 
     summary = {
         "config": {"prime": cfg.prime, "samples": cfg.samples, "seed": cfg.seed,

@@ -3,11 +3,12 @@ skew quadrances of opposite edges, and the tri-rectangular specialization.
 
 A report stores every invariant fully expanded, computed from the defining
 formulas; the closed forms are used only as verification identities, so
-`verify_identities` is the one place that checks them.  An entry is Undefined
-exactly when the denominator of its defining formula vanishes, with a reason
-naming what vanished: a null edge (face and solid spreads), a null face normal
-(dihedral and dual solid spreads), a zero quadrea (R) or the zero skew
-denominator.  Quadrances, quadreas and the quadrume are always defined.
+`_verify_parts` (under `verify_identities`) is the one place that checks them.
+An entry is Undefined exactly when the denominator of its defining formula
+vanishes, with a reason naming what vanished: a null edge (face and solid
+spreads), a null face normal (dihedral and dual solid spreads), a zero quadrea
+(R) or the zero skew denominator.  Quadrances, quadreas and the quadrume are
+always defined.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ class Undefined(Frozen):
 
     __slots__ = ("reason",)
 
+    def _parts(self) -> tuple[int, int]:
+        """A zero den, which `_decide` reads as undecided wherever it is a factor."""
+        return 1, 0
+
 
 def is_defined(entry: FieldElement | Undefined) -> bool:
     return isinstance(entry, FieldElement)
@@ -214,26 +219,27 @@ def skew_quadrance_closed_form(tet: Tetrahedron, pairing) -> FieldElement:
     return quadrume(tet) / den
 
 
-def analyze(tet: Tetrahedron) -> InvariantReport:
-    """Compute the full invariant report from the defining formulas, on plain ints.
+def _scaled_coordinates(points) -> tuple[int, list[int]]:
+    """L, the lcm of the coordinate denominators (1 over F_p), and the coordinates times L."""
+    values = [c._value for point in points for c in point.coordinates()]
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
-    Over Q the points are scaled by L, the lcm of their coordinate denominators,
-    and the form by M (`SymmetricForm._ints`); with s = L^2 M each entry's one
-    division takes the scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2,
-    spreads unscaled.  Over F_p, s = 1 and values are reduced mod p as they grow.
 
-    The core builds every entry as an integer pair (num, den) and branches on
-    no value; the boundary at the end makes an entry Undefined exactly when its
-    own den is zero (mod p over F_p), with the reason its field's denominator
-    names, and num / den otherwise.
+def _analyze_parts(tet: Tetrahedron) -> dict:
+    """Every entry of the invariant report as an integer pair (num, den), keyed by
+    InvariantReport field, from the defining formulas on plain ints.
+
+    Over Q the points are scaled by L (`_scaled_coordinates`) and the form by M
+    (`SymmetricForm._ints`); with s = L^2 M each entry's one division takes the
+    scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads unscaled.  Over
+    F_p, s = 1 and values are reduced mod p as they grow.  No branch on a value:
+    a den is zero (mod p over F_p) exactly where the entry is Undefined.
     """
-    form, spec = tet.form, tet.spec
+    form, red = tet.form, tet.spec._red
     b, adj, det = form._ints, form._adj, form._int_det
-    coords = [c._value for point in tet.points for c in point.coordinates()]
-    scale = lcm(*(c.denominator for c in coords))  # 1 over F_p, as is form._scale
-    coords = [c.numerator * (scale // c.denominator) for c in coords]
+    scale, coords = _scaled_coordinates(tet.points)  # scale is 1 over F_p, as is form._scale
     s = scale * scale * form._scale
-    red = spec._red
 
     def dot(v, w):
         return red(dot_values(b, v, w))
@@ -262,7 +268,7 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     perp = {pairing: cross(edge[pairing[0]], edge[pairing[1]]) for pairing in SKEW_PAIRINGS}
     vol_num = 4 * t[0] * t[0]  # V = 4 t^2 / det B from the edges at vertex 0
 
-    parts = {  # (num, den) of every entry, by InvariantReport field
+    return {
         "quadrances": {e: (q[e], s) for e in EDGES},
         "quadreas": {f: (a[f], s * s) for f in FACES},
         "quadrume": (vol_num, s * s * s * det),
@@ -284,14 +290,23 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
                             for ((i, j), (k, l)), n in perp.items()},
     }
 
+
+_PART_FIELDS = InvariantReport.__slots__[1:]  # the fields of entries, in report order
+
+
+def analyze(tet: Tetrahedron) -> InvariantReport:
+    """The full invariant report: `_analyze_parts` and one boundary, which makes an
+    entry Undefined exactly when its own den is zero (mod p over F_p), with the
+    reason its field's denominator names, and num / den otherwise."""
+    spec, parts = tet.spec, _analyze_parts(tet)
+
     def boundary(name, part):  # the report field `name` from its (num, den) pairs
         if isinstance(part, dict):
             return {key: boundary(name, pair) for key, pair in part.items()}
         num, den = part
-        return Undefined(_UNDEFINED_REASONS[name]) if red(den) == 0 else spec._ratio(num, den)
+        return Undefined(_UNDEFINED_REASONS[name]) if spec._red(den) == 0 else spec._ratio(num, den)
 
-    return InvariantReport(tet, *(boundary(name, parts[name])
-                                  for name in InvariantReport.__slots__[1:]))
+    return InvariantReport(tet, *(boundary(name, parts[name]) for name in _PART_FIELDS))
 
 
 def _side(const: int, factors) -> tuple[int, int]:
@@ -304,9 +319,7 @@ def _side(const: int, factors) -> tuple[int, int]:
 
 
 def _sum(*terms):
-    """(num, den) of the sum of (num, den) terms; None when a term is None."""
-    if None in terms:
-        return None
+    """(num, den) of the sum of (num, den) terms; a zero den stays zero."""
     num, den = 0, 1
     for n, d in terms:
         num, den = num * d + n * den, den * d
@@ -315,38 +328,35 @@ def _sum(*terms):
 
 def _decide(red, lconst: int, lhs, rconst: int, rhs):
     """PASS or FAIL for `lconst * prod(lhs) == rconst * prod(rhs)`, by one
-    cross-multiplied integer comparison reduced by `red`; None when a factor is
-    None (an Undefined entry).  Every den must be nonzero."""
-    if None in lhs or None in rhs:
-        return None
+    cross-multiplied integer comparison reduced by `red`; None when the dens'
+    product is zero under `red`: in a field, when one den is (an Undefined entry)."""
     (ln, ld), (rn, rd) = _side(lconst, lhs), _side(rconst, rhs)
+    if red(ld * rd) == 0:
+        return None
     return PASS if red(ln * rd - rn * ld) == 0 else FAIL
 
 
-def _report_parts(report: InvariantReport):
-    """The fields after `report.tetrahedron` (Q, A, V, s, E, S, D, R, skew), each entry
-    read once as (num, den), None where Undefined; quadrances keyed both ways round."""
-    def part(entry):
-        return entry._parts() if is_defined(entry) else None
-
-    parts = [{key: part(v) for key, v in t.items()} if isinstance(t, dict) else part(t)
-             for t in report._fields()[1:]]
-    q = parts[0]
-    for i, j in EDGES:
-        q[j, i] = q[i, j]
-    return parts
+def _report_parts(report: InvariantReport) -> dict:
+    """The report's entries read once as (num, den), keyed like `_analyze_parts`;
+    an Undefined entry reads as den 0."""
+    return {name: {key: v._parts() for key, v in t.items()} if isinstance(t, dict)
+            else t._parts() for name, t in zip(_PART_FIELDS, report._fields()[1:])}
 
 
 def verify_identities(report: InvariantReport) -> CheckResults:
-    """One verdict per identity instance, from the report entries alone.
+    """One verdict per identity instance, from the report entries alone."""
+    return _verify_parts(report.tetrahedron.spec._red, _report_parts(report))
 
-    Each entry is read once as an integer pair (num, den) and each identity
-    `c * prod(lhs) == c' * prod(rhs)` is decided by `_decide`, one
-    cross-multiplied comparison of integers, reduced mod p over F_p.  An
-    instance with an Undefined factor is inapplicable.
+
+def _verify_parts(red, parts: dict) -> CheckResults:
+    """One verdict per identity instance from the (num, den) `parts` of a report.
+
+    Each identity `c * prod(lhs) == c' * prod(rhs)` is decided by `_decide`, one
+    cross-multiplied comparison of integers, reduced by `red` (mod p over F_p).
+    An instance with an Undefined factor, a den zero under `red`, is inapplicable.
     """
-    red = report.tetrahedron.spec._red
-    q, a, vol, s, e, sol, dual, rich, skew = _report_parts(report)
+    q, a, vol, s, e, sol, dual, rich, skew = map(parts.get, _PART_FIELDS)
+    q = {**q, **{(j, i): pair for (i, j), pair in q.items()}}  # keyed both ways round
     verdicts = []
 
     def emit(identity, instance, lconst, lhs, rconst, rhs):
@@ -461,7 +471,7 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     """
     params = corner_params(report.tetrahedron)
     red = report.tetrahedron.spec._red
-    q, a, vol, s, e, sol, dual, _, _ = _report_parts(report)
+    q, a, vol, s, e, sol, dual, _, _ = map(_report_parts(report).get, _PART_FIELDS)
     k = {1: params.k1._parts(), 2: params.k2._parts(), 3: params.k3._parts()}
     kk = {(i, j): _sum(k[i], k[j]) for i in k for j in k if i != j}  # K_i + K_j
     cs = _sum(*(_side(1, [k[i], k[j]]) for i, j in ((1, 2), (1, 3), (2, 3))))
@@ -502,8 +512,8 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     emit("face-quadrea-sum", "A123",
          1, [a[1, 2, 3]], 1, [_sum(a[0, 1, 2], a[0, 1, 3], a[0, 2, 3])])
     emit("dihedral-spread-sum", "E12+E13+E23", 1, [_sum(e[1, 2], e[1, 3], e[2, 3])], 2, [])
-    total = _sum(sol[1], sol[2], sol[3])
-    rest = None if total is None else (total[1] - total[0], total[1])  # 1 - S1 - S2 - S3
+    num, den = _sum(sol[1], sol[2], sol[3])
+    rest = den - num, den  # 1 - S1 - S2 - S3
     emit("solid-spread-square", "(1-S1-S2-S3)^2", 1, [rest, rest], 4, [sol[1], sol[2], sol[3]])
     emit("dual-solid-spread-sum", "D1+D2+D3", 1, [_sum(dual[1], dual[2], dual[3])], 1, [])
 

@@ -369,9 +369,39 @@ def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
     assert code == 1
 
 
+def _fault_in_sample(monkeypatch, cli, index, target, fault):
+    """Make `cli.<target>` raise `fault` at its first call in fuzz sample `index`,
+    with no pool; returns each sample's draws, by index, as the run makes them."""
+    draws, current = {}, []
+    run_sample, sample, real = cli._run_sample, cli._sample_tetrahedron, getattr(cli, target)
+
+    def tracking_run(cfg, i):
+        current.append(i)
+        draws[i] = []
+        return run_sample(cfg, i)
+
+    def tracking_sample(*args):
+        drawn = sample(*args)
+        draws[current[-1]].append(drawn)
+        return drawn
+
+    def faulty(*args, **kwargs):
+        if current[-1] == index:
+            raise fault
+        return real(*args, **kwargs)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_run_sample", tracking_run)
+    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
+    monkeypatch.setattr(cli, target, faulty)
+    return draws
+
+
 @pytest.mark.parametrize("target, fault", [
-    ("analyze", DivisionByZero("injected")),
-    ("verify_identities", RuntimeError("injected")),
+    ("_analyze_parts", DivisionByZero("injected")),
+    ("_verify_parts", RuntimeError("injected")),
     ("skew_quadrance", DivisionByZero("injected"))])
 def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     # a fault raised while sample 2 is checked is recorded with its input;
@@ -380,29 +410,12 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     cfg = FuzzConfig(prime=101, samples=5, seed=8)
     clean, _ = run_fuzz(cfg)
     sample_2 = cli._run_sample(cfg, 2)[0]
-    sampled = []
-    sample, real = cli._sample_tetrahedron, getattr(cli, target)
-
-    def tracking_sample(*args):
-        drawn = sample(*args)
-        sampled.append(drawn[0])
-        return drawn
-
-    def faulty(*args, **kwargs):
-        if len(sampled) == 3:
-            raise fault
-        return real(*args, **kwargs)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
-    monkeypatch.setattr(cli, target, faulty)
+    draws = _fault_in_sample(monkeypatch, cli, 2, target, fault)
     assert main(["fuzz", "--prime", "101", "--samples", "5", "--seed", "8",
                  "--workers", "1"]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["failures"] == [{
-        "sample": 2, "input": document_to_obj(sampled[2]),
+        "sample": 2, "input": document_to_obj(draws[2][-1]),
         "error": {"exception": type(fault).__name__, "message": "injected"}}]
     for name, row in summary["identities"].items():
         expected = clean["identities"][name]
@@ -415,6 +428,68 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     monkeypatch.undo()
     _, code = run_verify(load_document(json.dumps(summary["failures"][0]["input"])))
     assert code == 0
+
+
+def test_fuzz_fault_on_a_rejected_draw_is_a_failure_record(monkeypatch, capsys):
+    # the kernel also decides degeneracy, inside the fault guard: a fault on a
+    # draw that would be rejected as degenerate is recorded with that draw
+    import tetrig.cli as cli
+    from tetrig.trig import quadrume
+    cfg = FuzzConfig(prime=7, samples=10, seed=2)
+    index = next(i for i in range(cfg.samples)
+                 if cli._run_sample(cfg, i)[0]["degenerate_tetrahedra"])
+    draws = _fault_in_sample(monkeypatch, cli, index, "_analyze_parts", DivisionByZero("injected"))
+    assert main(["fuzz", "--prime", "7", "--samples", "10", "--seed", "2",
+                 "--workers", "1"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    (rejected,) = draws[index]  # the sample's first draw, which a clean run rejects
+    assert quadrume(rejected).is_zero
+    assert summary["failures"] == [{
+        "sample": index, "input": document_to_obj(rejected),
+        "error": {"exception": "DivisionByZero", "message": "injected"}}]
+
+
+def test_fuzz_sample_builds_no_report(monkeypatch):
+    # a sample checks the kernel's (num, den) parts as they are: no report,
+    # no boundary, no read-back and no second computation of V
+    import tetrig.cli as cli
+    from tetrig import tetra, trig
+    configs = [FuzzConfig(prime=7, samples=30, seed=4, random_form=True),
+               FuzzConfig(prime=101, samples=20, seed=5)]
+    clean = [run_fuzz(cfg) for cfg in configs]
+    targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts, trig.quadrume)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by a fuzz sample")
+    for module in (cli, tetra, trig):  # every name bound to a target
+        for name, value in list(vars(module).items()):
+            if any(value is target for target in targets):
+                monkeypatch.setattr(module, name, forbidden)
+    assert [run_fuzz(cfg) for cfg in configs] == clean
+    assert clean[0][0]["rejected"]["degenerate_tetrahedra"] > 0
+
+
+@pytest.mark.parametrize("reject_degenerate", [True, False])
+@pytest.mark.parametrize("p", [3, 7, 101, 2**31 - 1])
+def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
+    # on every draw of a fuzz run, the verdicts on the kernel's parts equal
+    # those on the report, inapplicable ones included
+    import tetrig.cli as cli
+    from tetrig.tetra import _analyze_parts, _verify_parts, analyze, verify_identities
+    draws, sample = [], cli._sample_tetrahedron
+
+    def tracking_sample(*args):
+        draws.append(sample(*args))
+        return draws[-1]
+    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
+    run_fuzz(FuzzConfig(prime=p, samples=40, seed=p % 1000, random_form=True,
+                        reject_degenerate=reject_degenerate))
+    statuses = set()
+    for tet in draws:
+        verdicts = _verify_parts(tet.spec._red, _analyze_parts(tet)).verdicts
+        assert verdicts == verify_identities(analyze(tet)).verdicts
+        statuses.update(v.status for v in verdicts)
+    assert statuses == ({PASS} if p > 101 else {PASS, INAPPLICABLE})
 
 
 def test_fuzz_invalid_prime_is_exit_2(capsys):

@@ -20,6 +20,7 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
 from tetrig.cli import ReportOptions, corrupt_entry, load_document, report_to_obj
+from tetrig.tetra import _decide, _sum
 from support import Q, rand_form, rand_point, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -316,3 +317,20 @@ def test_right_corner_undefined_entry_fails():
     assert failed == {("closed-form-solid-spread", "S1"),
                       ("solid-spread-square", "(1-S1-S2-S3)^2")}
     assert "inapplicable" not in {status for _, _, status in verdicts}
+
+
+def test_decide_reads_a_den_that_vanishes_mod_p_as_undefined():
+    # kernel parts carry unreduced dens: a nonzero multiple of p is a zero den
+    red = FieldSpec.prime(7)._red
+    assert _decide(red, 1, [(3, 14)], 1, [(3, 1)]) is None
+    assert _decide(red, 1, [(1, 1)], 2, [(2, 21), (1, 1)]) is None
+    assert _decide(red, 1, [(3, 8)], 1, [(3, 1)]) == "pass"  # 8 is 1 mod 7
+    assert _decide(red, 1, [(3, 8)], 1, [(4, 1)]) == "fail"
+    assert _decide(red, 1, [Undefined("NullEdge")._parts()], 1, []) is None
+    # a zero den stays zero through a sum, so the sum is undecided too
+    num, den = _sum((1, 1), (2, 7))
+    assert den != 0 and red(den) == 0
+    assert _decide(red, 1, [(num, den)], 1, [(3, 1)]) is None
+    # over Q only a den of 0 is undefined
+    assert _decide(int, 2, [(1, 14)], 1, [(1, 7)]) == "pass"
+    assert _decide(int, 1, [_sum((1, 2), Undefined("ZeroQuadrea")._parts())], 1, []) is None

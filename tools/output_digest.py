@@ -14,7 +14,10 @@ runs see the same inputs.  The groups:
 - tri-rectangular: report and verify of the same documents with the
   `tri_rectangular` option on, mostly the exit-2 path;
 - corrupt: `verify --corrupt K` for every entry name K of the right-corner fixtures;
-- fuzz: each of FUZZ_RUNS at `--workers 1` and `2`.
+- fuzz: each of FUZZ_RUNS at `--workers 1` and `2`;
+- fuzz-fault: each p=101 and p=7 run of FUZZ_RUNS at `--workers 1`, with
+  `tetrig.tetra.solid_spread_from_parts` off by one, so that every sample with
+  a defined solid spread is a failure record; this pins the records' bytes.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ def record(main, argv: list[str], stdin: str = "") -> bytes:
 
 def digests(main) -> dict[str, tuple[int, str]]:
     docs = documents()
-    groups = {"report": [], "verify": [], "tri-rectangular": [], "corrupt": [], "fuzz": []}
+    groups = {"report": [], "verify": [], "tri-rectangular": [], "corrupt": [], "fuzz": [],
+              "fuzz-fault": []}
     for text in docs:
         for command in ("report", "verify"):
             groups[command].append(record(main, [command], text))
@@ -108,6 +112,18 @@ def digests(main) -> dict[str, tuple[int, str]]:
     for argv in FUZZ_RUNS:
         for workers in ("1", "2"):
             groups["fuzz"].append(record(main, ["fuzz", *argv, "--workers", workers]))
+    tetra = sys.modules["tetrig.tetra"]
+    solid_spread = tetra.solid_spread_from_parts
+
+    def off_by_one(*args):  # num/den + 1
+        num, den = solid_spread(*args)
+        return num + den, den
+    tetra.solid_spread_from_parts = off_by_one
+    try:  # one worker: a pool's processes need not see the patch
+        groups["fuzz-fault"] += [record(main, ["fuzz", *argv, "--workers", "1"])
+                                 for argv in FUZZ_RUNS if argv[1] in ("101", "7")]
+    finally:
+        tetra.solid_spread_from_parts = solid_spread
     return {name: (len(runs), hashlib.sha256(b"".join(runs)).hexdigest())
             for name, runs in groups.items()}
 
