@@ -20,9 +20,11 @@ from importlib import import_module
 from time import perf_counter
 
 from .affine import Point3
-from .blinalg import DegenerateForm, Record, SymmetricForm
+from .blinalg import DegenerateForm, Record, SymmetricForm, adj_cross_values, dot_values
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError, FieldSpec,
                     LiteralTooLong, parse_element)
+# `skew_quadrance` is not called here (a fuzz sample projects on residues, `_skew_projection`);
+# it stays bound because `bench/run.py --trace 1` times `tetrig.cli.skew_quadrance` by name
 from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
                     PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
                     InvariantReport, NotTriRectangular, Tetrahedron, Verdict, _analyze_parts,
@@ -154,14 +156,18 @@ def _field_spec_obj(spec: FieldSpec) -> dict:
     return {"kind": "prime", "p": spec.p}
 
 
+def _document_obj(form: SymmetricForm, points: list) -> dict:
+    """Replayable input document of `form` and four points given as rows of literals."""
+    return {
+        "field": _field_spec_obj(form.spec),
+        "form": {key: entry.literal() for key, entry in zip(_FORM_KEYS, form.entries())},
+        "points": points,
+    }
+
+
 def document_to_obj(tet: Tetrahedron, options: ReportOptions | None = None) -> dict:
     """Replayable input document for a tetrahedron."""
-    form = tet.form
-    obj = {
-        "field": _field_spec_obj(tet.spec),
-        "form": {key: entry.literal() for key, entry in zip(_FORM_KEYS, form.entries())},
-        "points": [[c.literal() for c in p.coordinates()] for p in tet.points],
-    }
+    obj = _document_obj(tet.form, [[c.literal() for c in p.coordinates()] for p in tet.points])
     if options is not None:
         obj["options"] = {"checks": options.checks, "skew": options.skew,
                           "tri_rectangular": options.tri_rectangular}
@@ -269,34 +275,58 @@ def run_verify(doc: InputDocument, corrupt: str | None = None,
 
 # -- fuzzing ----------------------------------------------------------------
 
-def _sample_tetrahedron(rng: random.Random, form: SymmetricForm) -> Tetrahedron:
-    """One draw: four uniformly random points over the prime field of `form`."""
-    p = form.spec.p
-    points = [Point3.of(form.spec, rng.randrange(p), rng.randrange(p), rng.randrange(p))
-              for _ in range(4)]
+def _sample_tetrahedron(form: SymmetricForm, coords: list[int]) -> Tetrahedron:
+    """The tetrahedron of one draw: twelve residues, three per point, over the field of `form`."""
+    spec = form.spec
+    points = [Point3.of(spec, *coords[i:i + 3]) for i in range(0, 12, 3)]
     return Tetrahedron(points[0], points[1], points[2], points[3], form)
+
+
+def _draw_obj(form: SymmetricForm, coords: list[int]) -> dict:
+    """`document_to_obj` of a draw, written from its residues, which print as their literals."""
+    return _document_obj(form, [[str(r) for r in coords[i:i + 3]] for i in range(0, 12, 3)])
+
+
+def _skew_projection(form: SymmetricForm, coords: list[int], pairing, t1: int, t2: int):
+    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)) over F_p, by moved
+    points and a projection on the draw's residues: the gap w from a + t1 v1 to c + t2 v2,
+    for the edge vectors v1 = ab and v2 = cd, projected onto their common perpendicular
+    n = v1 x_B v2 has quadrance (n . w)^2 / Q(n)."""
+    red, b = form.spec._red, form._ints
+    (i, j), (k, l) = pairing
+
+    def edge(start, end):
+        return [coords[3 * end + c] - coords[3 * start + c] for c in range(3)]
+    v1, v2 = edge(i, j), edge(k, l)
+    n = tuple(map(red, adj_cross_values(form._adj, v1, v2)))
+    w = [x + t2 * y - t1 * z for x, y, z in zip(edge(i, k), v2, v1)]
+    nw = red(dot_values(b, n, w))
+    return nw * nw, red(dot_values(b, n, n))
 
 
 def _run_sample(cfg: FuzzConfig, index: int):
     """One sample: a Counter of its verdicts by (identity, status) and of its rejections
     by "singular_forms" and "degenerate_tetrahedra", and its failure record or None.
     Each draw goes through the kernel, whose V numerator decides degeneracy, and the
-    accepted draw's (num, den) parts are checked as they are."""
+    accepted draw's (num, den) parts are checked as they are, each defined skew part
+    against `_skew_projection` on the draw's residues."""
     # per-sample stream derived from (seed, index): the summary cannot
     # depend on how samples are scheduled across workers
     rng = random.Random((cfg.seed << 32) + index)
-    spec = FieldSpec.prime(cfg.prime)
+    p = cfg.prime
+    spec = FieldSpec.prime(p)
     red, counts = spec._red, Counter()
     form = None if cfg.random_form else SymmetricForm.identity(spec)
     while form is None:
         try:
-            form = SymmetricForm(*(spec.element(rng.randrange(cfg.prime)) for _ in range(6)))
+            form = SymmetricForm(*(spec.element(rng.randrange(p)) for _ in range(6)))
         except DegenerateForm:
             counts["singular_forms"] += 1
     try:
         while True:
-            tet = _sample_tetrahedron(rng, form)
-            parts = _analyze_parts(tet)
+            # the residues are bound before anything that can raise: a fault record needs them
+            coords = [rng.randrange(p) for _ in range(12)]
+            parts = _analyze_parts(_sample_tetrahedron(form, coords))
             if not cfg.reject_degenerate or red(parts["quadrume"][0]) != 0:
                 break
             counts["degenerate_tetrahedra"] += 1
@@ -304,25 +334,36 @@ def _run_sample(cfg: FuzzConfig, index: int):
         for pairing in SKEW_PAIRINGS:
             skew, status = parts["skew_quadrances"][pairing], INAPPLICABLE
             if red(skew[1]) != 0:
-                params = (spec.element(rng.randrange(cfg.prime)),
-                          spec.element(rng.randrange(cfg.prime)))
-                reference = skew_quadrance(tet, pairing, params=params)._parts()
+                t1, t2 = rng.randrange(p), rng.randrange(p)
+                reference = _skew_projection(form, coords, pairing, t1, t2)
                 status = _decide(red, 1, [reference], 1, [skew])
             verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing), status))
     except (FieldError, RuntimeError) as exc:
         # an internal fault: record the sample with the draw it was on, tally no verdict, go on
-        return counts, {"sample": index, "input": document_to_obj(tet),
+        return counts, {"sample": index, "input": _draw_obj(form, coords),
                         "error": {"exception": type(exc).__name__, "message": str(exc)}}
     counts.update((v.identity, v.status) for v in verdicts)
     failed = [{"identity": v.identity, "instance": v.instance}
               for v in verdicts if v.status == FAIL]
-    return counts, ({"sample": index, "input": document_to_obj(tet), "failed": failed}
+    return counts, ({"sample": index, "input": _draw_obj(form, coords), "failed": failed}
                     if failed else None)
 
 
+# fewest samples worth a pool process: below 2 * MIN_SAMPLES_PER_PROCESS a fuzz run maps in
+# process, as the pool's start-up costs more than a second core saves (README, --workers)
+MIN_SAMPLES_PER_PROCESS = 200
+
+
 def pool_size(workers: int, samples: int, cpus: int) -> int:
-    """Processes for a fuzz run: as asked, but at most one per sample and per usable CPU."""
-    return max(1, min(workers, samples, cpus))
+    """Processes for a fuzz run: as asked, but at most one per usable CPU and one per
+    MIN_SAMPLES_PER_PROCESS samples."""
+    return max(1, min(workers, samples // MIN_SAMPLES_PER_PROCESS, cpus))
+
+
+def _processes(cfg: FuzzConfig) -> int:
+    """`pool_size` of `cfg` on this process's usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return pool_size(cfg.workers, cfg.samples, cpus or 1)
 
 
 def _fold(results) -> tuple[Counter, list]:
@@ -347,8 +388,7 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
     if cfg.workers < 1:
         raise InputError("--workers: expected a positive count")
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = pool_size(cfg.workers, cfg.samples, cpus or 1)
+    workers = _processes(cfg)
     sample, indices = partial(_run_sample, cfg), range(cfg.samples)
     if workers <= 1:
         counts, failures = run("samples", _fold, map(sample, indices))
@@ -454,7 +494,8 @@ def main(argv=None, startup=None) -> int:
                          reject_degenerate=not args.allow_degenerate,
                          random_form=args.random_form, workers=args.workers)
         summary, code = run_fuzz(cfg, run)
-        timings["samples"]["samples_per_s"] = cfg.samples * 1000 / timings["samples"]["ms"]
+        timings["samples"].update(processes=_processes(cfg),
+                                  samples_per_s=cfg.samples * 1000 / timings["samples"]["ms"])
         run("serialise", _write_output, args.output, summary)
         return code
     except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8

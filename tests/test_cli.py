@@ -11,14 +11,16 @@ from pathlib import Path
 import pytest
 
 from tetrig import DivisionByZero, FieldSpec, parse_element
-from tetrig.cli import (FuzzConfig, InputError, document_from_obj, document_to_obj,
-                        load_document, main, pool_size, run_fuzz, run_report, run_verify)
+from tetrig.cli import (MIN_SAMPLES_PER_PROCESS, FuzzConfig, InputError, document_from_obj,
+                        document_to_obj, load_document, main, pool_size, run_fuzz, run_report,
+                        run_verify)
 from tetrig.tetra import FAIL, INAPPLICABLE, PASS
 from support import Q
 
 FIXTURES = Path(__file__).parent / "fixtures"
 UNIT_DOC = FIXTURES / "unit_tri_rectangular.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
+M = MIN_SAMPLES_PER_PROCESS  # a fuzz run gets a second process from 2 * M samples on
 
 
 def load_fixture_doc():
@@ -279,23 +281,30 @@ def test_fuzz_small_field_has_inapplicable_instances():
 
 
 def test_fuzz_reproducible_and_worker_independent():
-    cfg = dict(prime=101, samples=60, seed=9)
-    s1, _ = run_fuzz(FuzzConfig(**cfg, workers=1))
-    s2, _ = run_fuzz(FuzzConfig(**cfg, workers=3))
-    assert json.dumps(s1) == json.dumps(s2)
+    # below the cut-over every --workers maps in process; above it a pool runs
+    # wherever two CPUs are usable
+    for samples in (60, 2 * M + 10):
+        cfg = dict(prime=101, samples=samples, seed=9)
+        s1, _ = run_fuzz(FuzzConfig(**cfg, workers=1))
+        for workers in (2, 3):
+            s2, _ = run_fuzz(FuzzConfig(**cfg, workers=workers))
+            assert json.dumps(s1) == json.dumps(s2)
 
 
 def test_pool_size_is_capped_by_samples_and_cpus():
-    assert pool_size(10**6, 1000, 2) == 2
-    assert pool_size(2, 1000, 2) == 2
-    assert pool_size(8, 3, 16) == 3
-    assert pool_size(1, 1000, 16) == 1
+    assert pool_size(10**6, 1000 * M, 2) == 2
+    assert pool_size(2, 1000 * M, 2) == 2
+    assert pool_size(8, 3 * M, 16) == 3
+    assert pool_size(8, 3 * M - 1, 16) == 2
+    assert pool_size(2, 2 * M - 1, 16) == 1
+    assert pool_size(1, 1000 * M, 16) == 1
     assert pool_size(4, 0, 16) == 1
-    assert pool_size(3, 1000, 1) == 1
+    assert pool_size(3, 1000 * M, 1) == 1
 
 
 def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
-    # with one usable CPU no pool starts, whatever --workers asks for
+    # with one usable CPU no pool starts, whatever --workers asks for; with
+    # several, none starts below the cut-over either
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -304,11 +313,16 @@ def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
     capped, _ = run_fuzz(FuzzConfig(prime=101, samples=6, seed=3, workers=10**6))
     single, _ = run_fuzz(FuzzConfig(prime=101, samples=6, seed=3, workers=1))
     assert capped == single
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    short, _ = run_fuzz(FuzzConfig(prime=101, samples=2 * M - 1, seed=3, workers=2))
+    single, _ = run_fuzz(FuzzConfig(prime=101, samples=2 * M - 1, seed=3, workers=1))
+    assert short == single
 
 
 def test_fuzz_pool_gets_one_run_of_samples_per_worker(monkeypatch):
-    # a stand-in pool that maps in process: 10 samples on 3 workers go out
-    # in chunks of 4, and the summary is the one-worker summary
+    # a stand-in pool that maps in process: 3 M + 1 samples on 3 workers go
+    # out in chunks of M + 1, and the summary is the one-worker summary
     asked = []
 
     class InProcessPool:
@@ -327,9 +341,27 @@ def test_fuzz_pool_gets_one_run_of_samples_per_worker(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    pooled, _ = run_fuzz(FuzzConfig(prime=101, samples=10, seed=6, workers=3))
-    assert asked == [("workers", 3), ("chunksize", 4)]
-    single, _ = run_fuzz(FuzzConfig(prime=101, samples=10, seed=6, workers=1))
+    pooled, _ = run_fuzz(FuzzConfig(prime=101, samples=3 * M + 1, seed=6, workers=3))
+    assert asked == [("workers", 3), ("chunksize", M + 1)]
+    single, _ = run_fuzz(FuzzConfig(prime=101, samples=3 * M + 1, seed=6, workers=1))
+    assert json.dumps(pooled) == json.dumps(single)
+
+
+def test_fuzz_above_the_cut_over_builds_one_real_pool(monkeypatch):
+    # two usable CPUs and 2 M samples: one pool of two processes, with the one-worker bytes
+    built, real = [], concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(real):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    pooled, _ = run_fuzz(FuzzConfig(prime=101, samples=2 * M, seed=11, workers=2))
+    assert built == [(2,)]
+    single, _ = run_fuzz(FuzzConfig(prime=101, samples=2 * M, seed=11, workers=1))
+    assert built == [(2,)]
     assert json.dumps(pooled) == json.dumps(single)
 
 
@@ -402,7 +434,7 @@ def _fault_in_sample(monkeypatch, cli, index, target, fault):
 @pytest.mark.parametrize("target, fault", [
     ("_analyze_parts", DivisionByZero("injected")),
     ("_verify_parts", RuntimeError("injected")),
-    ("skew_quadrance", DivisionByZero("injected"))])
+    ("_skew_projection", DivisionByZero("injected"))])
 def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     # a fault raised while sample 2 is checked is recorded with its input;
     # the other samples are tallied as before and the run exits 1
@@ -447,6 +479,80 @@ def test_fuzz_fault_on_a_rejected_draw_is_a_failure_record(monkeypatch, capsys):
     assert summary["failures"] == [{
         "sample": index, "input": document_to_obj(rejected),
         "error": {"exception": "DivisionByZero", "message": "injected"}}]
+
+
+def test_fuzz_fault_on_the_first_draw_is_a_failure_record(monkeypatch):
+    # a fault while the first draw's tetrahedron is built is recorded with
+    # that draw, written from its residues, and the run goes on
+    import tetrig.cli as cli
+    draws, sample = [], cli._sample_tetrahedron
+
+    def tracking_sample(form, coords):
+        draws.append((form, coords))
+        return sample(form, coords)
+
+    def faulty(*args):
+        raise DivisionByZero("injected")
+    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
+    monkeypatch.setattr(cli, "Tetrahedron", faulty)
+    summary, code = run_fuzz(FuzzConfig(prime=101, samples=2, seed=1))
+    monkeypatch.undo()
+    assert code == 1
+    assert len(draws) == 2
+    assert summary["failures"] == [
+        {"sample": i, "input": document_to_obj(sample(form, coords)),
+         "error": {"exception": "DivisionByZero", "message": "injected"}}
+        for i, (form, coords) in enumerate(draws)]
+    assert all(row["checked"] == 0 for row in summary["identities"].values())
+
+
+def _skew_instances(p, count):
+    """`count` random defined skew instances over F_p: (form, coords, pairing, t1, t2) and
+    the (num, den) of the library's FieldElement route, `tetra.skew_quadrance`."""
+    import random
+    import tetrig.cli as cli
+    from tetrig.blinalg import DegenerateForm, SymmetricForm
+    from tetrig.tetra import (SKEW_PAIRINGS, NotSkewOrDegenerate, NullCommonPerpendicular,
+                              skew_quadrance)
+    rng, spec, out = random.Random(p), FieldSpec.prime(p), []
+    while len(out) < count:
+        try:
+            form = SymmetricForm(*(spec.element(rng.randrange(p)) for _ in range(6)))
+        except DegenerateForm:
+            continue
+        coords = [rng.randrange(p) for _ in range(12)]
+        tet = cli._sample_tetrahedron(form, coords)
+        for pairing in SKEW_PAIRINGS:
+            t1, t2 = rng.randrange(p), rng.randrange(p)
+            try:
+                library = skew_quadrance(tet, pairing, params=(spec.element(t1),
+                                                               spec.element(t2)))
+            except (NotSkewOrDegenerate, NullCommonPerpendicular):  # undefined both ways
+                assert spec._red(cli._skew_projection(form, coords, pairing, t1, t2)[1]) == 0
+                continue
+            out.append(((form, coords, pairing, t1, t2), library._parts()))
+    return out
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
+    # the fuzz sample's integer route and the library's FieldElement route agree on
+    # every defined instance; two broken integer routes fail on most of them
+    import tetrig.cli as cli
+    from tetrig.blinalg import adj_cross_values
+    from tetrig.tetra import _decide
+    red, instances = FieldSpec.prime(p)._red, _skew_instances(p, 150)
+
+    def statuses(route):
+        return [_decide(red, 1, [route(*args)], 1, [library]) for args, library in instances]
+
+    def no_den(*args):
+        return cli._skew_projection(*args)[0], 1
+    assert statuses(cli._skew_projection) == [PASS] * len(instances)
+    assert statuses(no_den).count(FAIL) > len(instances) // 2
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the plain cross product, not B's
+    monkeypatch.setattr(cli, "adj_cross_values", lambda adj, v, w: adj_cross_values(unit, v, w))
+    assert statuses(cli._skew_projection).count(FAIL) > len(instances) // 2
 
 
 def test_fuzz_sample_builds_no_report(monkeypatch):
@@ -553,10 +659,12 @@ MIXED_CORNER = str(FIXTURES / "tri_rectangular_mixed_corner.json")
      ["parse", "analyze", "serialise", "verify", "right corner"]),
     (["verify", "--input", MIXED_CORNER],
      ["parse", "analyze", "verify", "right corner", "serialise"]),
+    (["fuzz", "--prime", "101", "--samples", str(2 * M), "--seed", "3", "--workers", "2"],
+     ["pool start-up", "samples", "serialise"]),
     (["fuzz", "--prime", "101", "--samples", "6", "--seed", "3", "--workers", "2"],
-     ["pool start-up", "samples", "serialise"])])
+     ["samples", "serialise"])])
 def test_timings_go_to_stderr_and_leave_stdout_alone(argv, phases, monkeypatch, capsys):
-    # two usable CPUs, so the fuzz run starts its pool on any host
+    # two usable CPUs, so a fuzz run above the cut-over starts its pool on any host
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     code = main(argv)
@@ -568,7 +676,9 @@ def test_timings_go_to_stderr_and_leave_stdout_alone(argv, phases, monkeypatch, 
     assert [line["phase"] for line in lines] == phases
     assert all(line["ms"] >= 0 for line in lines)
     if argv[0] == "fuzz":
-        assert lines[1]["samples_per_s"] > 0
+        samples = lines[phases.index("samples")]
+        assert samples["samples_per_s"] > 0
+        assert samples["processes"] == (2 if "pool start-up" in phases else 1)
 
 
 def test_timings_time_the_import_under_python_m():
