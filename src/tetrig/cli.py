@@ -20,16 +20,17 @@ from importlib import import_module
 from time import perf_counter
 
 from .affine import Point3
-from .blinalg import DegenerateForm, Record, SymmetricForm, adj_cross_values, dot_values
+from .blinalg import DegenerateForm, Record, SymmetricForm
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError, FieldSpec,
                     LiteralTooLong, parse_element)
-# `skew_quadrance` is not called here (a fuzz sample projects on residues, `_skew_projection`);
+# `skew_quadrance` is not called here (a fuzz sample projects with the kernel's `_skew_parts`);
 # it stays bound because `bench/run.py --trace 1` times `tetrig.cli.skew_quadrance` by name
 from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
                     PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
                     InvariantReport, NotTriRectangular, Tetrahedron, Verdict, _analyze_parts,
-                    _decide, _scaled_coordinates, _verify_parts, analyze, is_defined,
-                    pairing_name, skew_quadrance, tri_rectangular_checks, verify_identities)
+                    _decide, _scaled_coordinates, _skew_parts, _verify_parts, analyze,
+                    is_defined, pairing_name, skew_quadrance, tri_rectangular_checks,
+                    verify_identities)
 
 FUZZ_IDENTITY_NAMES = IDENTITY_NAMES + ("skew-quadrance-projection",)
 
@@ -132,11 +133,13 @@ def document_from_obj(obj) -> InputDocument:
     if not isinstance(options_obj, dict):
         raise InputError("options: expected an object")
     options = ReportOptions()
-    for name in ("checks", "skew", "tri_rectangular"):
-        if name in options_obj:
-            if not isinstance(options_obj[name], bool):
-                raise InputError(f"options.{name}: expected a boolean")
-            setattr(options, name, options_obj[name])
+    for name, value in options_obj.items():
+        if name not in ReportOptions.__slots__:
+            raise InputError(f"options.{name}: unknown option; "
+                             "expected checks, skew or tri_rectangular")
+        if not isinstance(value, bool):
+            raise InputError(f"options.{name}: expected a boolean")
+        setattr(options, name, value)
 
     tet = Tetrahedron(points[0], points[1], points[2], points[3], form)
     return InputDocument(tet, options)
@@ -275,11 +278,9 @@ def run_verify(doc: InputDocument, corrupt: str | None = None,
 
 # -- fuzzing ----------------------------------------------------------------
 
-def _sample_tetrahedron(form: SymmetricForm, coords: list[int]) -> Tetrahedron:
-    """The tetrahedron of one draw: twelve residues, three per point, over the field of `form`."""
-    spec = form.spec
-    points = [Point3.of(spec, *coords[i:i + 3]) for i in range(0, 12, 3)]
-    return Tetrahedron(points[0], points[1], points[2], points[3], form)
+def _sample_tetrahedron(rng: random.Random, p: int) -> list[int]:
+    """One draw: the twelve residues mod p of a tetrahedron's points, three per point."""
+    return [rng.randrange(p) for _ in range(12)]
 
 
 def _draw_obj(form: SymmetricForm, coords: list[int]) -> dict:
@@ -287,29 +288,12 @@ def _draw_obj(form: SymmetricForm, coords: list[int]) -> dict:
     return _document_obj(form, [[str(r) for r in coords[i:i + 3]] for i in range(0, 12, 3)])
 
 
-def _skew_projection(form: SymmetricForm, coords: list[int], pairing, t1: int, t2: int):
-    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)) over F_p, by moved
-    points and a projection on the draw's residues: the gap w from a + t1 v1 to c + t2 v2,
-    for the edge vectors v1 = ab and v2 = cd, projected onto their common perpendicular
-    n = v1 x_B v2 has quadrance (n . w)^2 / Q(n)."""
-    red, b = form.spec._red, form._ints
-    (i, j), (k, l) = pairing
-
-    def edge(start, end):
-        return [coords[3 * end + c] - coords[3 * start + c] for c in range(3)]
-    v1, v2 = edge(i, j), edge(k, l)
-    n = tuple(map(red, adj_cross_values(form._adj, v1, v2)))
-    w = [x + t2 * y - t1 * z for x, y, z in zip(edge(i, k), v2, v1)]
-    nw = red(dot_values(b, n, w))
-    return nw * nw, red(dot_values(b, n, n))
-
-
 def _run_sample(cfg: FuzzConfig, index: int):
     """One sample: a Counter of its verdicts by (identity, status) and of its rejections
     by "singular_forms" and "degenerate_tetrahedra", and its failure record or None.
-    Each draw goes through the kernel, whose V numerator decides degeneracy, and the
-    accepted draw's (num, den) parts are checked as they are, each defined skew part
-    against `_skew_projection` on the draw's residues."""
+    Each draw's residues go through the kernel, whose V numerator decides degeneracy, and
+    the accepted draw's (num, den) parts are checked as they are, each defined skew part
+    against the kernel's skew formula, `_skew_parts`, at points moved along the edges."""
     # per-sample stream derived from (seed, index): the summary cannot
     # depend on how samples are scheduled across workers
     rng = random.Random((cfg.seed << 32) + index)
@@ -324,9 +308,9 @@ def _run_sample(cfg: FuzzConfig, index: int):
             counts["singular_forms"] += 1
     try:
         while True:
-            # the residues are bound before anything that can raise: a fault record needs them
-            coords = [rng.randrange(p) for _ in range(12)]
-            parts = _analyze_parts(_sample_tetrahedron(form, coords))
+            # the draw is bound before anything that can raise: a fault record needs it
+            coords = _sample_tetrahedron(rng, p)
+            parts = _analyze_parts(form, 1, coords)
             if not cfg.reject_degenerate or red(parts["quadrume"][0]) != 0:
                 break
             counts["degenerate_tetrahedra"] += 1
@@ -335,7 +319,7 @@ def _run_sample(cfg: FuzzConfig, index: int):
             skew, status = parts["skew_quadrances"][pairing], INAPPLICABLE
             if red(skew[1]) != 0:
                 t1, t2 = rng.randrange(p), rng.randrange(p)
-                reference = _skew_projection(form, coords, pairing, t1, t2)
+                reference = _skew_parts(form, 1, coords, pairing, t1, t2)
                 status = _decide(red, 1, [reference], 1, [skew])
             verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing), status))
     except (FieldError, RuntimeError) as exc:

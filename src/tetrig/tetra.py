@@ -226,19 +226,39 @@ def _scaled_coordinates(points) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-def _analyze_parts(tet: Tetrahedron) -> dict:
+def _edge(coords, i: int, j: int) -> tuple[int, int, int]:
+    """The edge vector from point i to point j of twelve coordinates, three per point."""
+    a, b = 3 * i, 3 * j
+    return coords[b] - coords[a], coords[b + 1] - coords[a + 1], coords[b + 2] - coords[a + 2]
+
+
+def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: int = 0):
+    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)), scaled as in
+    `_analyze_parts`: the gap w from a + t1 v1 to c + t2 v2 (v1 = ab, v2 = cd) projected
+    onto n = v1 x_B v2 has quadrance (n . w)^2 / Q(n), whatever t1 and t2, as n is
+    B-perpendicular to both edges; Q(n) = det B * den / 4 for the closed form's den."""
+    red, b = form.spec._red, form._ints
+    (i, j), (k, l) = pairing
+    v1, v2 = _edge(coords, i, j), _edge(coords, k, l)
+    n = tuple(map(red, adj_cross_values(form._adj, v1, v2)))
+    w = [x + t2 * y - t1 * z for x, y, z in zip(_edge(coords, i, k), v2, v1)]
+    nw = red(dot_values(b, n, w))
+    return nw * nw, red(dot_values(b, n, n)) * s
+
+
+def _analyze_parts(form: SymmetricForm, scale: int, coords) -> dict:
     """Every entry of the invariant report as an integer pair (num, den), keyed by
-    InvariantReport field, from the defining formulas on plain ints.
+    InvariantReport field, from the defining formulas on plain ints: the twelve
+    coordinates of the points, three per point, times `scale`.
 
     Over Q the points are scaled by L (`_scaled_coordinates`) and the form by M
     (`SymmetricForm._ints`); with s = L^2 M each entry's one division takes the
     scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads unscaled.  Over
-    F_p, s = 1 and values are reduced mod p as they grow.  No branch on a value:
-    a den is zero (mod p over F_p) exactly where the entry is Undefined.
+    F_p, L = M = s = 1 and values are reduced mod p as they grow.  No branch on a
+    value: a den is zero (mod p over F_p) exactly where the entry is Undefined.
     """
-    form, red = tet.form, tet.spec._red
+    red = form.spec._red
     b, adj, det = form._ints, form._adj, form._int_det
-    scale, coords = _scaled_coordinates(tet.points)  # scale is 1 over F_p, as is form._scale
     s = scale * scale * form._scale
 
     def dot(v, w):
@@ -250,7 +270,7 @@ def _analyze_parts(tet: Tetrahedron) -> dict:
     # each edge vector and quadrance is built once, keyed both ways round
     edge, q = {}, {}
     for (i, j) in EDGES:
-        v = tuple(coords[3 * j + c] - coords[3 * i + c] for c in range(3))
+        v = _edge(coords, i, j)
         edge[i, j], edge[j, i] = v, tuple(-x for x in v)
         q[i, j] = q[j, i] = dot(v, v)
     a = {(i, j, k): red(archimedes(q[j, k], q[i, k], q[i, j])) for (i, j, k) in FACES}
@@ -263,9 +283,6 @@ def _analyze_parts(tet: Tetrahedron) -> dict:
     # the squares in every spread cancel.
     normals = {(i, j, k): cross(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
     qn = {f: dot(n, n) for f, n in normals.items()}
-    # the common perpendicular of each pair of opposite edges; Q(n) = det B * den / 4
-    # for the denominator den of the skew quadrance's closed form
-    perp = {pairing: cross(edge[pairing[0]], edge[pairing[1]]) for pairing in SKEW_PAIRINGS}
     vol_num = 4 * t[0] * t[0]  # V = 4 t^2 / det B from the edges at vertex 0
 
     return {
@@ -284,10 +301,8 @@ def _analyze_parts(tet: Tetrahedron) -> dict:
             dot(normals[f1], cross(normals[f2], normals[f3])), qn[f1], qn[f2], qn[f3], det)
             for i, (f1, f2, f3) in _FACES_AT.items()},
         "ratio_constant": (16 * vol_num * vol_num * s * s, det * det * prod(a.values())),
-        # the gap is the projection of the edge w from one line to the other onto
-        # their common perpendicular n: (n . w)^2 / Q(n)
-        "skew_quadrances": {((i, j), (k, l)): (dot(n, edge[i, k]) ** 2, dot(n, n) * s)
-                            for ((i, j), (k, l)), n in perp.items()},
+        "skew_quadrances": {pairing: _skew_parts(form, s, coords, pairing)
+                            for pairing in SKEW_PAIRINGS},
     }
 
 
@@ -298,7 +313,7 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     """The full invariant report: `_analyze_parts` and one boundary, which makes an
     entry Undefined exactly when its own den is zero (mod p over F_p), with the
     reason its field's denominator names, and num / den otherwise."""
-    spec, parts = tet.spec, _analyze_parts(tet)
+    spec, parts = tet.spec, _analyze_parts(tet.form, *_scaled_coordinates(tet.points))
 
     def boundary(name, part):  # the report field `name` from its (num, den) pairs
         if isinstance(part, dict):
@@ -452,12 +467,12 @@ class TriRectParams(Frozen):
 
 def corner_params(tet: Tetrahedron) -> TriRectParams:
     """Validate tri-rectangularity at vertex 0 and extract the corner quadrances."""
-    form = tet.form
-    v1, v2, v3 = (tet.edge_vector(0, 1), tet.edge_vector(0, 2), tet.edge_vector(0, 3))
-    if not (form.dot(v1, v2).is_zero and form.dot(v1, v3).is_zero
-            and form.dot(v2, v3).is_zero):
+    scale, coords = _scaled_coordinates(tet.points)
+    b, edges = tet.form._ints, [_edge(coords, 0, j) for j in (1, 2, 3)]
+    if any(tet.spec._red(dot_values(b, v, w)) for v, w in combinations(edges, 2)):
         raise NotTriRectangular("corner edge vectors are not mutually B-perpendicular")
-    return TriRectParams(form.quadrance(v1), form.quadrance(v2), form.quadrance(v3))
+    s = scale * scale * tet.form._scale  # each dot on the scaled ints is s times the dot
+    return TriRectParams(*(tet.spec._ratio(dot_values(b, v, v), s) for v in edges))
 
 
 def tri_rectangular_checks(report: InvariantReport) -> CheckResults:

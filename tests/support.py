@@ -37,5 +37,12 @@ def rand_tetrahedron(spec, rnd, form=None, bound=9):
                        rand_point(spec, rnd, bound), rand_point(spec, rnd, bound), form)
 
 
+def draw_tetrahedron(form, coords):
+    """The tetrahedron of a fuzz draw: twelve residues, three per point, over the field of
+    `form`."""
+    points = [Point3.of(form.spec, *coords[i:i + 3]) for i in range(0, 12, 3)]
+    return Tetrahedron(*points, form)
+
+
 def rng(seed):
     return random.Random(seed)

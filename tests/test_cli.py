@@ -10,12 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from tetrig import DivisionByZero, FieldSpec, parse_element
+from tetrig import DivisionByZero, FieldSpec, SymmetricForm, parse_element
 from tetrig.cli import (MIN_SAMPLES_PER_PROCESS, FuzzConfig, InputError, document_from_obj,
                         document_to_obj, load_document, main, pool_size, run_fuzz, run_report,
                         run_verify)
 from tetrig.tetra import FAIL, INAPPLICABLE, PASS
-from support import Q
+from support import Q, draw_tetrahedron
+
+F101_IDENTITY = SymmetricForm.identity(FieldSpec.prime(101))
 
 FIXTURES = Path(__file__).parent / "fixtures"
 UNIT_DOC = FIXTURES / "unit_tri_rectangular.json"
@@ -245,6 +247,17 @@ def test_oversized_common_denominator_is_exit_2(section, digits, monkeypatch, ca
                                        "denominator has over 4300 digits\n")
 
 
+@pytest.mark.parametrize("options, key", [({"tri_rectangle": True, "check": True}, "tri_rectangle"),
+                                          ({"checks": True, "Skew": False}, "Skew")])
+def test_unknown_option_is_exit_2(options, key, monkeypatch, capsys):
+    # a misspelt option must not pass silently as a run with no checks
+    doc = {**json.loads(UNIT_DOC.read_text()), "options": options}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["report"]) == 2
+    assert capsys.readouterr() == ("", f"error: options.{key}: unknown option; "
+                                       "expected checks, skew or tri_rectangular\n")
+
+
 def test_input_rejects_wrong_point_count():
     with pytest.raises(InputError, match="points"):
         document_from_obj({
@@ -434,7 +447,7 @@ def _fault_in_sample(monkeypatch, cli, index, target, fault):
 @pytest.mark.parametrize("target, fault", [
     ("_analyze_parts", DivisionByZero("injected")),
     ("_verify_parts", RuntimeError("injected")),
-    ("_skew_projection", DivisionByZero("injected"))])
+    ("_skew_parts", DivisionByZero("injected"))])
 def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     # a fault raised while sample 2 is checked is recorded with its input;
     # the other samples are tallied as before and the run exits 1
@@ -447,7 +460,7 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
                  "--workers", "1"]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["failures"] == [{
-        "sample": 2, "input": document_to_obj(draws[2][-1]),
+        "sample": 2, "input": document_to_obj(draw_tetrahedron(F101_IDENTITY, draws[2][-1])),
         "error": {"exception": type(fault).__name__, "message": "injected"}}]
     for name, row in summary["identities"].items():
         expected = clean["identities"][name]
@@ -474,7 +487,9 @@ def test_fuzz_fault_on_a_rejected_draw_is_a_failure_record(monkeypatch, capsys):
     assert main(["fuzz", "--prime", "7", "--samples", "10", "--seed", "2",
                  "--workers", "1"]) == 1
     summary = json.loads(capsys.readouterr().out)
-    (rejected,) = draws[index]  # the sample's first draw, which a clean run rejects
+    # the sample's first draw, which a clean run rejects
+    (rejected,) = (draw_tetrahedron(SymmetricForm.identity(FieldSpec.prime(7)), coords)
+                   for coords in draws[index])
     assert quadrume(rejected).is_zero
     assert summary["failures"] == [{
         "sample": index, "input": document_to_obj(rejected),
@@ -482,38 +497,38 @@ def test_fuzz_fault_on_a_rejected_draw_is_a_failure_record(monkeypatch, capsys):
 
 
 def test_fuzz_fault_on_the_first_draw_is_a_failure_record(monkeypatch):
-    # a fault while the first draw's tetrahedron is built is recorded with
-    # that draw, written from its residues, and the run goes on
+    # a fault in the kernel on each sample's first draw is recorded with that
+    # draw, written from its residues, and the run goes on
     import tetrig.cli as cli
     draws, sample = [], cli._sample_tetrahedron
 
-    def tracking_sample(form, coords):
-        draws.append((form, coords))
-        return sample(form, coords)
+    def tracking_sample(rng, p):
+        draws.append(sample(rng, p))
+        return draws[-1]
 
     def faulty(*args):
         raise DivisionByZero("injected")
     monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
-    monkeypatch.setattr(cli, "Tetrahedron", faulty)
+    monkeypatch.setattr(cli, "_analyze_parts", faulty)
     summary, code = run_fuzz(FuzzConfig(prime=101, samples=2, seed=1))
     monkeypatch.undo()
     assert code == 1
     assert len(draws) == 2
     assert summary["failures"] == [
-        {"sample": i, "input": document_to_obj(sample(form, coords)),
+        {"sample": i, "input": document_to_obj(draw_tetrahedron(F101_IDENTITY, coords)),
          "error": {"exception": "DivisionByZero", "message": "injected"}}
-        for i, (form, coords) in enumerate(draws)]
+        for i, coords in enumerate(draws)]
     assert all(row["checked"] == 0 for row in summary["identities"].values())
 
 
 def _skew_instances(p, count):
-    """`count` random defined skew instances over F_p: (form, coords, pairing, t1, t2) and
-    the (num, den) of the library's FieldElement route, `tetra.skew_quadrance`."""
+    """`count` random defined skew instances over F_p: `_skew_parts`' arguments (form, 1,
+    coords, pairing, t1, t2) and the (num, den) of the library's FieldElement route,
+    `tetra.skew_quadrance`."""
     import random
-    import tetrig.cli as cli
-    from tetrig.blinalg import DegenerateForm, SymmetricForm
+    from tetrig.blinalg import DegenerateForm
     from tetrig.tetra import (SKEW_PAIRINGS, NotSkewOrDegenerate, NullCommonPerpendicular,
-                              skew_quadrance)
+                              _skew_parts, skew_quadrance)
     rng, spec, out = random.Random(p), FieldSpec.prime(p), []
     while len(out) < count:
         try:
@@ -521,53 +536,56 @@ def _skew_instances(p, count):
         except DegenerateForm:
             continue
         coords = [rng.randrange(p) for _ in range(12)]
-        tet = cli._sample_tetrahedron(form, coords)
+        tet = draw_tetrahedron(form, coords)
         for pairing in SKEW_PAIRINGS:
             t1, t2 = rng.randrange(p), rng.randrange(p)
             try:
                 library = skew_quadrance(tet, pairing, params=(spec.element(t1),
                                                                spec.element(t2)))
             except (NotSkewOrDegenerate, NullCommonPerpendicular):  # undefined both ways
-                assert spec._red(cli._skew_projection(form, coords, pairing, t1, t2)[1]) == 0
+                assert spec._red(_skew_parts(form, 1, coords, pairing, t1, t2)[1]) == 0
                 continue
-            out.append(((form, coords, pairing, t1, t2), library._parts()))
+            out.append(((form, 1, coords, pairing, t1, t2), library._parts()))
     return out
 
 
 @pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
 def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
-    # the fuzz sample's integer route and the library's FieldElement route agree on
+    # the kernel's integer skew formula at moved points, which a fuzz sample checks
+    # the kernel's skew part against, and the library's FieldElement route agree on
     # every defined instance; two broken integer routes fail on most of them
-    import tetrig.cli as cli
+    from tetrig import tetra
     from tetrig.blinalg import adj_cross_values
-    from tetrig.tetra import _decide
+    from tetrig.tetra import _decide, _skew_parts
     red, instances = FieldSpec.prime(p)._red, _skew_instances(p, 150)
 
     def statuses(route):
         return [_decide(red, 1, [route(*args)], 1, [library]) for args, library in instances]
 
     def no_den(*args):
-        return cli._skew_projection(*args)[0], 1
-    assert statuses(cli._skew_projection) == [PASS] * len(instances)
+        return _skew_parts(*args)[0], 1
+    assert statuses(_skew_parts) == [PASS] * len(instances)
     assert statuses(no_den).count(FAIL) > len(instances) // 2
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the plain cross product, not B's
-    monkeypatch.setattr(cli, "adj_cross_values", lambda adj, v, w: adj_cross_values(unit, v, w))
-    assert statuses(cli._skew_projection).count(FAIL) > len(instances) // 2
+    monkeypatch.setattr(tetra, "adj_cross_values", lambda adj, v, w: adj_cross_values(unit, v, w))
+    assert statuses(_skew_parts).count(FAIL) > len(instances) // 2
 
 
 def test_fuzz_sample_builds_no_report(monkeypatch):
-    # a sample checks the kernel's (num, den) parts as they are: no report,
-    # no boundary, no read-back and no second computation of V
+    # a sample checks the kernel's (num, den) parts of its drawn residues as they
+    # are: no points or tetrahedron built, no report, no boundary, no read-back and
+    # no second computation of V
     import tetrig.cli as cli
-    from tetrig import tetra, trig
+    from tetrig import affine, tetra, trig
     configs = [FuzzConfig(prime=7, samples=30, seed=4, random_form=True),
                FuzzConfig(prime=101, samples=20, seed=5)]
     clean = [run_fuzz(cfg) for cfg in configs]
-    targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts, trig.quadrume)
+    targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts, trig.quadrume,
+               tetra.Tetrahedron, affine.Point3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a fuzz sample")
-    for module in (cli, tetra, trig):  # every name bound to a target
+    for module in (cli, affine, tetra, trig):  # every name bound to a target
         for name, value in list(vars(module).items()):
             if any(value is target for target in targets):
                 monkeypatch.setattr(module, name, forbidden)
@@ -578,22 +596,22 @@ def test_fuzz_sample_builds_no_report(monkeypatch):
 @pytest.mark.parametrize("reject_degenerate", [True, False])
 @pytest.mark.parametrize("p", [3, 7, 101, 2**31 - 1])
 def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
-    # on every draw of a fuzz run, the verdicts on the kernel's parts equal
-    # those on the report, inapplicable ones included
+    # on every draw of a fuzz run, the verdicts on the kernel's parts of the
+    # residues equal those on the report, inapplicable ones included
     import tetrig.cli as cli
-    from tetrig.tetra import _analyze_parts, _verify_parts, analyze, verify_identities
-    draws, sample = [], cli._sample_tetrahedron
+    from tetrig.tetra import _verify_parts, analyze, verify_identities
+    draws, kernel = [], cli._analyze_parts
 
-    def tracking_sample(*args):
-        draws.append(sample(*args))
-        return draws[-1]
-    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
+    def tracking_kernel(form, scale, coords):
+        draws.append((form, coords, kernel(form, scale, coords)))
+        return draws[-1][2]
+    monkeypatch.setattr(cli, "_analyze_parts", tracking_kernel)
     run_fuzz(FuzzConfig(prime=p, samples=40, seed=p % 1000, random_form=True,
                         reject_degenerate=reject_degenerate))
     statuses = set()
-    for tet in draws:
-        verdicts = _verify_parts(tet.spec._red, _analyze_parts(tet)).verdicts
-        assert verdicts == verify_identities(analyze(tet)).verdicts
+    for form, coords, parts in draws:
+        verdicts = _verify_parts(form.spec._red, parts).verdicts
+        assert verdicts == verify_identities(analyze(draw_tetrahedron(form, coords))).verdicts
         statuses.update(v.status for v in verdicts)
     assert statuses == ({PASS} if p > 101 else {PASS, INAPPLICABLE})
 

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams,
                     skew_quadrance, skew_quadrance_closed_form, solid_spread,
                     spread_vectors, translate, tri_rectangular_checks,
                     tri_rectangular_frame, verify_identities)
+from tetrig.cli import load_document
+from tetrig.tetra import corner_params
 from support import Q, rand_element, rand_form, rand_point, rng
 
 F7 = FieldSpec.prime(7)
@@ -393,6 +396,73 @@ def test_tri_rectangular_params_degenerate_sum():
         TriRectParams(spec.element(3), spec.element(4), spec.element(1))
     with pytest.raises(DegenerateParams):
         TriRectParams(spec.element(0), spec.element(1), spec.element(1))
+
+
+def _corner_params_reference(tet):
+    """`corner_params` by the FieldElement route: the form's dot and quadrance of the
+    edge vectors at vertex 0."""
+    form = tet.form
+    v1, v2, v3 = (tet.edge_vector(0, j) for j in (1, 2, 3))
+    if not (form.dot(v1, v2).is_zero and form.dot(v1, v3).is_zero
+            and form.dot(v2, v3).is_zero):
+        raise NotTriRectangular("corner edge vectors are not mutually B-perpendicular")
+    return TriRectParams(form.quadrance(v1), form.quadrance(v2), form.quadrance(v3))
+
+
+def _corner_outcome(route, tet):
+    """K1, K2, K3 of `route`, or the name and message of what it raised."""
+    try:
+        params = route(tet)
+    except (NotTriRectangular, DegenerateParams) as exc:
+        return type(exc).__name__, str(exc)
+    return params.k1, params.k2, params.k3
+
+
+@pytest.mark.parametrize("fixture", ["unit_tri_rectangular", "tri_rectangular_mixed_corner",
+                                     "tri_rectangular_f101"])
+def test_corner_params_matches_the_element_route_on_fixtures(fixture):
+    path = Path(__file__).parent / "fixtures" / f"{fixture}.json"
+    tet = load_document(path.read_text()).tetrahedron
+    params = _corner_outcome(corner_params, tet)
+    assert params == _corner_outcome(_corner_params_reference, tet)
+    assert all(is_defined(k) for k in params)
+
+
+@pytest.mark.parametrize("spec, tall", [(Q, False), (Q, True), (F7, False), (F101, False)],
+                         ids=["Q", "Q-tall", "F_7", "F_101"])
+def test_corner_params_matches_the_element_route(spec, tall):
+    # the integer corner_params gives the K values, or raises the same exception with
+    # the same message, as the form's dot and quadrance on FieldElements
+    rnd = rng(62)
+    point = (lambda: _tall_point(rnd)) if tall else (lambda: rand_point(spec, rnd))
+    seen = set()
+    for n in range(160):
+        form = rand_form(spec, rnd)
+        base = point()
+        if n % 4 == 0:  # four random points: no right corner, as a rule
+            tet = Tetrahedron(base, point(), point(), point(), form)
+        else:
+            try:
+                frame = list(tri_rectangular_frame(form))
+            except NullPivot:
+                continue
+            if n % 4 == 1:  # one pair of corner edges, in turn, made not B-perpendicular
+                j = n // 4 % 3
+                frame[j] = frame[j] + frame[(j + 1) % 3]
+            # each frame vector scaled by a small element, zero included, so some
+            # corner quadrances vanish and (over F_p) some sums do
+            scales = (spec.element(rnd.randint(-3, 3)) / spec.element(rnd.randint(1, 3))
+                      for _ in frame)
+            tet = Tetrahedron(base, *(translate(base, v * k) for v, k in zip(frame, scales)),
+                              form)
+        outcome = _corner_outcome(corner_params, tet)
+        assert outcome == _corner_outcome(_corner_params_reference, tet)
+        seen.add(outcome[1] if isinstance(outcome[0], str) else "K values")
+    assert {"K values", "corner edge vectors are not mutually B-perpendicular",
+            "a corner quadrance is zero"} <= seen
+    if spec is F7:
+        assert {"an opposite edge quadrance K_i + K_j is zero",
+                "the face quadrea opposite the corner is zero"} <= seen
 
 
 def test_tri_rectangular_checks_random_frames():
