@@ -22,17 +22,20 @@ from time import perf_counter
 from .affine import Point3
 from .blinalg import DegenerateForm, Record, SymmetricForm
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError, FieldSpec,
-                    LiteralTooLong, parse_element)
-# `skew_quadrance` is not called here (a fuzz sample projects with the kernel's `_skew_parts`);
-# it stays bound because `bench/run.py --trace 1` times `tetrig.cli.skew_quadrance` by name
-from .tetra import (EDGES, FACE_SPREAD_KEYS, FACES, FAIL, IDENTITY_NAMES, INAPPLICABLE,
-                    PASS, SKEW_PAIRINGS, VERTICES, CheckResults, DegenerateParams,
-                    InvariantReport, NotTriRectangular, Tetrahedron, Verdict, _analyze_parts,
-                    _decide, _scaled_coordinates, _skew_parts, _verify_parts, analyze,
-                    is_defined, pairing_name, skew_quadrance, tri_rectangular_checks,
-                    verify_identities)
+                    parse_element)
+# report, verify and fuzz work on the kernel's parts; `analyze`, `verify_identities`,
+# `skew_quadrance` and `tri_rectangular_checks` stay bound for `bench/run.py --trace 1`
+from .tetra import (_ENTRIES, _IDENTITIES, _INDEX, _UNDEFINED_REASONS, FAIL, IDENTITY_NAMES,
+                    INAPPLICABLE, PASS, SKEW_PAIRINGS, CheckResults, DegenerateParams,
+                    InvariantReport, NotTriRectangular, Tetrahedron, _analyze_parts, _decide,
+                    _identity_verdicts, _report_parts, _report_table, _right_corner_parts,
+                    _scaled_coordinates, _skew_parts, _verify_parts, analyze, corner_params,
+                    pairing_name, skew_quadrance, tri_rectangular_checks, verify_identities)
 
 FUZZ_IDENTITY_NAMES = IDENTITY_NAMES + ("skew-quadrance-projection",)
+# the verdict rows of a fuzz sample: the identities, then the skew projection checks
+_FUZZ_ROWS = _IDENTITIES + tuple(("skew-quadrance-projection", pairing_name(pairing))
+                                 for pairing in SKEW_PAIRINGS)
 
 _FORM_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3")
 
@@ -49,7 +52,7 @@ class ReportOptions(Record):
 
 
 class InputDocument(Record):
-    __slots__ = ("tetrahedron", "options")
+    __slots__ = ("tetrahedron", "options", "coordinates")  # `_scaled_coordinates` of the points
 
 
 class FuzzConfig(Record):
@@ -121,13 +124,12 @@ def document_from_obj(obj) -> InputDocument:
             raise InputError(f"points[{i}]: expected a triple of literals")
         coords = [_element_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
         points.append(Point3(*coords))
-    if spec.is_rational:  # analyze works on these integers: bound them as literals are
-        scale, coords = _scaled_coordinates(points)
-        scaled = {"form": (form._scale, *form._ints), "points": (scale, *coords)}
-        for path, ints in scaled.items():
-            if max(max(ints), -min(ints)) >= _LITERAL_BOUND:
-                raise InputError(f"{path}: an integer over the common denominator has over "
-                                 f"{MAX_LITERAL_DIGITS} digits")
+    # the kernel works on these integers (over F_p, residues): bound them as literals are
+    scale, coords = _scaled_coordinates(points)
+    for path, ints in {"form": (form._scale, *form._ints), "points": (scale, *coords)}.items():
+        if max(max(ints), -min(ints)) >= _LITERAL_BOUND:
+            raise InputError(f"{path}: an integer over the common denominator has over "
+                             f"{MAX_LITERAL_DIGITS} digits")
 
     options_obj = obj.get("options", {})
     if not isinstance(options_obj, dict):
@@ -142,7 +144,7 @@ def document_from_obj(obj) -> InputDocument:
         setattr(options, name, value)
 
     tet = Tetrahedron(points[0], points[1], points[2], points[3], form)
-    return InputDocument(tet, options)
+    return InputDocument(tet, options, (scale, coords))
 
 
 def load_document(text: str) -> InputDocument:
@@ -154,9 +156,7 @@ def load_document(text: str) -> InputDocument:
 
 
 def _field_spec_obj(spec: FieldSpec) -> dict:
-    if spec.is_rational:
-        return {"kind": "rational"}
-    return {"kind": "prime", "p": spec.p}
+    return {"kind": "rational"} if spec.is_rational else {"kind": "prime", "p": spec.p}
 
 
 def _document_obj(form: SymmetricForm, points: list) -> dict:
@@ -172,108 +172,115 @@ def document_to_obj(tet: Tetrahedron, options: ReportOptions | None = None) -> d
     """Replayable input document for a tetrahedron."""
     obj = _document_obj(tet.form, [[c.literal() for c in p.coordinates()] for p in tet.points])
     if options is not None:
-        obj["options"] = {"checks": options.checks, "skew": options.skew,
-                          "tri_rectangular": options.tri_rectangular}
+        obj["options"] = dict(zip(ReportOptions.__slots__, options._fields()))
     return obj
 
 
 # -- report / verify -------------------------------------------------------
 
-# report sections in print order: section -> (InvariantReport field, {entry
-# name: key}), or (field, None) for a section that is one entry
-_SECTIONS = {
-    "Q": ("quadrances", {"%d%d" % k: k for k in EDGES}),
-    "A": ("quadreas", {"%d%d%d" % k: k for k in FACES}),
-    "V": ("quadrume", None),
-    "s": ("face_spreads", {"%d;%d%d" % k: k for k in FACE_SPREAD_KEYS}),
-    "E": ("dihedral_spreads", {"%d%d" % k: k for k in EDGES}),
-    "S": ("solid_spreads", {str(i): i for i in VERTICES}),
-    "D": ("dual_solid_spreads", {str(i): i for i in VERTICES}),
-    "R": ("ratio_constant", None),
-    "skew": ("skew_quadrances", {pairing_name(k): k for k in SKEW_PAIRINGS}),
-}
-# every entry by its printed name, which is its --corrupt key ('V', 'Q.01',
-# 's.0;12', ...): (field, key) of a table entry, (field, None) of a section
-_ENTRY_KEYS = {section: (field, None)
-               for section, (field, names) in _SECTIONS.items() if names is None}
-_ENTRY_KEYS.update((f"{section}.{name}", (field, key))
-                   for section, (field, names) in _SECTIONS.items() if names
-                   for name, key in names.items())
+# each InvariantReport field's report section, with the printed name of a key of its table
+_SECTIONS = {"quadrances": ("Q", "%d%d".__mod__), "quadreas": ("A", "%d%d%d".__mod__),
+             "quadrume": ("V", None), "face_spreads": ("s", "%d;%d%d".__mod__),
+             "dihedral_spreads": ("E", "%d%d".__mod__), "solid_spreads": ("S", str),
+             "dual_solid_spreads": ("D", str), "ratio_constant": ("R", None),
+             "skew_quadrances": ("skew", pairing_name)}
+# every entry, in print order (`_ENTRIES`): its section, its name there (None for V and R),
+# its path, which is its --corrupt key ('V', 'Q.01', 's.0;12'), and its Undefined reason
+_PRINTED = [(section, name, f"{section}.{name}" if name else section,
+             _UNDEFINED_REASONS.get(field))
+            for field, key in _ENTRIES for section, key_name in [_SECTIONS[field]]
+            for name in [key_name and key_name(key)]]
+_ENTRY_KEYS = {path: n for n, (_, _, path, _) in enumerate(_PRINTED)}
 
 
-def _entry_obj(entry, *path: str):
-    if not is_defined(entry):
-        return {"undefined": entry.reason}
-    try:
-        return entry.literal()
-    except LiteralTooLong as exc:
-        raise InputError(f"report entry {'.'.join(path)}: {exc}") from exc
+def _report_obj(spec: FieldSpec, table, options: ReportOptions) -> dict:
+    """The printed report of a canonical table: each entry n, n/d or {"undefined": reason}."""
+    out = {"field": _field_spec_obj(spec)}
+    for (section, name, path, reason), (num, den) in zip(_PRINTED, table):
+        if section == "skew" and not options.skew:
+            continue
+        if den and max(num, -num, den) >= _LITERAL_BOUND:
+            raise InputError(f"report entry {path}: value has over {MAX_LITERAL_DIGITS} digits")
+        entry = str(num) if den == 1 else f"{num}/{den}" if den else {"undefined": reason}
+        if name is None:
+            out[section] = entry
+        else:
+            out.setdefault(section, {})[name] = entry
+    return out
 
 
 def report_to_obj(report: InvariantReport, options: ReportOptions) -> dict:
-    out = {"field": _field_spec_obj(report.tetrahedron.spec)}
-    for section, (field, names) in _SECTIONS.items():
-        if section != "skew" or options.skew:
-            table = getattr(report, field)
-            out[section] = (_entry_obj(table, section) if names is None else
-                            {name: _entry_obj(table[key], section, name)
-                             for name, key in names.items()})
-    return out
+    return _report_obj(report.tetrahedron.spec, _report_parts(report), options)
+
+
+def _results_obj(verdicts: list) -> dict:
+    """The printed verdicts, from (identity, instance, status) triples."""
+    statuses = [status for _, _, status in verdicts]
+    return {"verdicts": [{"identity": identity, "instance": instance, "status": status}
+                         for identity, instance, status in verdicts],
+            "summary": {status: statuses.count(status) for status in (PASS, FAIL, INAPPLICABLE)}}
 
 
 def results_to_obj(results: CheckResults) -> dict:
-    return {
-        "verdicts": [{"identity": v.identity, "instance": v.instance, "status": v.status}
-                     for v in results.verdicts],
-        "summary": results.counts(),
-    }
+    return _results_obj([verdict._fields() for verdict in results.verdicts])
 
 
-def _right_corner(report: InvariantReport) -> CheckResults:
+def _right_corner(doc: InputDocument, table) -> list:
     try:
-        return tri_rectangular_checks(report)
+        params = corner_params(doc.tetrahedron, doc.coordinates)
     except (NotTriRectangular, DegenerateParams) as exc:
         raise InputError(f"tri_rectangular: {exc}") from exc
+    return _right_corner_parts(doc.tetrahedron.spec._red, table, params)
 
 
 def run_report(doc: InputDocument, run=_untimed) -> dict:
-    report = run("analyze", analyze, doc.tetrahedron)
-    out = run("serialise", report_to_obj, report, doc.options)
+    tet = doc.tetrahedron
+    table = run("analyze", _report_table, tet.form, *doc.coordinates)
+    out = run("serialise", _report_obj, tet.spec, table, doc.options)
     if doc.options.checks:
-        out["identities"] = run("serialise", results_to_obj,
-                                run("verify", verify_identities, report))
+        out["identities"] = run("serialise", _results_obj,
+                                run("verify", _identity_verdicts, tet.spec._red, table))
     if doc.options.tri_rectangular:
-        out["tri_rectangular"] = run("serialise", results_to_obj,
-                                     run("right corner", _right_corner, report))
+        out["tri_rectangular"] = run("serialise", _results_obj,
+                                     run("right corner", _right_corner, doc, table))
     return out
+
+
+def _corrupt(spec: FieldSpec, table: list, key: str) -> int:
+    """Adds 1 to the defined entry of the canonical `table` printed as `key`, e.g. 'E.01'
+    or 'V': (n, d) becomes (n + d, d), reduced mod p over F_p.  Returns its index."""
+    n = _ENTRY_KEYS.get(key)
+    if n is None:
+        raise InputError(f"--corrupt {key}: unknown entry")
+    num, den = table[n]
+    if den == 0:
+        raise InputError(f"--corrupt {key}: entry is undefined")
+    table[n] = spec._red(num + den), den
+    return n
 
 
 def corrupt_entry(report: InvariantReport, key: str) -> None:
     """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
-    if key not in _ENTRY_KEYS:
-        raise InputError(f"--corrupt {key}: unknown entry")
-    field, entry_key = _ENTRY_KEYS[key]
-    table = getattr(report, field)
-    entry = table if entry_key is None else table[entry_key]
-    if not is_defined(entry):
-        raise InputError(f"--corrupt {key}: entry is undefined")
-    entry = entry + report.tetrahedron.spec.one()
+    spec, table = report.tetrahedron.spec, _report_parts(report)
+    n = _corrupt(spec, table, key)
+    (field, entry_key), entry = _ENTRIES[n], spec._ratio(*table[n])
     if entry_key is None:
         setattr(report, field, entry)
     else:
-        table[entry_key] = entry
+        getattr(report, field)[entry_key] = entry
 
 
 def run_verify(doc: InputDocument, corrupt: str | None = None,
                run=_untimed) -> tuple[dict, int]:
-    report = run("analyze", analyze, doc.tetrahedron)
+    tet = doc.tetrahedron
+    table = run("analyze", _report_table, tet.form, *doc.coordinates)
     if corrupt is not None:
-        corrupt_entry(report, corrupt)
-    verdicts = list(run("verify", verify_identities, report).verdicts)
+        _corrupt(tet.spec, table, corrupt)
+    verdicts = run("verify", _identity_verdicts, tet.spec._red, table)
     if doc.options.tri_rectangular:
-        verdicts.extend(run("right corner", _right_corner, report).verdicts)
-    combined = CheckResults(verdicts)
-    return run("serialise", results_to_obj, combined), 1 if combined.failures else 0
+        verdicts += run("right corner", _right_corner, doc, table)
+    out = run("serialise", _results_obj, verdicts)
+    return out, 1 if out["summary"][FAIL] else 0
 
 
 # -- fuzzing ----------------------------------------------------------------
@@ -290,8 +297,8 @@ def _draw_obj(form: SymmetricForm, coords: list[int]) -> dict:
 
 def _run_sample(cfg: FuzzConfig, index: int):
     """One sample: a Counter of its verdicts by (identity, status) and of its rejections
-    by "singular_forms" and "degenerate_tetrahedra", and its failure record or None.
-    Each draw's residues go through the kernel, whose V numerator decides degeneracy, and
+    by "singular_forms" and "degenerate_tetrahedra", and a list of its failure record, if
+    any.  Each draw's residues go through the kernel, whose V numerator decides degeneracy, and
     the accepted draw's (num, den) parts are checked as they are, each defined skew part
     against the kernel's skew formula, `_skew_parts`, at points moved along the edges."""
     # per-sample stream derived from (seed, index): the summary cannot
@@ -311,26 +318,26 @@ def _run_sample(cfg: FuzzConfig, index: int):
             # the draw is bound before anything that can raise: a fault record needs it
             coords = _sample_tetrahedron(rng, p)
             parts = _analyze_parts(form, 1, coords)
-            if not cfg.reject_degenerate or red(parts["quadrume"][0]) != 0:
+            if not cfg.reject_degenerate or red(parts[_INDEX["quadrume"]][0]) != 0:
                 break
             counts["degenerate_tetrahedra"] += 1
-        verdicts = list(_verify_parts(red, parts).verdicts)
+        statuses = _verify_parts(red, parts)
         for pairing in SKEW_PAIRINGS:
-            skew, status = parts["skew_quadrances"][pairing], INAPPLICABLE
+            skew, status = parts[_INDEX["skew_quadrances"][pairing]], INAPPLICABLE
             if red(skew[1]) != 0:
                 t1, t2 = rng.randrange(p), rng.randrange(p)
                 reference = _skew_parts(form, 1, coords, pairing, t1, t2)
                 status = _decide(red, 1, [reference], 1, [skew])
-            verdicts.append(Verdict("skew-quadrance-projection", pairing_name(pairing), status))
+            statuses.append(status)
     except (FieldError, RuntimeError) as exc:
         # an internal fault: record the sample with the draw it was on, tally no verdict, go on
-        return counts, {"sample": index, "input": _draw_obj(form, coords),
-                        "error": {"exception": type(exc).__name__, "message": str(exc)}}
-    counts.update((v.identity, v.status) for v in verdicts)
-    failed = [{"identity": v.identity, "instance": v.instance}
-              for v in verdicts if v.status == FAIL]
-    return counts, ({"sample": index, "input": _draw_obj(form, coords), "failed": failed}
-                    if failed else None)
+        return counts, [{"sample": index, "input": _draw_obj(form, coords),
+                         "error": {"exception": type(exc).__name__, "message": str(exc)}}]
+    counts.update((row[0], status) for row, status in zip(_FUZZ_ROWS, statuses))
+    failed = [{"identity": row[0], "instance": row[1]}
+              for row, status in zip(_FUZZ_ROWS, statuses) if status == FAIL]
+    return counts, ([{"sample": index, "input": _draw_obj(form, coords), "failed": failed}]
+                    if failed else [])
 
 
 # fewest samples worth a pool process: below 2 * MIN_SAMPLES_PER_PROCESS a fuzz run maps in
@@ -351,13 +358,17 @@ def _processes(cfg: FuzzConfig) -> int:
 
 
 def _fold(results) -> tuple[Counter, list]:
-    """Adds the per-sample Counters and keeps the failures, in sample order, as results arrive."""
+    """Adds the Counters and joins the failure lists, in sample order, as results arrive."""
     counts, failures = Counter(), []
-    for sample_counts, failure in results:
-        counts.update(sample_counts)
-        if failure is not None:
-            failures.append(failure)
+    for part_counts, part_failures in results:
+        counts.update(part_counts)
+        failures += part_failures
     return counts, failures
+
+
+def _run_span(cfg: FuzzConfig, span: range) -> tuple[Counter, list]:
+    """`_fold` of the samples of `span`, a range of sample indices."""
+    return _fold(map(partial(_run_sample, cfg), span))
 
 
 def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
@@ -372,17 +383,19 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
     if cfg.workers < 1:
         raise InputError("--workers: expected a positive count")
 
+    # one range of consecutive samples per process, mapped by `_run_span` in process or in a worker
     workers = _processes(cfg)
-    sample, indices = partial(_run_sample, cfg), range(cfg.samples)
+    size = max(1, -(-cfg.samples // workers))
+    spans = [range(i, min(i + size, cfg.samples)) for i in range(0, cfg.samples, size)]
+    span = partial(_run_span, cfg)
     if workers <= 1:
-        counts, failures = run("samples", _fold, map(sample, indices))
+        counts, failures = run("samples", _fold, map(span, spans))
     else:
         # start-up: import the pool (report, verify and one-worker fuzz never do), create it
-        # and hand each worker one run of consecutive samples (chunksize), which starts them
+        # and hand each worker its span, which starts them
         futures = run("pool start-up", import_module, "concurrent.futures")
         with run("pool start-up", futures.ProcessPoolExecutor, workers) as pool:
-            chunks = partial(pool.map, sample, chunksize=-(-cfg.samples // workers))
-            counts, failures = run("samples", _fold, run("pool start-up", chunks, indices))
+            counts, failures = run("samples", _fold, run("pool start-up", pool.map, span, spans))
 
     summary = {
         "config": {"prime": cfg.prime, "samples": cfg.samples, "seed": cfg.seed,
@@ -424,12 +437,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser("report", help="compute the full invariant report")
-    report.add_argument("--input", help="input document path (default: stdin)")
-    report.add_argument("--output", help="output path (default: stdout)")
-
     verify = sub.add_parser("verify", help="check every identity on one tetrahedron")
-    verify.add_argument("--input", help="input document path (default: stdin)")
-    verify.add_argument("--output", help="output path (default: stdout)")
+    for command in (report, verify):
+        command.add_argument("--input", help="input document path (default: stdin)")
+        command.add_argument("--output", help="output path (default: stdout)")
     verify.add_argument("--corrupt", metavar="ENTRY",
                         help="debug: add 1 to one report entry (e.g. E.01) before checking")
 
@@ -465,13 +476,10 @@ def main(argv=None, startup=None) -> int:
         return out
 
     try:
-        if args.command == "report":
+        if args.command != "fuzz":
             doc = run("parse", load_document, _read_input(args.input))
-            run("serialise", _write_output, args.output, run_report(doc, run))
-            return 0
-        if args.command == "verify":
-            doc = run("parse", load_document, _read_input(args.input))
-            out, code = run_verify(doc, args.corrupt, run)
+            out, code = ((run_report(doc, run), 0) if args.command == "report" else
+                         run_verify(doc, args.corrupt, run))
             run("serialise", _write_output, args.output, out)
             return code
         cfg = FuzzConfig(prime=args.prime, samples=args.samples, seed=args.seed,

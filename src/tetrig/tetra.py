@@ -14,7 +14,7 @@ always defined.
 from __future__ import annotations
 
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .affine import Point3, b_project, displacement, translate
 from .blinalg import (Frozen, Record, SymmetricForm, Vector3, adj_cross_values, b_cross,
@@ -59,20 +59,6 @@ _UNDEFINED_REASONS = {"face_spreads": "NullEdge", "solid_spreads": "NullEdge",
                       "dihedral_spreads": "NullNormal", "dual_solid_spreads": "NullNormal",
                       "ratio_constant": "ZeroQuadrea", "skew_quadrances": "ZeroDenominator"}
 
-IDENTITY_NAMES = (
-    "alternating-spreads",
-    "dihedral-spread-formula",
-    "dihedral-spread-ratio",
-    "solid-spread-formula",
-    "solid-spread-ratio",
-    "solid-spread-pair-ratio",
-    "solid-spread-triple-ratio",
-    "dual-solid-spread-formula",
-    "dual-solid-quadrea-ratio",
-    "skew-quadrance-formula",
-)
-
-
 # the vertices off each vertex and off each edge; the faces at each vertex and on each edge
 _REST_OF_VERTEX = {i: tuple(m for m in VERTICES if m != i) for i in VERTICES}
 _REST_OF_EDGE = {edge: tuple(m for m in VERTICES if m not in edge) for edge in EDGES}
@@ -82,10 +68,6 @@ _FACES_ON = {edge: tuple(f for f in FACES if set(edge) < set(f)) for edge in EDG
 
 def edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
-
-
-def spread_key(apex: int, j: int, k: int) -> tuple[int, int, int]:
-    return (apex, j, k) if j < k else (apex, k, j)
 
 
 FACE_SPREAD_KEYS = tuple((i, j, k) for i, rest in _REST_OF_VERTEX.items()
@@ -150,21 +132,13 @@ class InvariantReport(Record):
 class Verdict(Frozen):
     __slots__ = ("identity", "instance", "status")
 
-    def __init__(self, identity: str, instance: str, status: str):
-        # not Record.__init__: built tens of times per document or sample
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "instance", instance)
-        object.__setattr__(self, "status", status)
-
 
 class CheckResults(Record):
     __slots__ = ("verdicts",)
 
     def counts(self) -> dict:
-        out = {PASS: 0, FAIL: 0, INAPPLICABLE: 0}
-        for v in self.verdicts:
-            out[v.status] += 1
-        return out
+        statuses = [v.status for v in self.verdicts]
+        return {status: statuses.count(status) for status in (PASS, FAIL, INAPPLICABLE)}
 
     @property
     def failures(self) -> list:
@@ -246,10 +220,27 @@ def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: i
     return nw * nw, red(dot_values(b, n, n)) * s
 
 
-def _analyze_parts(form: SymmetricForm, scale: int, coords) -> dict:
-    """Every entry of the invariant report as an integer pair (num, den), keyed by
-    InvariantReport field, from the defining formulas on plain ints: the twelve
-    coordinates of the points, three per point, times `scale`.
+# the report's fields of entries in print order, each with its table's keys (None: one entry)
+_FIELD_KEYS = tuple(zip(InvariantReport.__slots__[1:], (
+    EDGES, FACES, None, FACE_SPREAD_KEYS, EDGES, VERTICES, VERTICES, None, SKEW_PAIRINGS)))
+_ENTRIES = tuple((field, key) for field, keys in _FIELD_KEYS for key in keys or (None,))
+
+
+def _by_field(entries) -> list:
+    """`entries` in `_ENTRIES` order, per field: one entry, or a dict of them by key."""
+    flat = iter(entries)
+    return [next(flat) if keys is None else {key: next(flat) for key in keys}
+            for _, keys in _FIELD_KEYS]
+
+
+# each entry's index in _ENTRIES, by field: an index, or a dict of them by key
+_INDEX = dict(zip(InvariantReport.__slots__[1:], _by_field(range(len(_ENTRIES)))))
+
+
+def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
+    """Every entry of the invariant report as an integer pair (num, den), in `_ENTRIES`
+    order, from the defining formulas on plain ints: the twelve coordinates of the
+    points, three per point, times `scale`.
 
     Over Q the points are scaled by L (`_scaled_coordinates`) and the form by M
     (`SymmetricForm._ints`); with s = L^2 M each entry's one division takes the
@@ -285,43 +276,49 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> dict:
     qn = {f: dot(n, n) for f, n in normals.items()}
     vol_num = 4 * t[0] * t[0]  # V = 4 t^2 / det B from the edges at vertex 0
 
-    return {
-        "quadrances": {e: (q[e], s) for e in EDGES},
-        "quadreas": {f: (a[f], s * s) for f in FACES},
-        "quadrume": (vol_num, s * s * s * det),
-        "face_spreads": {(i, j, k): spread_from_parts(dot(edge[i, j], edge[i, k]),
-                                                      q[i, j], q[i, k])
-                         for (i, j, k) in FACE_SPREAD_KEYS},
-        "dihedral_spreads": {e: spread_from_parts(dot(normals[f1], normals[f2]), qn[f1], qn[f2])
-                             for e, (f1, f2) in _FACES_ON.items()},
-        "solid_spreads": {i: solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det)
-                          for i, rest in _REST_OF_VERTEX.items()},
+    return [
+        *((q[e], s) for e in EDGES),
+        *((a[f], s * s) for f in FACES),
+        (vol_num, s * s * s * det),
+        *(spread_from_parts(dot(edge[i, j], edge[i, k]), q[i, j], q[i, k])
+          for (i, j, k) in FACE_SPREAD_KEYS),
+        *(spread_from_parts(dot(normals[f1], normals[f2]), qn[f1], qn[f2])
+          for f1, f2 in _FACES_ON.values()),
+        *(solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det)
+          for i, rest in _REST_OF_VERTEX.items()),
         # the solid spread of the normals of the three faces at the vertex
-        "dual_solid_spreads": {i: solid_spread_from_parts(
-            dot(normals[f1], cross(normals[f2], normals[f3])), qn[f1], qn[f2], qn[f3], det)
-            for i, (f1, f2, f3) in _FACES_AT.items()},
-        "ratio_constant": (16 * vol_num * vol_num * s * s, det * det * prod(a.values())),
-        "skew_quadrances": {pairing: _skew_parts(form, s, coords, pairing)
-                            for pairing in SKEW_PAIRINGS},
-    }
+        *(solid_spread_from_parts(dot(normals[f1], cross(normals[f2], normals[f3])),
+                                  qn[f1], qn[f2], qn[f3], det)
+          for f1, f2, f3 in _FACES_AT.values()),
+        (16 * vol_num * vol_num * s * s, det * det * prod(a.values())),
+        *(_skew_parts(form, s, coords, pairing) for pairing in SKEW_PAIRINGS),
+    ]
 
 
-_PART_FIELDS = InvariantReport.__slots__[1:]  # the fields of entries, in report order
+def _report_table(form: SymmetricForm, scale: int, coords) -> list:
+    """The canonical table of a report: each entry of `_analyze_parts` reduced once, to
+    (num, den) in lowest terms with den > 0 over Q, to (residue, 1) over F_p, and to (1, 0)
+    where it is Undefined, its den zero (mod p).  Equal to `_report_parts(analyze(tet))`."""
+    p, parts = form.spec.p, _analyze_parts(form, scale, coords)
+    if p is not None:
+        return [(num * pow(den, -1, p) % p, 1) if den % p else (1, 0) for num, den in parts]
+    gcds = ((num, den, gcd(num, den) if den > 0 else -gcd(num, den)) for num, den in parts)
+    return [(num // g, den // g) if den else (1, 0) for num, den, g in gcds]
 
 
 def analyze(tet: Tetrahedron) -> InvariantReport:
-    """The full invariant report: `_analyze_parts` and one boundary, which makes an
-    entry Undefined exactly when its own den is zero (mod p over F_p), with the
-    reason its field's denominator names, and num / den otherwise."""
-    spec, parts = tet.spec, _analyze_parts(tet.form, *_scaled_coordinates(tet.points))
+    """The full invariant report: each entry of `_report_table` as num / den, or
+    Undefined, with the reason its field's denominator names, where den is 0."""
+    spec, table = tet.spec, _report_table(tet.form, *_scaled_coordinates(tet.points))
+    return InvariantReport(tet, *_by_field(
+        spec._ratio(num, den) if den else Undefined(_UNDEFINED_REASONS[field])
+        for (field, _), (num, den) in zip(_ENTRIES, table)))
 
-    def boundary(name, part):  # the report field `name` from its (num, den) pairs
-        if isinstance(part, dict):
-            return {key: boundary(name, pair) for key, pair in part.items()}
-        num, den = part
-        return Undefined(_UNDEFINED_REASONS[name]) if spec._red(den) == 0 else spec._ratio(num, den)
 
-    return InvariantReport(tet, *(boundary(name, parts[name]) for name in _PART_FIELDS))
+def _report_parts(report: InvariantReport) -> list:
+    """The report's entries as (num, den), in `_ENTRIES` order; an Undefined one is (1, 0)."""
+    return [entry._parts() for table in report._fields()[1:]
+            for entry in (table.values() if isinstance(table, dict) else (table,))]
 
 
 def _side(const: int, factors) -> tuple[int, int]:
@@ -351,81 +348,76 @@ def _decide(red, lconst: int, lhs, rconst: int, rhs):
     return PASS if red(ln * rd - rn * ld) == 0 else FAIL
 
 
-def _report_parts(report: InvariantReport) -> dict:
-    """The report's entries read once as (num, den), keyed like `_analyze_parts`;
-    an Undefined entry reads as den 0."""
-    return {name: {key: v._parts() for key, v in t.items()} if isinstance(t, dict)
-            else t._parts() for name, t in zip(_PART_FIELDS, report._fields()[1:])}
+def _identity_rows():
+    """One row per identity instance, in verdict order: (identity, instance, c, lhs, c',
+    rhs) for `c * prod(lhs) == c' * prod(rhs)`, each factor an index into the factors of
+    `_verify_parts`: the entries (`_ENTRIES`), the product of the Q^2, the skew dens."""
+    q, a, vol, s, e, sol, dual, rich, skew = _INDEX.values()
+    q = {**q, **{(j, i): n for (i, j), n in q.items()}}  # keyed both ways round
+    s = {**s, **{(i, k, j): n for (i, j, k), n in s.items()}}
+    prod_q2 = len(_ENTRIES)
+    skew_den = {pairing: prod_q2 + 1 + n for n, pairing in enumerate(SKEW_PAIRINGS)}
+    for i in VERTICES:
+        x, y, z = _REST_OF_VERTEX[i]
+        yield ("alternating-spreads", f"vertex-{i}",
+               1, [s[x, i, y], s[y, i, z], s[z, i, x]], 1, [s[x, i, z], s[y, i, x], s[z, i, y]])
+    for (i, j), (f1, f2) in _FACES_ON.items():
+        yield "dihedral-spread-formula", f"E{i}{j}", 1, [e[i, j], a[f1], a[f2]], 4, [q[i, j], vol]
+    for p1, p2 in SKEW_PAIRINGS:
+        yield ("dihedral-spread-ratio", f"{p1[0]}{p1[1]}|{p2[0]}{p2[1]}",
+               1, [e[p1], e[p2]], 1, [rich, q[p1], q[p2]])
+    for i in VERTICES:
+        j, k, l = _REST_OF_VERTEX[i]
+        yield "solid-spread-formula", f"S{i}", 4, [sol[i], q[i, j], q[i, k], q[i, l]], 1, [vol]
+    for (i, j) in EDGES:
+        k, l = _REST_OF_EDGE[i, j]
+        yield ("solid-spread-ratio", f"S{i}|S{j}",
+               1, [sol[i], q[i, k], q[i, l]], 1, [sol[j], q[j, k], q[j, l]])
+    for (i, j), (k, l) in SKEW_PAIRINGS:
+        yield ("solid-spread-pair-ratio", f"{i}{j}|{k}{l}",
+               1, [sol[i], sol[j], q[i, j], q[i, j]], 1, [sol[k], sol[l], q[k, l], q[k, l]])
+    for o in VERTICES:
+        i, j, k = _REST_OF_VERTEX[o]
+        yield ("solid-spread-triple-ratio", f"S{i}S{j}S{k}",
+               64, [sol[i], sol[j], sol[k], prod_q2], 1, [vol, vol, vol, q[i, o], q[j, o], q[k, o]])
+    for i in VERTICES:
+        yield ("dual-solid-spread-formula", f"D{i}",
+               1, [dual[i], *(a[f] for f in _FACES_AT[i])], 4, [vol, vol])
+    for i in VERTICES:
+        yield "dual-solid-quadrea-ratio", f"D{i}", 4, [dual[i]], 1, [rich, a[_REST_OF_VERTEX[i]]]
+    for pairing in SKEW_PAIRINGS:
+        yield ("skew-quadrance-formula", pairing_name(pairing),
+               1, [skew[pairing], skew_den[pairing]], 1, [vol])
+
+
+_IDENTITIES = tuple(_identity_rows())
+IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _IDENTITIES))
+
+
+def _verify_parts(red, parts) -> list:
+    """The status of each row of `_IDENTITIES` from a report's (num, den) entries `parts`
+    (the canonical table, or the kernel's unreduced parts), each decided by `_decide`; an
+    instance with an Undefined factor, a den zero under `red`, is inapplicable."""
+    q = parts[:len(EDGES)]
+    # the skew denominator is homogeneous of degree 2 in the quadrances, so
+    # over their common denominator d it is _skew_denominator(numerators) / d^2
+    d = lcm(*(den for _, den in q))
+    q_num = {key: num * (d // den) for key, (num, den) in zip(EDGES, q)}
+    factors = [*parts, _side(1, [pair for pair in q for _ in (0, 1)]),
+               *((_skew_denominator(q_num, pairing), d * d) for pairing in SKEW_PAIRINGS)]
+    return [_decide(red, lc, [factors[n] for n in lhs], rc, [factors[n] for n in rhs])
+            or INAPPLICABLE for _, _, lc, lhs, rc, rhs in _IDENTITIES]
+
+
+def _identity_verdicts(red, parts) -> list:
+    """(identity, instance, status) of each identity instance (`_verify_parts`)."""
+    return [(row[0], row[1], status) for row, status in zip(_IDENTITIES, _verify_parts(red, parts))]
 
 
 def verify_identities(report: InvariantReport) -> CheckResults:
     """One verdict per identity instance, from the report entries alone."""
-    return _verify_parts(report.tetrahedron.spec._red, _report_parts(report))
-
-
-def _verify_parts(red, parts: dict) -> CheckResults:
-    """One verdict per identity instance from the (num, den) `parts` of a report.
-
-    Each identity `c * prod(lhs) == c' * prod(rhs)` is decided by `_decide`, one
-    cross-multiplied comparison of integers, reduced by `red` (mod p over F_p).
-    An instance with an Undefined factor, a den zero under `red`, is inapplicable.
-    """
-    q, a, vol, s, e, sol, dual, rich, skew = map(parts.get, _PART_FIELDS)
-    q = {**q, **{(j, i): pair for (i, j), pair in q.items()}}  # keyed both ways round
-    verdicts = []
-
-    def emit(identity, instance, lconst, lhs, rconst, rhs):
-        status = _decide(red, lconst, lhs, rconst, rhs) or INAPPLICABLE
-        verdicts.append(Verdict(identity, instance, status))
-
-    for i in VERTICES:
-        x, y, z = _REST_OF_VERTEX[i]
-        emit("alternating-spreads", f"vertex-{i}",
-             1, [s[spread_key(x, i, y)], s[spread_key(y, i, z)], s[spread_key(z, i, x)]],
-             1, [s[spread_key(x, i, z)], s[spread_key(y, i, x)], s[spread_key(z, i, y)]])
-
-    for (i, j), (f1, f2) in _FACES_ON.items():
-        emit("dihedral-spread-formula", f"E{i}{j}", 1, [e[i, j], a[f1], a[f2]], 4, [q[i, j], vol])
-
-    for p1, p2 in SKEW_PAIRINGS:
-        emit("dihedral-spread-ratio", f"{p1[0]}{p1[1]}|{p2[0]}{p2[1]}",
-             1, [e[p1], e[p2]], 1, [rich, q[p1], q[p2]])
-
-    for i in VERTICES:
-        j, k, l = _REST_OF_VERTEX[i]
-        emit("solid-spread-formula", f"S{i}", 4, [sol[i], q[i, j], q[i, k], q[i, l]], 1, [vol])
-
-    for (i, j) in EDGES:
-        k, l = _REST_OF_EDGE[i, j]
-        emit("solid-spread-ratio", f"S{i}|S{j}",
-             1, [sol[i], q[i, k], q[i, l]], 1, [sol[j], q[j, k], q[j, l]])
-
-    for (i, j), (k, l) in SKEW_PAIRINGS:
-        emit("solid-spread-pair-ratio", f"{i}{j}|{k}{l}",
-             1, [sol[i], sol[j], q[i, j], q[i, j]], 1, [sol[k], sol[l], q[k, l], q[k, l]])
-
-    prod_q2 = _side(1, [q[key] for key in EDGES for _ in (0, 1)])
-    for o in VERTICES:
-        i, j, k = _REST_OF_VERTEX[o]
-        emit("solid-spread-triple-ratio", f"S{i}S{j}S{k}",
-             64, [sol[i], sol[j], sol[k], prod_q2], 1, [vol, vol, vol, q[i, o], q[j, o], q[k, o]])
-
-    for i in VERTICES:
-        emit("dual-solid-spread-formula", f"D{i}",
-             1, [dual[i], *(a[f] for f in _FACES_AT[i])], 4, [vol, vol])
-
-    for i in VERTICES:
-        emit("dual-solid-quadrea-ratio", f"D{i}", 4, [dual[i]], 1, [rich, a[_REST_OF_VERTEX[i]]])
-
-    # the skew denominator is homogeneous of degree 2 in the quadrances, so
-    # over their common denominator d it is _skew_denominator(numerators) / d^2
-    d = lcm(*(q[key][1] for key in EDGES))
-    q_num = {key: q[key][0] * (d // q[key][1]) for key in EDGES}
-    for pairing in SKEW_PAIRINGS:
-        emit("skew-quadrance-formula", pairing_name(pairing),
-             1, [skew[pairing], (_skew_denominator(q_num, pairing), d * d)], 1, [vol])
-
-    return CheckResults(verdicts)
+    verdicts = _identity_verdicts(report.tetrahedron.spec._red, _report_parts(report))
+    return CheckResults([Verdict(*verdict) for verdict in verdicts])
 
 
 def tri_rectangular_frame(form: SymmetricForm):
@@ -465,9 +457,10 @@ class TriRectParams(Frozen):
         super().__init__(k1, k2, k3)
 
 
-def corner_params(tet: Tetrahedron) -> TriRectParams:
-    """Validate tri-rectangularity at vertex 0 and extract the corner quadrances."""
-    scale, coords = _scaled_coordinates(tet.points)
+def corner_params(tet: Tetrahedron, scaled=None) -> TriRectParams:
+    """Validate tri-rectangularity at vertex 0 and extract the corner quadrances; `scaled`
+    is `_scaled_coordinates(tet.points)`, where the caller has it."""
+    scale, coords = scaled or _scaled_coordinates(tet.points)
     b, edges = tet.form._ints, [_edge(coords, 0, j) for j in (1, 2, 3)]
     if any(tet.spec._red(dot_values(b, v, w)) for v, w in combinations(edges, 2)):
         raise NotTriRectangular("corner edge vectors are not mutually B-perpendicular")
@@ -476,25 +469,26 @@ def corner_params(tet: Tetrahedron) -> TriRectParams:
 
 
 def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
-    """Verdicts for the right-corner closed forms and sum relations of `report`.
+    """Verdicts for the right-corner closed forms and sum relations of `report`."""
+    tet = report.tetrahedron
+    verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), corner_params(tet))
+    return CheckResults([Verdict(*verdict) for verdict in verdicts])
 
-    K1, K2, K3 come from the tetrahedron, not from the report.  Each relation is
-    decided by `_decide`, like an identity of `verify_identities`, but an
-    Undefined entry fails it.  Cross-multiplying is exact: TriRectParams rejects
-    zero K_i, K_i + K_j and K1 K2 + K1 K3 + K2 K3, the only denominators besides
-    the entries' own.
-    """
-    params = corner_params(report.tetrahedron)
-    red = report.tetrahedron.spec._red
-    q, a, vol, s, e, sol, dual, _, _ = map(_report_parts(report).get, _PART_FIELDS)
+
+def _right_corner_parts(red, parts, params: TriRectParams) -> list:
+    """(identity, instance, status) of each right-corner closed form and sum relation, from
+    the (num, den) entries `parts` of a report, as in `_verify_parts`, and K1, K2, K3 of the
+    tetrahedron (`params`).  Each is decided by `_decide`, like an identity, but an Undefined
+    entry fails it.  Cross-multiplying is exact: TriRectParams rejects zero K_i, K_i + K_j
+    and K1 K2 + K1 K3 + K2 K3, the only denominators besides the entries' own."""
+    q, a, vol, s, e, sol, dual, _, _ = _by_field(parts)
     k = {1: params.k1._parts(), 2: params.k2._parts(), 3: params.k3._parts()}
     kk = {(i, j): _sum(k[i], k[j]) for i in k for j in k if i != j}  # K_i + K_j
     cs = _sum(*(_side(1, [k[i], k[j]]) for i, j in ((1, 2), (1, 3), (2, 3))))
     verdicts = []
 
     def emit(identity, instance, lconst, lhs, rconst, rhs):
-        status = _decide(red, lconst, lhs, rconst, rhs) or FAIL
-        verdicts.append(Verdict(identity, instance, status))
+        verdicts.append((identity, instance, _decide(red, lconst, lhs, rconst, rhs) or FAIL))
 
     for j, m in ((1, 2), (1, 3), (2, 3)):
         emit("closed-form-quadrance", f"Q{j}{m}", 1, [q[j, m]], 1, [kk[j, m]])
@@ -516,14 +510,10 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     for i in (1, 2, 3):
         j, m = _REST_OF_EDGE[0, i]
         emit("closed-form-dual-solid-spread", f"D{i}", 1, [dual[i], cs], 1, [k[j], k[m]])
-
-    for j, m in ((1, 2), (1, 3), (2, 3)):
-        emit("right-corner-units", f"s0;{j}{m}", 1, [s[0, j, m]], 1, [])
-    for j in (1, 2, 3):
-        emit("right-corner-units", f"E0{j}", 1, [e[0, j]], 1, [])
-    emit("right-corner-units", "S0", 1, [sol[0]], 1, [])
-    emit("right-corner-units", "D0", 1, [dual[0]], 1, [])
-
+    units = [(f"s0;{j}{m}", s[0, j, m]) for j, m in ((1, 2), (1, 3), (2, 3))]
+    units += [(f"E0{j}", e[0, j]) for j in (1, 2, 3)] + [("S0", sol[0]), ("D0", dual[0])]
+    for instance, entry in units:
+        emit("right-corner-units", instance, 1, [entry], 1, [])
     emit("face-quadrea-sum", "A123",
          1, [a[1, 2, 3]], 1, [_sum(a[0, 1, 2], a[0, 1, 3], a[0, 2, 3])])
     emit("dihedral-spread-sum", "E12+E13+E23", 1, [_sum(e[1, 2], e[1, 3], e[2, 3])], 2, [])
@@ -532,4 +522,4 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     emit("solid-spread-square", "(1-S1-S2-S3)^2", 1, [rest, rest], 4, [sol[1], sol[2], sol[3]])
     emit("dual-solid-spread-sum", "D1+D2+D3", 1, [_sum(dual[1], dual[2], dual[3])], 1, [])
 
-    return CheckResults(verdicts)
+    return verdicts

@@ -4,8 +4,10 @@ import concurrent.futures
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -334,9 +336,11 @@ def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
 
 
 def test_fuzz_pool_gets_one_run_of_samples_per_worker(monkeypatch):
-    # a stand-in pool that maps in process: 3 M + 1 samples on 3 workers go
-    # out in chunks of M + 1, and the summary is the one-worker summary
-    asked = []
+    # a stand-in pool that maps in process: 3 M + 1 samples on 3 workers go out as
+    # one range of consecutive samples per worker, and the summary is the one-worker
+    # summary; at 10^6 samples each worker's task still pickles small, as the parent
+    # builds no per-sample index
+    asked, run_spans = [], True
 
     class InProcessPool:
         def __init__(self, workers):
@@ -349,15 +353,27 @@ def test_fuzz_pool_gets_one_run_of_samples_per_worker(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            asked.append(("chunksize", chunksize))
-            return map(fn, iterable)
+            spans = list(iterable)
+            asked.append(("spans", spans, [len(pickle.dumps((fn, span))) for span in spans]))
+            return map(fn, spans) if run_spans else []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     pooled, _ = run_fuzz(FuzzConfig(prime=101, samples=3 * M + 1, seed=6, workers=3))
-    assert asked == [("workers", 3), ("chunksize", M + 1)]
+    assert asked[0] == ("workers", 3)
+    assert asked[1][1] == [range(0, M + 1), range(M + 1, 2 * M + 2), range(2 * M + 2, 3 * M + 1)]
     single, _ = run_fuzz(FuzzConfig(prime=101, samples=3 * M + 1, seed=6, workers=1))
     assert json.dumps(pooled) == json.dumps(single)
+
+    asked.clear()
+    run_spans = False
+    run_fuzz(FuzzConfig(prime=101, samples=10**6, seed=6, workers=3))
+    (_, workers), (_, spans, sizes) = asked
+    assert workers == 3 and len(spans) == 3
+    assert [i for span in spans for i in (span.start, span.stop)] == [
+        0, 333334, 333334, 666668, 666668, 10**6]
+    assert all(span.step == 1 for span in spans)
+    assert max(sizes) < 1024
 
 
 def test_fuzz_above_the_cut_over_builds_one_real_pool(monkeypatch):
@@ -593,6 +609,90 @@ def test_fuzz_sample_builds_no_report(monkeypatch):
     assert clean[0][0]["rejected"]["degenerate_tetrahedra"] > 0
 
 
+def _fixture_documents():
+    """Each fixture with golden report and verify outputs, by name; a counterexample
+    fixture's document is its input."""
+    docs = {}
+    for path in sorted(FIXTURES.glob("*.json")):
+        if (FIXTURES / "golden" / f"report-{path.stem}.json").exists():
+            obj = json.loads(path.read_text())
+            docs[path.stem] = json.dumps(obj["input"]) if "input" in obj else json.dumps(obj)
+    return docs
+
+
+def test_report_and_verify_build_no_report(monkeypatch, capsys):
+    # report, verify and verify --corrupt work on one canonical table per document:
+    # no report, boundary, read-back, Verdict or CheckResults, and the same bytes
+    import tetrig.cli as cli
+    from tetrig import tetra
+    from tetrig.cli import _ENTRY_KEYS
+    docs = _fixture_documents()
+    runs = [(name, [command]) for name in docs for command in ("report", "verify")]
+    runs += [(name, ["verify", "--corrupt", key]) for name in docs
+             for key in [*_ENTRY_KEYS, "Q.0123"]]
+
+    def outputs():
+        out = []
+        for name, argv in runs:
+            monkeypatch.setattr("sys.stdin", io.StringIO(docs[name]))
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+    clean = outputs()
+    targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts,
+               tetra.tri_rectangular_checks, tetra.Verdict, tetra.CheckResults,
+               tetra.InvariantReport, tetra.Undefined, cli.report_to_obj, cli.results_to_obj,
+               cli.corrupt_entry)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by report or verify")
+    for module in (cli, tetra):  # every name bound to a target
+        for name, value in list(vars(module).items()):
+            if any(value is target for target in targets):
+                monkeypatch.setattr(module, name, forbidden)
+    assert outputs() == clean
+    for (name, argv), (code, out, _) in zip(runs, clean):
+        if len(argv) == 1:
+            assert code == 0
+            assert out == (FIXTURES / "golden" / f"{argv[0]}-{name}.json").read_text()
+    assert {code for code, _, _ in clean} == {0, 1, 2}  # passing, corrupted, unknown key
+
+
+def test_report_and_verify_read_the_points_once(monkeypatch):
+    # per document, one kernel call on the coordinates that parsing scaled, and no
+    # field element built after parsing, outside the right corner's TriRectParams
+    import tetrig.cli as cli
+    from tetrig import field, tetra
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    for module in (cli, tetra):
+        for name in ("_analyze_parts", "_scaled_coordinates"):
+            monkeypatch.setattr(module, name, counted(name, getattr(tetra, name)))
+    element = field.FieldElement
+    monkeypatch.setattr(element, "__init__", counted("element", element.__init__))
+    monkeypatch.setattr(field.FieldSpec, "_wrap", counted("element", field.FieldSpec._wrap))
+    for name, text in _fixture_documents().items():
+        for options in ({"checks": True}, {"checks": True, "tri_rectangular": True}):
+            obj = json.loads(text)
+            obj["options"] = options
+            calls.clear()
+            doc = load_document(json.dumps(obj))
+            assert calls["_scaled_coordinates"] == 1 and calls["_analyze_parts"] == 0
+            for command in (run_report, run_verify):
+                calls.clear()
+                try:
+                    command(doc)
+                except InputError:  # a right corner that is not one: exit 2
+                    assert options.get("tri_rectangular")
+                assert calls["_analyze_parts"] == 1 and calls["_scaled_coordinates"] == 0
+                assert calls["element"] == 0 or options.get("tri_rectangular"), name
+
+
 @pytest.mark.parametrize("reject_degenerate", [True, False])
 @pytest.mark.parametrize("p", [3, 7, 101, 2**31 - 1])
 def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
@@ -610,9 +710,10 @@ def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
                         reject_degenerate=reject_degenerate))
     statuses = set()
     for form, coords, parts in draws:
-        verdicts = _verify_parts(form.spec._red, parts).verdicts
-        assert verdicts == verify_identities(analyze(draw_tetrahedron(form, coords))).verdicts
-        statuses.update(v.status for v in verdicts)
+        verdicts = _verify_parts(form.spec._red, parts)
+        report = verify_identities(analyze(draw_tetrahedron(form, coords)))
+        assert verdicts == [v.status for v in report.verdicts]
+        statuses.update(verdicts)
     assert statuses == ({PASS} if p > 101 else {PASS, INAPPLICABLE})
 
 

@@ -19,8 +19,10 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     InvariantReport, NullPivot, Point3, Tetrahedron, Undefined, analyze,
                     is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
-from tetrig.cli import ReportOptions, corrupt_entry, load_document, report_to_obj
-from tetrig.tetra import _decide, _sum
+from tetrig.cli import (_PRINTED, ReportOptions, _report_obj, corrupt_entry, load_document,
+                        report_to_obj)
+from tetrig.tetra import (_analyze_parts, _decide, _report_parts, _report_table,
+                          _scaled_coordinates, _sum)
 from support import Q, rand_form, rand_point, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -174,6 +176,34 @@ def test_verify_matches_reference_on_clean_and_corrupted_reports(spec, tall, cou
     assert {"pass", "fail"} <= statuses
     if spec.p == 7:
         assert "inapplicable" in statuses
+
+
+@pytest.mark.parametrize("spec, tall, count", [
+    (Q, False, 12), (Q, True, 6), (FieldSpec.prime(7), False, 40),
+    (FieldSpec.prime(101), False, 12), (FieldSpec.prime(2**61 - 1), False, 8)],
+    ids=["Q", "Q-tall", "F_7", "F_101", "F_2305843009213693951"])
+def test_canonical_table_is_the_report_read_back(spec, tall, count):
+    # the table that report, verify and --corrupt read is the report of analyze read
+    # back as (num, den), entry for entry, and the Fraction / residue division of the
+    # kernel's own parts; each entry prints as its element's literal or Undefined reason
+    undefined = 0
+    for tet in tetrahedra(spec, tall, count, seed=67):
+        scale, coords = _scaled_coordinates(tet.points)
+        table = _report_table(tet.form, scale, coords)
+        report = analyze(tet)
+        assert table == _report_parts(report)
+        assert table == [(1, 0) if spec._red(den) == 0 else spec._ratio(num, den)._parts()
+                         for num, den in _analyze_parts(tet.form, scale, coords)]
+        printed = _report_obj(spec, table, ReportOptions())
+        entries = [entry for field in report._fields()[1:]
+                   for entry in (field.values() if isinstance(field, dict) else (field,))]
+        for (section, name, _, _), entry in zip(_PRINTED, entries, strict=True):
+            literal = printed[section] if name is None else printed[section][name]
+            assert literal == (entry.literal() if is_defined(entry) else
+                               {"undefined": entry.reason})
+        undefined += sum(den == 0 for _, den in table)
+    if spec.p == 7:
+        assert undefined > 0
 
 
 # ---------------------------------------------------------------------------
