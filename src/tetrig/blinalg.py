@@ -76,11 +76,8 @@ class Vector3(Frozen):
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
-        # not Record.__init__: built tens of times per document or sample
         shared_spec(x, y, z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        super().__init__(x, y, z)
 
     @classmethod
     def of(cls, spec: FieldSpec, x, y, z) -> "Vector3":

@@ -25,17 +25,14 @@ from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError
                     parse_element)
 # report, verify and fuzz work on the kernel's parts; `analyze`, `verify_identities`,
 # `skew_quadrance` and `tri_rectangular_checks` stay bound for `bench/run.py --trace 1`
-from .tetra import (_ENTRIES, _IDENTITIES, _INDEX, _UNDEFINED_REASONS, FAIL, IDENTITY_NAMES,
-                    INAPPLICABLE, PASS, SKEW_PAIRINGS, CheckResults, DegenerateParams,
-                    InvariantReport, NotTriRectangular, Tetrahedron, _analyze_parts, _decide,
-                    _identity_verdicts, _report_parts, _report_table, _right_corner_parts,
-                    _scaled_coordinates, _skew_parts, _verify_parts, analyze, corner_params,
-                    pairing_name, skew_quadrance, tri_rectangular_checks, verify_identities)
+from .tetra import (_ENTRIES, _FIELDS, _FUZZ_ROWS, _INDEX, FAIL, INAPPLICABLE, PASS,
+                    CheckResults, DegenerateParams, InvariantReport, NotTriRectangular,
+                    Tetrahedron, _analyze_parts, _identity_verdicts, _report_parts,
+                    _report_table, _right_corner_parts, _scaled_coordinates, _skew_parts,
+                    _verify_parts, analyze, corner_params, skew_quadrance,
+                    tri_rectangular_checks, verify_identities)
 
-FUZZ_IDENTITY_NAMES = IDENTITY_NAMES + ("skew-quadrance-projection",)
-# the verdict rows of a fuzz sample: the identities, then the skew projection checks
-_FUZZ_ROWS = _IDENTITIES + tuple(("skew-quadrance-projection", pairing_name(pairing))
-                                 for pairing in SKEW_PAIRINGS)
+FUZZ_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _FUZZ_ROWS))
 
 _FORM_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3")
 
@@ -178,17 +175,10 @@ def document_to_obj(tet: Tetrahedron, options: ReportOptions | None = None) -> d
 
 # -- report / verify -------------------------------------------------------
 
-# each InvariantReport field's report section, with the printed name of a key of its table
-_SECTIONS = {"quadrances": ("Q", "%d%d".__mod__), "quadreas": ("A", "%d%d%d".__mod__),
-             "quadrume": ("V", None), "face_spreads": ("s", "%d;%d%d".__mod__),
-             "dihedral_spreads": ("E", "%d%d".__mod__), "solid_spreads": ("S", str),
-             "dual_solid_spreads": ("D", str), "ratio_constant": ("R", None),
-             "skew_quadrances": ("skew", pairing_name)}
 # every entry, in print order (`_ENTRIES`): its section, its name there (None for V and R),
 # its path, which is its --corrupt key ('V', 'Q.01', 's.0;12'), and its Undefined reason
-_PRINTED = [(section, name, f"{section}.{name}" if name else section,
-             _UNDEFINED_REASONS.get(field))
-            for field, key in _ENTRIES for section, key_name in [_SECTIONS[field]]
+_PRINTED = [(section, name, f"{section}.{name}" if name else section, reason)
+            for _, keys, section, key_name, reason in _FIELDS for key in keys or (None,)
             for name in [key_name and key_name(key)]]
 _ENTRY_KEYS = {path: n for n, (_, _, path, _) in enumerate(_PRINTED)}
 
@@ -263,7 +253,7 @@ def corrupt_entry(report: InvariantReport, key: str) -> None:
     """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
     spec, table = report.tetrahedron.spec, _report_parts(report)
     n = _corrupt(spec, table, key)
-    (field, entry_key), entry = _ENTRIES[n], spec._ratio(*table[n])
+    (field, entry_key, _), entry = _ENTRIES[n], spec._ratio(*table[n])
     if entry_key is None:
         setattr(report, field, entry)
     else:
@@ -321,14 +311,11 @@ def _run_sample(cfg: FuzzConfig, index: int):
             if not cfg.reject_degenerate or red(parts[_INDEX["quadrume"]][0]) != 0:
                 break
             counts["degenerate_tetrahedra"] += 1
-        statuses = _verify_parts(red, parts)
-        for pairing in SKEW_PAIRINGS:
-            skew, status = parts[_INDEX["skew_quadrances"][pairing]], INAPPLICABLE
-            if red(skew[1]) != 0:
-                t1, t2 = rng.randrange(p), rng.randrange(p)
-                reference = _skew_parts(form, 1, coords, pairing, t1, t2)
-                status = _decide(red, 1, [reference], 1, [skew])
-            statuses.append(status)
+        # each defined skew entry again, from points moved along its edges by a drawn t1, t2
+        moved = [_skew_parts(form, 1, coords, pairing, rng.randrange(p), rng.randrange(p))
+                 if red(parts[n][1]) else (1, 0)
+                 for pairing, n in _INDEX["skew_quadrances"].items()]
+        statuses = _verify_parts(red, parts, _FUZZ_ROWS, moved)
     except (FieldError, RuntimeError) as exc:
         # an internal fault: record the sample with the draw it was on, tally no verdict, go on
         return counts, [{"sample": index, "input": _draw_obj(form, coords),

@@ -53,12 +53,6 @@ PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
-# why an entry of each InvariantReport field is Undefined: what vanished to make
-# its denominator zero.  Q, A and V never are, as s and det B are nonzero.
-_UNDEFINED_REASONS = {"face_spreads": "NullEdge", "solid_spreads": "NullEdge",
-                      "dihedral_spreads": "NullNormal", "dual_solid_spreads": "NullNormal",
-                      "ratio_constant": "ZeroQuadrea", "skew_quadrances": "ZeroDenominator"}
-
 # the vertices off each vertex and off each edge; the faces at each vertex and on each edge
 _REST_OF_VERTEX = {i: tuple(m for m in VERTICES if m != i) for i in VERTICES}
 _REST_OF_EDGE = {edge: tuple(m for m in VERTICES if m not in edge) for edge in EDGES}
@@ -220,17 +214,25 @@ def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: i
     return nw * nw, red(dot_values(b, n, n)) * s
 
 
-# the report's fields of entries in print order, each with its table's keys (None: one entry)
-_FIELD_KEYS = tuple(zip(InvariantReport.__slots__[1:], (
-    EDGES, FACES, None, FACE_SPREAD_KEYS, EDGES, VERTICES, VERTICES, None, SKEW_PAIRINGS)))
-_ENTRIES = tuple((field, key) for field, keys in _FIELD_KEYS for key in keys or (None,))
+# InvariantReport's fields of entries in print order, each with its table's keys (None: one
+# entry), its printed section, the printed name of a key, and why an entry is Undefined, what
+# vanished to make its denominator zero; Q, A and V never are, as s and det B are nonzero.
+_FIELDS = tuple((field, *layout) for field, layout in zip(InvariantReport.__slots__[1:], (
+    (EDGES, "Q", "%d%d".__mod__, None), (FACES, "A", "%d%d%d".__mod__, None),
+    (None, "V", None, None), (FACE_SPREAD_KEYS, "s", "%d;%d%d".__mod__, "NullEdge"),
+    (EDGES, "E", "%d%d".__mod__, "NullNormal"), (VERTICES, "S", str, "NullEdge"),
+    (VERTICES, "D", str, "NullNormal"), (None, "R", None, "ZeroQuadrea"),
+    (SKEW_PAIRINGS, "skew", pairing_name, "ZeroDenominator"))))
+# every entry in print order: its field, its key and its Undefined reason
+_ENTRIES = tuple((field, key, reason) for field, keys, *_, reason in _FIELDS
+                 for key in keys or (None,))
 
 
 def _by_field(entries) -> list:
     """`entries` in `_ENTRIES` order, per field: one entry, or a dict of them by key."""
     flat = iter(entries)
     return [next(flat) if keys is None else {key: next(flat) for key in keys}
-            for _, keys in _FIELD_KEYS]
+            for _, keys, *_ in _FIELDS]
 
 
 # each entry's index in _ENTRIES, by field: an index, or a dict of them by key
@@ -311,8 +313,8 @@ def analyze(tet: Tetrahedron) -> InvariantReport:
     Undefined, with the reason its field's denominator names, where den is 0."""
     spec, table = tet.spec, _report_table(tet.form, *_scaled_coordinates(tet.points))
     return InvariantReport(tet, *_by_field(
-        spec._ratio(num, den) if den else Undefined(_UNDEFINED_REASONS[field])
-        for (field, _), (num, den) in zip(_ENTRIES, table)))
+        spec._ratio(num, den) if den else Undefined(reason)
+        for (_, _, reason), (num, den) in zip(_ENTRIES, table)))
 
 
 def _report_parts(report: InvariantReport) -> list:
@@ -392,26 +394,80 @@ def _identity_rows():
 
 _IDENTITIES = tuple(_identity_rows())
 IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _IDENTITIES))
+# the index of the first of a caller's extra factors in `_verify_parts`
+_EXTRA = len(_ENTRIES) + 1 + len(SKEW_PAIRINGS)
+# the right corner's sums: A012 + A013 + A023, E12 + E13 + E23, S1 + S2 + S3 and D1 + D2 + D3
+_CORNER_SUMS = tuple([_INDEX[field][key] for key in keys] for field, keys in (
+    ("quadreas", FACES[:3]), ("dihedral_spreads", EDGES[3:]),
+    ("solid_spreads", (1, 2, 3)), ("dual_solid_spreads", (1, 2, 3))))
 
 
-def _verify_parts(red, parts) -> list:
-    """The status of each row of `_IDENTITIES` from a report's (num, den) entries `parts`
-    (the canonical table, or the kernel's unreduced parts), each decided by `_decide`; an
-    instance with an Undefined factor, a den zero under `red`, is inapplicable."""
+def _right_corner_rows():
+    """One row per right-corner closed form and sum relation, as in `_identity_rows`, with
+    the extra factors of `_right_corner_parts`: cs is K1 K2 + K1 K3 + K2 K3, `rest` is
+    1 - S1 - S2 - S3, and the other sums are those of `_CORNER_SUMS`."""
+    q, a, vol, s, e, sol, dual, _, _ = _INDEX.values()
+    k1, k2, k3, k12, k13, k23, cs, a_sum, e_sum, rest, d_sum = range(_EXTRA, _EXTRA + 11)
+    k = {1: k1, 2: k2, 3: k3}
+    kk = {(1, 2): k12, (2, 1): k12, (1, 3): k13, (3, 1): k13, (2, 3): k23, (3, 2): k23}
+    for j, m in EDGES[3:]:  # the edges opposite the corner
+        yield "closed-form-quadrance", f"Q{j}{m}", 1, [q[j, m]], 1, [kk[j, m]]
+    yield "closed-form-quadrume", "V", 1, [vol], 4, [k[1], k[2], k[3]]
+    for f in FACES:
+        yield ("closed-form-quadrea", "A%d%d%d" % f, 1, [a[f]],
+               4, [cs] if f == (1, 2, 3) else [k[f[1]], k[f[2]]])
+    # at apex i: s_i;0m = K_m / (K_i + K_m), s_i;jm = cs / ((K_i + K_j)(K_i + K_m))
+    for i, j, m in FACE_SPREAD_KEYS[3:]:
+        yield ("closed-form-face-spread", f"s{i};{j}{m}", 1,
+               [s[i, j, m], kk[i, m]] + ([kk[i, j]] if j else []), 1, [cs if j else k[m]])
+    for j, m in EDGES[3:]:
+        yield ("closed-form-dihedral-spread", f"E{j}{m}",
+               1, [e[j, m], cs], 1, [k[6 - j - m], kk[j, m]])
+    for i in (1, 2, 3):
+        j, m = _REST_OF_EDGE[0, i]
+        yield ("closed-form-solid-spread", f"S{i}", 1, [sol[i], kk[i, j], kk[i, m]],
+               1, [k[j], k[m]])
+    for i in (1, 2, 3):
+        j, m = _REST_OF_EDGE[0, i]
+        yield "closed-form-dual-solid-spread", f"D{i}", 1, [dual[i], cs], 1, [k[j], k[m]]
+    units = [(f"s0;{j}{m}", s[0, j, m]) for j, m in EDGES[3:]]
+    units += [(f"E0{j}", e[0, j]) for j in (1, 2, 3)] + [("S0", sol[0]), ("D0", dual[0])]
+    for instance, entry in units:
+        yield "right-corner-units", instance, 1, [entry], 1, []
+    yield "face-quadrea-sum", "A123", 1, [a[1, 2, 3]], 1, [a_sum]
+    yield "dihedral-spread-sum", "E12+E13+E23", 1, [e_sum], 2, []
+    yield "solid-spread-square", "(1-S1-S2-S3)^2", 1, [rest, rest], 4, [sol[1], sol[2], sol[3]]
+    yield "dual-solid-spread-sum", "D1+D2+D3", 1, [d_sum], 1, []
+
+
+_RIGHT_CORNER = tuple(_right_corner_rows())
+# a fuzz sample's rows: the identities, then each skew entry against its extra factor, the
+# skew quadrance from points moved along the edges (`_skew_parts` at the drawn t1, t2)
+_FUZZ_ROWS = _IDENTITIES + tuple(
+    ("skew-quadrance-projection", pairing_name(pairing), 1, [_EXTRA + n], 1, [index])
+    for n, (pairing, index) in enumerate(_INDEX["skew_quadrances"].items()))
+
+
+def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE) -> list:
+    """The status of each row of `rows` from a report's (num, den) entries `parts` (the
+    canonical table, or the kernel's unreduced parts) and a caller's `extra` factors, by
+    `_decide`; a row with an Undefined factor, a den zero under `red`, is `undecided`."""
     q = parts[:len(EDGES)]
     # the skew denominator is homogeneous of degree 2 in the quadrances, so
     # over their common denominator d it is _skew_denominator(numerators) / d^2
     d = lcm(*(den for _, den in q))
     q_num = {key: num * (d // den) for key, (num, den) in zip(EDGES, q)}
     factors = [*parts, _side(1, [pair for pair in q for _ in (0, 1)]),
-               *((_skew_denominator(q_num, pairing), d * d) for pairing in SKEW_PAIRINGS)]
+               *((_skew_denominator(q_num, pairing), d * d) for pairing in SKEW_PAIRINGS),
+               *extra]
     return [_decide(red, lc, [factors[n] for n in lhs], rc, [factors[n] for n in rhs])
-            or INAPPLICABLE for _, _, lc, lhs, rc, rhs in _IDENTITIES]
+            or undecided for _, _, lc, lhs, rc, rhs in rows]
 
 
-def _identity_verdicts(red, parts) -> list:
-    """(identity, instance, status) of each identity instance (`_verify_parts`)."""
-    return [(row[0], row[1], status) for row, status in zip(_IDENTITIES, _verify_parts(red, parts))]
+def _identity_verdicts(red, parts, rows=_IDENTITIES, *args) -> list:
+    """(identity, instance, status) of each row of `rows` (`_verify_parts`)."""
+    statuses = _verify_parts(red, parts, rows, *args)
+    return [(row[0], row[1], status) for row, status in zip(rows, statuses)]
 
 
 def verify_identities(report: InvariantReport) -> CheckResults:
@@ -476,50 +532,13 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
 
 
 def _right_corner_parts(red, parts, params: TriRectParams) -> list:
-    """(identity, instance, status) of each right-corner closed form and sum relation, from
-    the (num, den) entries `parts` of a report, as in `_verify_parts`, and K1, K2, K3 of the
-    tetrahedron (`params`).  Each is decided by `_decide`, like an identity, but an Undefined
-    entry fails it.  Cross-multiplying is exact: TriRectParams rejects zero K_i, K_i + K_j
-    and K1 K2 + K1 K3 + K2 K3, the only denominators besides the entries' own."""
-    q, a, vol, s, e, sol, dual, _, _ = _by_field(parts)
-    k = {1: params.k1._parts(), 2: params.k2._parts(), 3: params.k3._parts()}
-    kk = {(i, j): _sum(k[i], k[j]) for i in k for j in k if i != j}  # K_i + K_j
-    cs = _sum(*(_side(1, [k[i], k[j]]) for i, j in ((1, 2), (1, 3), (2, 3))))
-    verdicts = []
-
-    def emit(identity, instance, lconst, lhs, rconst, rhs):
-        verdicts.append((identity, instance, _decide(red, lconst, lhs, rconst, rhs) or FAIL))
-
-    for j, m in ((1, 2), (1, 3), (2, 3)):
-        emit("closed-form-quadrance", f"Q{j}{m}", 1, [q[j, m]], 1, [kk[j, m]])
-    emit("closed-form-quadrume", "V", 1, [vol], 4, [k[1], k[2], k[3]])
-    for f in FACES:
-        emit("closed-form-quadrea", "A%d%d%d" % f, 1, [a[f]],
-             4, [cs] if f == (1, 2, 3) else [k[f[1]], k[f[2]]])
-    # at apex i: s_i;0m = K_m / (K_i + K_m), s_i;jm = cs / ((K_i + K_j)(K_i + K_m))
-    for i, j, m in FACE_SPREAD_KEYS[3:]:
-        emit("closed-form-face-spread", f"s{i};{j}{m}", 1,
-             [s[i, j, m], kk[i, m]] + ([kk[i, j]] if j else []), 1, [cs if j else k[m]])
-    for j, m in ((1, 2), (1, 3), (2, 3)):
-        emit("closed-form-dihedral-spread", f"E{j}{m}",
-             1, [e[j, m], cs], 1, [k[6 - j - m], kk[j, m]])
-    for i in (1, 2, 3):
-        j, m = _REST_OF_EDGE[0, i]
-        emit("closed-form-solid-spread", f"S{i}", 1, [sol[i], kk[i, j], kk[i, m]],
-             1, [k[j], k[m]])
-    for i in (1, 2, 3):
-        j, m = _REST_OF_EDGE[0, i]
-        emit("closed-form-dual-solid-spread", f"D{i}", 1, [dual[i], cs], 1, [k[j], k[m]])
-    units = [(f"s0;{j}{m}", s[0, j, m]) for j, m in ((1, 2), (1, 3), (2, 3))]
-    units += [(f"E0{j}", e[0, j]) for j in (1, 2, 3)] + [("S0", sol[0]), ("D0", dual[0])]
-    for instance, entry in units:
-        emit("right-corner-units", instance, 1, [entry], 1, [])
-    emit("face-quadrea-sum", "A123",
-         1, [a[1, 2, 3]], 1, [_sum(a[0, 1, 2], a[0, 1, 3], a[0, 2, 3])])
-    emit("dihedral-spread-sum", "E12+E13+E23", 1, [_sum(e[1, 2], e[1, 3], e[2, 3])], 2, [])
-    num, den = _sum(sol[1], sol[2], sol[3])
-    rest = den - num, den  # 1 - S1 - S2 - S3
-    emit("solid-spread-square", "(1-S1-S2-S3)^2", 1, [rest, rest], 4, [sol[1], sol[2], sol[3]])
-    emit("dual-solid-spread-sum", "D1+D2+D3", 1, [_sum(dual[1], dual[2], dual[3])], 1, [])
-
-    return verdicts
+    """(identity, instance, status) of each row of `_RIGHT_CORNER`, from a report's entries
+    `parts`, as in `_verify_parts`, and K1, K2, K3 (`params`); an Undefined entry fails a
+    relation.  Cross-multiplying is exact: TriRectParams rejects zero K_i, K_i + K_j and
+    K1 K2 + K1 K3 + K2 K3, the only denominators besides the entries' own."""
+    k = [value._parts() for value in params._fields()]
+    pairs = list(combinations(k, 2))  # (K1, K2), (K1, K3), (K2, K3)
+    a, e, (num, den), d = (_sum(*(parts[n] for n in terms)) for terms in _CORNER_SUMS)
+    extra = [*k, *(_sum(*pair) for pair in pairs), _sum(*(_side(1, pair) for pair in pairs)),
+             a, e, (den - num, den), d]
+    return _identity_verdicts(red, parts, _RIGHT_CORNER, extra, FAIL)

@@ -717,6 +717,91 @@ def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
     assert statuses == ({PASS} if p > 101 else {PASS, INAPPLICABLE})
 
 
+def _right_corner_doc(name):
+    """The fixture `name` with the identities and the right corner switched on."""
+    obj = json.loads((FIXTURES / f"{name}.json").read_text())
+    obj["options"] = {"checks": True, "tri_rectangular": True}
+    return load_document(json.dumps(obj))
+
+
+def _tracked_verdicts(monkeypatch):
+    """Binds every name for `_decide` in `cli` and `tetra` to a wrapper that records its
+    caller's name, and every name for `_verify_parts` to one that records its rows and extra
+    factors; returns the two lists."""
+    import tetrig.cli as cli
+    from tetrig import tetra
+    callers, calls = [], []
+    decide, verify_parts = tetra._decide, tetra._verify_parts
+
+    def tracked_decide(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame (3.11)
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return decide(*args)
+
+    def tracked_verify_parts(red, parts, rows=tetra._IDENTITIES, extra=(), *args):
+        calls.append((rows, list(extra)))
+        return verify_parts(red, parts, rows, extra, *args)
+    for module in (cli, tetra):
+        for name, value in list(vars(module).items()):
+            if value is decide:
+                monkeypatch.setattr(module, name, tracked_decide)
+            elif value is verify_parts:
+                monkeypatch.setattr(module, name, tracked_verify_parts)
+    return callers, calls
+
+
+def test_every_verdict_is_decided_in_verify_parts(monkeypatch):
+    # report, verify, verify --corrupt and fuzz decide every identity, right-corner
+    # relation and skew projection in `_verify_parts`: once per document for the
+    # identities and once for the right corner, and once per fuzz sample
+    from tetrig.tetra import _FUZZ_ROWS, _IDENTITIES, _RIGHT_CORNER
+    callers, calls = _tracked_verdicts(monkeypatch)
+    for name in ("unit_tri_rectangular", "tri_rectangular_mixed_corner", "tri_rectangular_f101"):
+        doc = _right_corner_doc(name)
+        for run in (run_report, run_verify, lambda doc: run_verify(doc, "E.01")):
+            calls.clear()
+            run(doc)
+            assert [rows for rows, _ in calls] == [_IDENTITIES, _RIGHT_CORNER], name
+    for cfg in (FuzzConfig(prime=7, samples=30, seed=3, random_form=True),
+                FuzzConfig(prime=101, samples=20, seed=5)):
+        calls.clear()
+        summary, _ = run_fuzz(cfg)
+        assert [rows for rows, _ in calls] == [_FUZZ_ROWS] * cfg.samples
+        assert summary["identities"]["skew-quadrance-projection"]["passed"] > 0
+    assert callers and set(callers) == {"_verify_parts"}
+
+
+def test_row_factors_index_what_their_callers_supply(monkeypatch):
+    # the identities index only the entries, the product of the Q^2 and the skew dens;
+    # the right corner and the fuzz projection rows index those and every extra factor
+    # that their callers pass, and no other
+    from tetrig.tetra import _EXTRA, _FUZZ_ROWS, _IDENTITIES, _RIGHT_CORNER
+    _, calls = _tracked_verdicts(monkeypatch)
+    run_verify(_right_corner_doc("unit_tri_rectangular"))
+    run_fuzz(FuzzConfig(prime=101, samples=1, seed=5))
+    (_, no_extra), (_, corner_extra), (_, fuzz_extra) = calls
+
+    def indices(rows):
+        return {n for _, _, _, lhs, _, rhs in rows for n in lhs + rhs}
+    assert no_extra == [] and max(indices(_IDENTITIES)) < _EXTRA
+    assert _FUZZ_ROWS[:len(_IDENTITIES)] == _IDENTITIES
+    for rows, extra in ((_RIGHT_CORNER, corner_extra),
+                        (_FUZZ_ROWS[len(_IDENTITIES):], fuzz_extra)):
+        assert indices(rows) - set(range(_EXTRA)) == set(range(_EXTRA, _EXTRA + len(extra)))
+    assert len(corner_extra) == 11 and len(fuzz_extra) == 3
+
+
+def test_right_corner_rows_are_the_golden_verdicts():
+    # the 38 right-corner relations, in the order `verify` prints them
+    from tetrig.tetra import _IDENTITIES, _RIGHT_CORNER
+    golden = json.loads((FIXTURES / "golden" / "verify-tri_rectangular_f101.json").read_text())
+    printed = [(v["identity"], v["instance"]) for v in golden["verdicts"][len(_IDENTITIES):]]
+    assert [row[:2] for row in _RIGHT_CORNER] == printed
+    assert len(printed) == 38
+
+
 def test_fuzz_invalid_prime_is_exit_2(capsys):
     assert main(["fuzz", "--prime", "9", "--samples", "5"]) == 2
     assert "prime" in capsys.readouterr().err
