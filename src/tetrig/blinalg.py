@@ -9,9 +9,7 @@ not 2.
 
 from __future__ import annotations
 
-from math import lcm
-
-from .field import FieldElement, FieldSpec, MixedFields
+from .field import FieldElement, FieldSpec, MixedFields, _over_common_den
 
 
 class DegenerateForm(Exception):
@@ -172,15 +170,13 @@ class SymmetricForm:
         spec = self.spec = shared_spec(a1, a2, a3, b1, b2, b3)
         self.a1, self.a2, self.a3 = a1, a2, a3
         self.b1, self.b2, self.b3 = b1, b2, b3
-        values = [e._value for e in (a1, a2, a3, b1, b2, b3)]
-        p = spec.p
-        m = lcm(*(v.denominator for v in values))  # 1 over F_p
-        i1, i2, i3, j1, j2, j3 = ints = tuple(int(v * m) for v in values)
+        m, ints = _over_common_den([e._parts() for e in (a1, a2, a3, b1, b2, b3)])  # 1 over F_p
+        i1, i2, i3, j1, j2, j3 = ints = tuple(ints)
         adj = ((i2 * i3 - j1 * j1, j1 * j2 - i3 * j3, j1 * j3 - i2 * j2),
                (j1 * j2 - i3 * j3, i1 * i3 - j2 * j2, j2 * j3 - i1 * j1),
                (j1 * j3 - i2 * j2, j2 * j3 - i1 * j1, i1 * i2 - j3 * j3))
         det = i1 * adj[0][0] + j3 * adj[0][1] + j2 * adj[0][2]
-        if p is not None:
+        if (p := spec.p) is not None:
             adj, det = tuple(tuple(x % p for x in row) for row in adj), det % p
         if det == 0:
             raise DegenerateForm("form matrix has determinant zero")

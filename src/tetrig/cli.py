@@ -21,16 +21,16 @@ from time import perf_counter
 
 from .affine import Point3
 from .blinalg import DegenerateForm, Record, SymmetricForm
-from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldElement, FieldError, FieldSpec,
-                    parse_element)
+from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, _literal_parts,
+                    _over_common_den, parse_element)
 # report, verify and fuzz work on the kernel's parts; `analyze`, `verify_identities`,
-# `skew_quadrance` and `tri_rectangular_checks` stay bound for `bench/run.py --trace 1`
+# `skew_quadrance`, `tri_rectangular_checks` and `parse_element` stay bound for `bench/run.py`
 from .tetra import (_ENTRIES, _FIELDS, _FUZZ_ROWS, _INDEX, FAIL, INAPPLICABLE, PASS,
                     CheckResults, DegenerateParams, InvariantReport, NotTriRectangular,
-                    Tetrahedron, _analyze_parts, _identity_verdicts, _report_parts,
-                    _report_table, _right_corner_parts, _scaled_coordinates, _skew_parts,
-                    _verify_parts, analyze, corner_params, skew_quadrance,
-                    tri_rectangular_checks, verify_identities)
+                    Tetrahedron, _analyze_parts, _corner_parts, _identity_verdicts,
+                    _report_parts, _report_table, _right_corner_parts, _skew_parts,
+                    _verify_parts, analyze, skew_quadrance, tri_rectangular_checks,
+                    verify_identities)
 
 FUZZ_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _FUZZ_ROWS))
 
@@ -49,7 +49,14 @@ class ReportOptions(Record):
 
 
 class InputDocument(Record):
-    __slots__ = ("tetrahedron", "options", "coordinates")  # `_scaled_coordinates` of the points
+    __slots__ = ("form", "options", "coordinates")  # (L, the points' 12 coordinates times L)
+
+    @property
+    def tetrahedron(self) -> Tetrahedron:
+        """The points and form as a library `Tetrahedron`, built on each call."""
+        (scale, coords), ratio = self.coordinates, self.form.spec._ratio
+        return Tetrahedron(*(Point3(*(ratio(c, scale) for c in coords[i:i + 3]))
+                             for i in range(0, 12, 3)), self.form)
 
 
 class FuzzConfig(Record):
@@ -85,11 +92,11 @@ def _field_spec_from_obj(obj, path: str) -> FieldSpec:
     raise InputError(f"{path}.kind: expected 'rational' or 'prime', got {kind!r}")
 
 
-def _element_from_obj(obj, spec: FieldSpec, path: str) -> FieldElement:
+def _parts_from_obj(obj, spec: FieldSpec, path: str) -> tuple[int, int]:
     if not isinstance(obj, str):
         raise InputError(f"{path}: field elements must be literal strings")
     try:
-        return parse_element(obj, spec)
+        return _literal_parts(obj, spec)
     except FieldError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -106,7 +113,7 @@ def document_from_obj(obj) -> InputDocument:
     for key in _FORM_KEYS:
         if key not in form_obj:
             raise InputError(f"form.{key}: missing entry")
-        entries.append(_element_from_obj(form_obj[key], spec, f"form.{key}"))
+        entries.append(spec._ratio(*_parts_from_obj(form_obj[key], spec, f"form.{key}")))
     try:
         form = SymmetricForm(*entries)
     except DegenerateForm as exc:
@@ -115,14 +122,13 @@ def document_from_obj(obj) -> InputDocument:
     points_obj = obj.get("points")
     if not isinstance(points_obj, list) or len(points_obj) != 4:
         raise InputError("points: expected a list of 4 coordinate triples")
-    points = []
+    parts = []
     for i, triple in enumerate(points_obj):
         if not isinstance(triple, list) or len(triple) != 3:
             raise InputError(f"points[{i}]: expected a triple of literals")
-        coords = [_element_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
-        points.append(Point3(*coords))
+        parts += [_parts_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
     # the kernel works on these integers (over F_p, residues): bound them as literals are
-    scale, coords = _scaled_coordinates(points)
+    scale, coords = _over_common_den(parts)
     for path, ints in {"form": (form._scale, *form._ints), "points": (scale, *coords)}.items():
         if max(max(ints), -min(ints)) >= _LITERAL_BOUND:
             raise InputError(f"{path}: an integer over the common denominator has over "
@@ -139,9 +145,7 @@ def document_from_obj(obj) -> InputDocument:
         if not isinstance(value, bool):
             raise InputError(f"options.{name}: expected a boolean")
         setattr(options, name, value)
-
-    tet = Tetrahedron(points[0], points[1], points[2], points[3], form)
-    return InputDocument(tet, options, (scale, coords))
+    return InputDocument(form, options, (scale, coords))
 
 
 def load_document(text: str) -> InputDocument:
@@ -217,19 +221,19 @@ def results_to_obj(results: CheckResults) -> dict:
 
 def _right_corner(doc: InputDocument, table) -> list:
     try:
-        params = corner_params(doc.tetrahedron, doc.coordinates)
+        return _right_corner_parts(doc.form.spec._red, table,
+                                   _corner_parts(doc.form, *doc.coordinates))
     except (NotTriRectangular, DegenerateParams) as exc:
         raise InputError(f"tri_rectangular: {exc}") from exc
-    return _right_corner_parts(doc.tetrahedron.spec._red, table, params)
 
 
 def run_report(doc: InputDocument, run=_untimed) -> dict:
-    tet = doc.tetrahedron
-    table = run("analyze", _report_table, tet.form, *doc.coordinates)
-    out = run("serialise", _report_obj, tet.spec, table, doc.options)
+    spec = doc.form.spec
+    table = run("analyze", _report_table, doc.form, *doc.coordinates)
+    out = run("serialise", _report_obj, spec, table, doc.options)
     if doc.options.checks:
         out["identities"] = run("serialise", _results_obj,
-                                run("verify", _identity_verdicts, tet.spec._red, table))
+                                run("verify", _identity_verdicts, spec._red, table))
     if doc.options.tri_rectangular:
         out["tri_rectangular"] = run("serialise", _results_obj,
                                      run("right corner", _right_corner, doc, table))
@@ -262,11 +266,11 @@ def corrupt_entry(report: InvariantReport, key: str) -> None:
 
 def run_verify(doc: InputDocument, corrupt: str | None = None,
                run=_untimed) -> tuple[dict, int]:
-    tet = doc.tetrahedron
-    table = run("analyze", _report_table, tet.form, *doc.coordinates)
+    spec = doc.form.spec
+    table = run("analyze", _report_table, doc.form, *doc.coordinates)
     if corrupt is not None:
-        _corrupt(tet.spec, table, corrupt)
-    verdicts = run("verify", _identity_verdicts, tet.spec._red, table)
+        _corrupt(spec, table, corrupt)
+    verdicts = run("verify", _identity_verdicts, spec._red, table)
     if doc.options.tri_rectangular:
         verdicts += run("right corner", _right_corner, doc, table)
     out = run("serialise", _results_obj, verdicts)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(Exception):
@@ -328,17 +329,33 @@ class FieldElement:
         return f"FieldElement({self.literal()}, {self.spec})"
 
 
-def parse_element(text: str, spec: FieldSpec) -> FieldElement:
-    """Parse an element literal: `[-]?digits(/digits)?` over Q, `[-]?digits` over F_p."""
+def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
+    """An element literal read as (num, den): in lowest terms with den > 0 over Q,
+    (residue, 1) over F_p; the grammar is `parse_element`'s."""
     if not (_RATIONAL_LIT if spec.p is None else _INTEGER_LIT).fullmatch(text):
         kind = "a rational" if spec.p is None else "an integer"
         raise MalformedLiteral(f"{text!r} is not {kind} literal")
     num, _, den = text.partition("/")
     if max(len(num.lstrip("-")), len(den)) > MAX_LITERAL_DIGITS:
         raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
-    if den and int(den) == 0:
+    if not den:
+        return spec._red(int(num)), 1
+    num, den = int(num), int(den)
+    if den == 0:
         raise ZeroDenominator(f"{text!r} has denominator zero")
-    return FieldElement(spec, Fraction(int(num), int(den)) if den else int(num))
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _over_common_den(parts) -> tuple[int, list[int]]:
+    """L, the lcm of the dens of a list of (num, den) pairs, and each num times L / den."""
+    scale = lcm(*(den for _, den in parts))
+    return scale, [num * (scale // den) for num, den in parts]
+
+
+def parse_element(text: str, spec: FieldSpec) -> FieldElement:
+    """Parse an element literal: `[-]?digits(/digits)?` over Q, `[-]?digits` over F_p."""
+    return spec._ratio(*_literal_parts(text, spec))
 
 
 def render(x: FieldElement) -> str:

@@ -14,12 +14,12 @@ always defined.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .affine import Point3, b_project, displacement, translate
 from .blinalg import (Frozen, Record, SymmetricForm, Vector3, adj_cross_values, b_cross,
                       dot_values, shared_spec)
-from .field import FieldElement, MixedFields
+from .field import FieldElement, MixedFields, _over_common_den
 from .trig import (archimedes, quadrance, quadrume, solid_spread_from_parts,
                    spread_from_parts)
 
@@ -189,9 +189,7 @@ def skew_quadrance_closed_form(tet: Tetrahedron, pairing) -> FieldElement:
 
 def _scaled_coordinates(points) -> tuple[int, list[int]]:
     """L, the lcm of the coordinate denominators (1 over F_p), and the coordinates times L."""
-    values = [c._value for point in points for c in point.coordinates()]
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+    return _over_common_den([c._parts() for point in points for c in point.coordinates()])
 
 
 def _edge(coords, i: int, j: int) -> tuple[int, int, int]:
@@ -323,15 +321,6 @@ def _report_parts(report: InvariantReport) -> list:
             for entry in (table.values() if isinstance(table, dict) else (table,))]
 
 
-def _side(const: int, factors) -> tuple[int, int]:
-    """(num, den) of const times the product of (num, den) factors."""
-    num, den = const, 1
-    for n, d in factors:
-        num *= n
-        den *= d
-    return num, den
-
-
 def _sum(*terms):
     """(num, den) of the sum of (num, den) terms; a zero den stays zero."""
     num, den = 0, 1
@@ -340,11 +329,15 @@ def _sum(*terms):
     return num, den
 
 
-def _decide(red, lconst: int, lhs, rconst: int, rhs):
-    """PASS or FAIL for `lconst * prod(lhs) == rconst * prod(rhs)`, by one
-    cross-multiplied integer comparison reduced by `red`; None when the dens'
+def _decide(red, ln: int, lhs, rn: int, rhs):
+    """PASS or FAIL for `ln * prod(lhs) == rn * prod(rhs)`, products of (num, den) pairs,
+    by one cross-multiplied integer comparison reduced by `red`; None when the dens'
     product is zero under `red`: in a field, when one den is (an Undefined entry)."""
-    (ln, ld), (rn, rd) = _side(lconst, lhs), _side(rconst, rhs)
+    ld = rd = 1
+    for n, d in lhs:
+        ln, ld = ln * n, ld * d
+    for n, d in rhs:
+        rn, rd = rn * n, rd * d
     if red(ld * rd) == 0:
         return None
     return PASS if red(ln * rd - rn * ld) == 0 else FAIL
@@ -452,16 +445,16 @@ def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE
     """The status of each row of `rows` from a report's (num, den) entries `parts` (the
     canonical table, or the kernel's unreduced parts) and a caller's `extra` factors, by
     `_decide`; a row with an Undefined factor, a den zero under `red`, is `undecided`."""
-    q = parts[:len(EDGES)]
-    # the skew denominator is homogeneous of degree 2 in the quadrances, so
-    # over their common denominator d it is _skew_denominator(numerators) / d^2
-    d = lcm(*(den for _, den in q))
-    q_num = {key: num * (d // den) for key, (num, den) in zip(EDGES, q)}
-    factors = [*parts, _side(1, [pair for pair in q for _ in (0, 1)]),
+    # over the quadrances' common denominator d, their product is prod(numerators) / d^6,
+    # and the skew denominator, homogeneous of degree 2, is _skew_denominator(numerators) / d^2
+    d, nums = _over_common_den(parts[:len(EDGES)])
+    q_num, prod_q = dict(zip(EDGES, nums)), prod(nums)
+    factors = [*parts, (prod_q * prod_q, d ** 12),
                *((_skew_denominator(q_num, pairing), d * d) for pairing in SKEW_PAIRINGS),
                *extra]
-    return [_decide(red, lc, [factors[n] for n in lhs], rc, [factors[n] for n in rhs])
-            or undecided for _, _, lc, lhs, rc, rhs in rows]
+    get = factors.__getitem__
+    return [_decide(red, lc, map(get, lhs), rc, map(get, rhs)) or undecided
+            for _, _, lc, lhs, rc, rhs in rows]
 
 
 def _identity_verdicts(red, parts, rows=_IDENTITIES, *args) -> list:
@@ -496,49 +489,58 @@ def tri_rectangular_frame(form: SymmetricForm):
     return tuple(frame)
 
 
+def _corner_factors(red, k) -> list:
+    """K1, K2, K3, (num, den) pairs with nonzero dens, then K1 + K2, K1 + K3, K2 + K3 and
+    K1 K2 + K1 K3 + K2 K3; raises DegenerateParams where one is zero under `red`."""
+    pairs = list(combinations(k, 2))  # (K1, K2), (K1, K3), (K2, K3)
+    sums = [_sum(*pair) for pair in pairs]
+    cs = _sum(*((n1 * n2, d1 * d2) for (n1, d1), (n2, d2) in pairs))
+    for terms, message in ((k, "a corner quadrance is zero"),
+                           (sums, "an opposite edge quadrance K_i + K_j is zero"),
+                           ([cs], "the face quadrea opposite the corner is zero")):
+        if not all(red(num) for num, _ in terms):
+            raise DegenerateParams(message)
+    return [*k, *sums, cs]
+
+
 class TriRectParams(Frozen):
     """Corner quadrances of a tetrahedron that is tri-rectangular at vertex 0."""
 
     __slots__ = ("k1", "k2", "k3")
 
     def __init__(self, k1: FieldElement, k2: FieldElement, k3: FieldElement):
-        shared_spec(k1, k2, k3)
-        if k1.is_zero or k2.is_zero or k3.is_zero:
-            raise DegenerateParams("a corner quadrance is zero")
-        for u, w in ((k1, k2), (k1, k3), (k2, k3)):
-            if (u + w).is_zero:
-                raise DegenerateParams("an opposite edge quadrance K_i + K_j is zero")
-        if (k1 * k2 + k1 * k3 + k2 * k3).is_zero:
-            raise DegenerateParams("the face quadrea opposite the corner is zero")
+        _corner_factors(shared_spec(k1, k2, k3)._red, [k._parts() for k in (k1, k2, k3)])
         super().__init__(k1, k2, k3)
 
 
-def corner_params(tet: Tetrahedron, scaled=None) -> TriRectParams:
-    """Validate tri-rectangularity at vertex 0 and extract the corner quadrances; `scaled`
-    is `_scaled_coordinates(tet.points)`, where the caller has it."""
-    scale, coords = scaled or _scaled_coordinates(tet.points)
-    b, edges = tet.form._ints, [_edge(coords, 0, j) for j in (1, 2, 3)]
-    if any(tet.spec._red(dot_values(b, v, w)) for v, w in combinations(edges, 2)):
+def _corner_parts(form: SymmetricForm, scale: int, coords) -> list:
+    """K1, K2, K3, the quadrances of the edges at vertex 0, as (num, den) pairs on the scaled
+    integers of `_analyze_parts`; NotTriRectangular unless those edges are B-perpendicular."""
+    red, b, edges = form.spec._red, form._ints, [_edge(coords, 0, j) for j in (1, 2, 3)]
+    if any(red(dot_values(b, v, w)) for v, w in combinations(edges, 2)):
         raise NotTriRectangular("corner edge vectors are not mutually B-perpendicular")
-    s = scale * scale * tet.form._scale  # each dot on the scaled ints is s times the dot
-    return TriRectParams(*(tet.spec._ratio(dot_values(b, v, v), s) for v in edges))
+    s = scale * scale * form._scale  # each dot on the scaled ints is s times the dot
+    return [(red(dot_values(b, v, v)), s) for v in edges]
+
+
+def corner_params(tet: Tetrahedron) -> TriRectParams:
+    """Validate tri-rectangularity at vertex 0 and extract the corner quadrances."""
+    k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
+    return TriRectParams(*(tet.spec._ratio(*pair) for pair in k))
 
 
 def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     """Verdicts for the right-corner closed forms and sum relations of `report`."""
     tet = report.tetrahedron
-    verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), corner_params(tet))
+    k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
+    verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), k)
     return CheckResults([Verdict(*verdict) for verdict in verdicts])
 
 
-def _right_corner_parts(red, parts, params: TriRectParams) -> list:
-    """(identity, instance, status) of each row of `_RIGHT_CORNER`, from a report's entries
-    `parts`, as in `_verify_parts`, and K1, K2, K3 (`params`); an Undefined entry fails a
-    relation.  Cross-multiplying is exact: TriRectParams rejects zero K_i, K_i + K_j and
-    K1 K2 + K1 K3 + K2 K3, the only denominators besides the entries' own."""
-    k = [value._parts() for value in params._fields()]
-    pairs = list(combinations(k, 2))  # (K1, K2), (K1, K3), (K2, K3)
+def _right_corner_parts(red, parts, k) -> list:
+    """(identity, instance, status) of each row of `_RIGHT_CORNER` from a report's entries
+    `parts` and K1, K2, K3 (`_corner_parts`); an Undefined entry fails a relation.  Exact, as
+    `_corner_factors` rejects the only zero denominators besides the entries' own."""
     a, e, (num, den), d = (_sum(*(parts[n] for n in terms)) for terms in _CORNER_SUMS)
-    extra = [*k, *(_sum(*pair) for pair in pairs), _sum(*(_side(1, pair) for pair in pairs)),
-             a, e, (den - num, den), d]
+    extra = [*_corner_factors(red, k), a, e, (den - num, den), d]
     return _identity_verdicts(red, parts, _RIGHT_CORNER, extra, FAIL)

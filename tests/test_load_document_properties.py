@@ -1,9 +1,11 @@
-"""Property tests: malformed input documents are input errors, never crashes.
+"""Property tests: malformed input documents are input errors, never crashes, and
+valid ones load to the points and form their literals name.
 
-Every document drawn here is invalid: text that is not JSON, JSON of the
+Most documents drawn here are invalid: text that is not JSON, JSON of the
 wrong shape, or a well-shaped document with one literal that breaks the
 grammar.  `load_document` must raise `InputError`, and `tetrig verify` on the
-same bytes in a file must exit 2 with nothing on stdout.
+same bytes in a file must exit 2 with nothing on stdout.  The valid ones, over
+Q and over F_p, carry literals in any spelling the grammar allows.
 """
 
 import contextlib
@@ -13,9 +15,14 @@ import os
 import re
 import tempfile
 
+from fractions import Fraction
+
 from hypothesis import assume, given, settings, strategies as st
 
+from tetrig import FieldSpec, Point3, SymmetricForm, parse_element
 from tetrig.cli import InputError, load_document, main
+from tetrig.field import _literal_parts
+from tetrig.tetra import _scaled_coordinates
 
 VALID = {
     "field": {"kind": "rational"},
@@ -138,3 +145,50 @@ def test_json_beyond_the_parser_limits_is_rejected():
     _assert_rejected(b"[" * 100_000)
     _assert_rejected(_document(dict(VALID, field={"kind": "prime", "p": 0}))
                      .replace(b'"p": 0', b'"p": ' + b"7" * 5000))
+
+
+@st.composite
+def literals(draw, p):
+    """A literal over Q (p None) or F_p, often not canonical: leading zeros, -0, a fraction
+    not in lowest terms, an integer at or over p."""
+    num = draw(st.integers(0, 40) | st.integers(0, 3 * (p or 10**6)))
+    text = draw(st.sampled_from(["", "-"])) + "0" * draw(st.integers(0, 2)) + str(num)
+    if p is None and draw(st.booleans()):
+        text += "/" + "0" * draw(st.integers(0, 2)) + str(draw(st.integers(1, 12)))
+    return text
+
+
+def _value(text, p):
+    """A literal's value by `Fraction` over Q and `int` over F_p, without `tetrig`."""
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1)) if p is None else int(text) % p
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([None, 3, 7, 101, 2**31 - 1]))
+def test_valid_document_loads_to_its_literals(data, p):
+    # the form and the scaled points that parsing keeps are those of the literals read
+    # one by one with `parse_element`, and the literals' (num, den) are their values'
+    lit = literals(p)
+    form_literals = [data.draw(lit) for _ in FORM_KEYS]
+    a1, a2, a3, b1, b2, b3 = (_value(text, p) for text in form_literals)
+    det = a1 * (a2 * a3 - b1 * b1) - b3 * (b3 * a3 - b1 * b2) + b2 * (b3 * b1 - a2 * b2)
+    assume(det != 0 if p is None else det % p != 0)
+    points = [[data.draw(lit) for _ in range(3)] for _ in range(4)]
+    field = {"kind": "rational"} if p is None else {"kind": "prime", "p": p}
+    doc = load_document(json.dumps({"field": field, "form": dict(zip(FORM_KEYS, form_literals)),
+                                    "points": points}))
+
+    spec = FieldSpec(p)
+    form = SymmetricForm(*(parse_element(text, spec) for text in form_literals))
+    tet = doc.tetrahedron
+    # a SymmetricForm compares by identity: compare what it holds
+    for name in SymmetricForm.__slots__:
+        assert getattr(tet.form, name) == getattr(form, name), name
+    assert tet.points == tuple(Point3(*(parse_element(text, spec) for text in triple))
+                               for triple in points)
+    assert doc.coordinates == _scaled_coordinates(tet.points)
+    for text in form_literals + [text for triple in points for text in triple]:
+        value = _value(text, p)
+        assert _literal_parts(text, spec) == ((value.numerator, value.denominator)
+                                              if p is None else (value, 1))

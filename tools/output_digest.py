@@ -17,7 +17,9 @@ runs see the same inputs.  The groups:
 - fuzz: each of FUZZ_RUNS at `--workers 1` and `2`;
 - fuzz-fault: each p=101 and p=7 run of FUZZ_RUNS at `--workers 1`, with
   `tetrig.tetra.solid_spread_from_parts` off by one, so that every sample with
-  a defined solid spread is a failure record; this pins the records' bytes.
+  a defined solid spread is a failure record; this pins the records' bytes;
+- invalid: report and verify of `invalid_documents()`, one document per exit-2 path
+  of parsing and of the right corner; this pins their messages.
 """
 
 from __future__ import annotations
@@ -63,6 +65,43 @@ def documents() -> list[str]:
     return docs + list(fixtures().values())
 
 
+def invalid_documents() -> list[str]:
+    """The unit corner with the identities and the right corner on, broken one way each."""
+    unit = json.loads((FIXTURES / "unit_tri_rectangular.json").read_text(encoding="utf-8"))
+    unit["options"] = {"checks": True, "tri_rectangular": True}
+
+    def variant(**changes) -> str:
+        return json.dumps({**unit, **changes})
+
+    def form(*diagonal, b="0") -> dict:
+        return dict(zip(("a1", "a2", "a3", "b1", "b2", "b3"), (*diagonal, b, b, b)))
+
+    def corner(*edges) -> list:  # vertex 0 at the origin, the others at its edge vectors
+        return [["0", "0", "0"], *([str(x) for x in edge] for edge in edges)]
+
+    def point1(literal: str) -> list:  # the unit points with `literal` as point 1's x
+        return [["0", "0", "0"], [literal, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    f7 = {"kind": "prime", "p": 7}
+    return [
+        "{", "[]", variant(field={"kind": "prime", "p": 9}),
+        variant(form={**unit["form"], "a2": "x"}), variant(points=point1("1.5")),
+        variant(field=f7, points=point1("3/2")),
+        variant(points=point1("1/0")), variant(points=point1("1" * 4301)),
+        variant(form=form("1", "1", "1", b="1")),  # singular
+        variant(points=unit["points"][:3]), variant(points=[*unit["points"][:3], ["0", "1"]]),
+        variant(options={"checks": True, "tri_rectangle": True}), variant(options={"skew": 1}),
+        variant(points=[[f"1/{10 ** 399 + 3 * i + j}" for j in range(3)] for i in range(4)]),
+        variant(points=corner((1, 0, 0), (1, 1, 0), (0, 0, 1))),  # not a right corner
+        # the three DegenerateParams: a zero K_i, K_i + K_j, K1 K2 + K1 K3 + K2 K3
+        variant(form=form("1", "1", "-1"), points=corner((1, 0, 1), (0, 1, 0), (2, 0, 2))),
+        variant(form=form("1", "1", "-1")),
+        variant(form=form("2", "2", "-1")),
+        variant(field=f7, points=corner((0, 1, 2), (1, 3, 2), (1, 3, 2))),
+        variant(field=f7, points=corner((0, 0, 1), (1, 2, 0), (3, 2, 0))),
+        variant(field=f7, points=corner((0, 0, 1), (0, 2, 0), (3, 0, 0))),
+    ]
+
+
 def with_tri_rectangular(text: str) -> str:
     obj = json.loads(text)
     obj.setdefault("options", {})["tri_rectangular"] = True
@@ -94,7 +133,7 @@ def record(main, argv: list[str], stdin: str = "") -> bytes:
 def digests(main) -> dict[str, tuple[int, str]]:
     docs = documents()
     groups = {"report": [], "verify": [], "tri-rectangular": [], "corrupt": [], "fuzz": [],
-              "fuzz-fault": []}
+              "fuzz-fault": [], "invalid": []}
     for text in docs:
         for command in ("report", "verify"):
             groups[command].append(record(main, [command], text))
@@ -124,6 +163,8 @@ def digests(main) -> dict[str, tuple[int, str]]:
                                  for argv in FUZZ_RUNS if argv[1] in ("101", "7")]
     finally:
         tetra.solid_spread_from_parts = solid_spread
+    groups["invalid"] += [record(main, [command], text) for text in invalid_documents()
+                          for command in ("report", "verify")]
     return {name: (len(runs), hashlib.sha256(b"".join(runs)).hexdigest())
             for name, runs in groups.items()}
 
