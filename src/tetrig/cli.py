@@ -19,18 +19,14 @@ from functools import partial
 from importlib import import_module
 from time import perf_counter
 
-from .affine import Point3
 from .blinalg import DegenerateForm, Record, SymmetricForm
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, _literal_parts,
                     _over_common_den, parse_element)
-# report, verify and fuzz work on the kernel's parts; `analyze`, `verify_identities`,
-# `skew_quadrance`, `tri_rectangular_checks` and `parse_element` stay bound for `bench/run.py`
+# `parse_element`, and the library names of `__getattr__` below, stay bound for `bench/run.py`
 from .tetra import (_ENTRIES, _FIELDS, _FUZZ_ROWS, _INDEX, FAIL, INAPPLICABLE, PASS,
-                    CheckResults, DegenerateParams, InvariantReport, NotTriRectangular,
-                    Tetrahedron, _analyze_parts, _corner_parts, _identity_verdicts,
-                    _report_parts, _report_table, _right_corner_parts, _skew_parts,
-                    _verify_parts, analyze, skew_quadrance, tri_rectangular_checks,
-                    verify_identities)
+                    DegenerateParams, NotTriRectangular, _analyze_parts, _corner_parts,
+                    _from_trig, _identity_verdicts, _report_table, _right_corner_parts,
+                    _skew_parts, _verify_parts)
 
 FUZZ_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _FUZZ_ROWS))
 
@@ -54,6 +50,8 @@ class InputDocument(Record):
     @property
     def tetrahedron(self) -> Tetrahedron:
         """The points and form as a library `Tetrahedron`, built on each call."""
+        from .affine import Point3
+        from .trig import Tetrahedron
         (scale, coords), ratio = self.coordinates, self.form.spec._ratio
         return Tetrahedron(*(Point3(*(ratio(c, scale) for c in coords[i:i + 3]))
                              for i in range(0, 12, 3)), self.form)
@@ -204,6 +202,7 @@ def _report_obj(spec: FieldSpec, table, options: ReportOptions) -> dict:
 
 
 def report_to_obj(report: InvariantReport, options: ReportOptions) -> dict:
+    from .trig import _report_parts
     return _report_obj(report.tetrahedron.spec, _report_parts(report), options)
 
 
@@ -255,6 +254,7 @@ def _corrupt(spec: FieldSpec, table: list, key: str) -> int:
 
 def corrupt_entry(report: InvariantReport, key: str) -> None:
     """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
+    from .trig import _report_parts
     spec, table = report.tetrahedron.spec, _report_parts(report)
     n = _corrupt(spec, table, key)
     (field, entry_key, _), entry = _ENTRIES[n], spec._ratio(*table[n])
@@ -489,6 +489,11 @@ def main(argv=None, startup=None) -> int:
             for phase, figures in timings.items():
                 figures = {name: round(value, 3) for name, value in figures.items()}
                 print(json.dumps({"phase": phase, **figures}), file=sys.stderr)
+
+
+# the library's names that `bench/run.py --trace 1` patches here, resolved on first use
+__getattr__ = _from_trig(__name__, ("analyze", "verify_identities", "skew_quadrance",
+                                    "tri_rectangular_checks", "CheckResults", "InvariantReport"))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,13 @@
-"""Whole-tetrahedron analysis: the invariant report, identity verification,
-skew quadrances of opposite edges, and the tri-rectangular specialization.
+"""The integer kernel and the verdict engine: every entry of a tetrahedron's invariant
+report, and the verdict on every identity and right-corner relation, on plain ints.
 
-A report stores every invariant fully expanded, computed from the defining
-formulas; the closed forms are used only as verification identities, so
-`_verify_parts` (under `verify_identities`) is the one place that checks them.
-An entry is Undefined exactly when the denominator of its defining formula
-vanishes, with a reason naming what vanished: a null edge (face and solid
-spreads), a null face normal (dihedral and dual solid spreads), a zero quadrea
-(R) or the zero skew denominator.  Quadrances, quadreas and the quadrume are
-always defined.
+The kernel (`_analyze_parts`) computes each entry from its defining formula as an integer
+pair (num, den); the closed forms are used only as verification identities, so
+`_verify_parts` is the one place that checks them.  An entry is Undefined exactly when the
+denominator of its defining formula vanishes, with a reason naming what vanished: a null
+edge (face and solid spreads), a null face normal (dihedral and dual solid spreads), a zero
+quadrea (R) or the zero skew denominator.  Q, A and V are always defined.  `trig` reads
+these tables back as field elements (`analyze`, `verify_identities`, ...).
 """
 
 from __future__ import annotations
@@ -16,20 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd, prod
 
-from .affine import Point3, b_project, displacement, translate
-from .blinalg import (Frozen, Record, SymmetricForm, Vector3, adj_cross_values, b_cross,
-                      dot_values, shared_spec)
-from .field import FieldElement, MixedFields, _over_common_den
-from .trig import (archimedes, quadrance, quadrume, solid_spread_from_parts,
-                   spread_from_parts)
-
-
-class NotSkewOrDegenerate(Exception):
-    """Opposite edge lines are parallel (or collapse), so no skew quadrance exists."""
-
-
-class NullCommonPerpendicular(Exception):
-    """The common perpendicular direction has quadrance zero."""
+from .blinalg import SymmetricForm, adj_cross_values, dot_values
+from .field import _over_common_den
 
 
 class NotTriRectangular(Exception):
@@ -38,10 +25,6 @@ class NotTriRectangular(Exception):
 
 class DegenerateParams(Exception):
     """Corner quadrances violate the nonzero/nonzero-sum requirements."""
-
-
-class NullPivot(Exception):
-    """Orthogonalization hit a direction with quadrance zero."""
 
 
 VERTICES = (0, 1, 2, 3)
@@ -73,74 +56,23 @@ def pairing_name(pairing) -> str:
     return f"{a}{b};{c}{d}"
 
 
-class Tetrahedron(Frozen):
-    """Four affine points measured against one symmetric form."""
-
-    __slots__ = ("a0", "a1", "a2", "a3", "form")
-
-    def __init__(self, a0: Point3, a1: Point3, a2: Point3, a3: Point3, form: SymmetricForm):
-        shared_spec(a0.x, a1.x, a2.x, a3.x)
-        if a0.spec != form.spec:
-            raise MixedFields("points and form drawn from different fields")
-        super().__init__(a0, a1, a2, a3, form)
-
-    @property
-    def spec(self):
-        return self.a0.spec
-
-    @property
-    def points(self) -> tuple[Point3, Point3, Point3, Point3]:
-        return (self.a0, self.a1, self.a2, self.a3)
-
-    def vertex(self, i: int) -> Point3:
-        return self.points[i]
-
-    def edge_vector(self, i: int, j: int) -> Vector3:
-        return displacement(self.points[i], self.points[j])
+def archimedes(a, b, c):
+    """(a+b+c)^2 - 2(a^2+b^2+c^2), symmetric in a, b, c; field elements or raw ints."""
+    s = a + b + c
+    return s * s - (a * a + b * b + c * c) * 2
 
 
-class Undefined(Frozen):
-    """Placeholder for a quantity whose defining formula divides by zero."""
-
-    __slots__ = ("reason",)
-
-    def _parts(self) -> tuple[int, int]:
-        """A zero den, which `_decide` reads as undecided wherever it is a factor."""
-        return 1, 0
+def spread_from_parts(d, q1, q2):
+    """(numerator, denominator) of the spread 1 - d^2/(q1 q2) of two directions
+    with dot product d and nonzero quadrances q1, q2; field elements or raw ints."""
+    qq = q1 * q2
+    return qq - d * d, qq
 
 
-def is_defined(entry: FieldElement | Undefined) -> bool:
-    return isinstance(entry, FieldElement)
-
-
-class InvariantReport(Record):
-    """Every metrical invariant of one tetrahedron, fully expanded.  Tables are
-    keyed like EDGES, FACES, FACE_SPREAD_KEYS, VERTICES and SKEW_PAIRINGS; spreads,
-    the ratio constant and skew quadrances may be Undefined."""
-
-    __slots__ = ("tetrahedron", "quadrances", "quadreas", "quadrume", "face_spreads",
-                 "dihedral_spreads", "solid_spreads", "dual_solid_spreads",
-                 "ratio_constant", "skew_quadrances")
-
-
-class Verdict(Frozen):
-    __slots__ = ("identity", "instance", "status")
-
-
-class CheckResults(Record):
-    __slots__ = ("verdicts",)
-
-    def counts(self) -> dict:
-        statuses = [v.status for v in self.verdicts]
-        return {status: statuses.count(status) for status in (PASS, FAIL, INAPPLICABLE)}
-
-    @property
-    def failures(self) -> list:
-        return [v for v in self.verdicts if v.status == FAIL]
-
-    @property
-    def all_applicable_pass(self) -> bool:
-        return not self.failures
+def solid_spread_from_parts(t, q1, q2, q3, det):
+    """(numerator, denominator) of the solid spread t^2/(det B q1 q2 q3) of three
+    directions with scalar triple t and nonzero quadrances q1, q2, q3."""
+    return t * t, det * q1 * q2 * q3
 
 
 def _skew_denominator(q: dict, pairing):
@@ -149,47 +81,6 @@ def _skew_denominator(q: dict, pairing):
     (a, b), (c, d) = pairing
     diff = q[edge_key(a, c)] + q[edge_key(b, d)] - q[edge_key(a, d)] - q[edge_key(b, c)]
     return q[edge_key(a, b)] * q[edge_key(c, d)] * 4 - diff * diff
-
-
-def skew_quadrance(tet: Tetrahedron, pairing, params=None) -> FieldElement:
-    """Quadrance of the gap between two opposite edge lines.
-
-    Projects the displacement between one point of each line onto their
-    common perpendicular direction.  The result does not depend on the
-    chosen points; `params` moves them along the lines to exercise that.
-    """
-    (a, b), (c, d) = pairing
-    form = tet.form
-    v1 = tet.edge_vector(a, b)
-    v2 = tet.edge_vector(c, d)
-    n = b_cross(v1, v2, form)
-    qn = form.quadrance(n)
-    if qn.is_zero:
-        if n.is_zero:
-            raise NotSkewOrDegenerate("opposite edge directions are parallel")
-        raise NullCommonPerpendicular("common perpendicular direction has quadrance zero")
-    p1 = tet.vertex(a)
-    p2 = tet.vertex(c)
-    if params is not None:
-        t1, t2 = params
-        p1 = translate(p1, v1 * t1)
-        p2 = translate(p2, v2 * t2)
-    gap = b_project(displacement(p1, p2), n, form)
-    return form.quadrance(gap)
-
-
-def skew_quadrance_closed_form(tet: Tetrahedron, pairing) -> FieldElement:
-    """Same quantity from the six quadrances and the quadrume alone."""
-    q = {e: quadrance(tet.vertex(e[0]), tet.vertex(e[1]), tet.form) for e in EDGES}
-    den = _skew_denominator(q, pairing)
-    if den.is_zero:
-        raise NotSkewOrDegenerate("skew quadrance denominator is zero")
-    return quadrume(tet) / den
-
-
-def _scaled_coordinates(points) -> tuple[int, list[int]]:
-    """L, the lcm of the coordinate denominators (1 over F_p), and the coordinates times L."""
-    return _over_common_den([c._parts() for point in points for c in point.coordinates()])
 
 
 def _edge(coords, i: int, j: int) -> tuple[int, int, int]:
@@ -212,15 +103,16 @@ def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: i
     return nw * nw, red(dot_values(b, n, n)) * s
 
 
-# InvariantReport's fields of entries in print order, each with its table's keys (None: one
-# entry), its printed section, the printed name of a key, and why an entry is Undefined, what
-# vanished to make its denominator zero; Q, A and V never are, as s and det B are nonzero.
-_FIELDS = tuple((field, *layout) for field, layout in zip(InvariantReport.__slots__[1:], (
-    (EDGES, "Q", "%d%d".__mod__, None), (FACES, "A", "%d%d%d".__mod__, None),
-    (None, "V", None, None), (FACE_SPREAD_KEYS, "s", "%d;%d%d".__mod__, "NullEdge"),
-    (EDGES, "E", "%d%d".__mod__, "NullNormal"), (VERTICES, "S", str, "NullEdge"),
-    (VERTICES, "D", str, "NullNormal"), (None, "R", None, "ZeroQuadrea"),
-    (SKEW_PAIRINGS, "skew", pairing_name, "ZeroDenominator"))))
+# a report's fields (`trig.InvariantReport`) in print order: keys (None: one entry), section,
+# printed name of a key, and why an entry is Undefined: what vanished (never for Q, A or V)
+_FIELDS = (("quadrances", EDGES, "Q", "%d%d".__mod__, None),
+    ("quadreas", FACES, "A", "%d%d%d".__mod__, None), ("quadrume", None, "V", None, None),
+    ("face_spreads", FACE_SPREAD_KEYS, "s", "%d;%d%d".__mod__, "NullEdge"),
+    ("dihedral_spreads", EDGES, "E", "%d%d".__mod__, "NullNormal"),
+    ("solid_spreads", VERTICES, "S", str, "NullEdge"),
+    ("dual_solid_spreads", VERTICES, "D", str, "NullNormal"),
+    ("ratio_constant", None, "R", None, "ZeroQuadrea"),
+    ("skew_quadrances", SKEW_PAIRINGS, "skew", pairing_name, "ZeroDenominator"))
 # every entry in print order: its field, its key and its Undefined reason
 _ENTRIES = tuple((field, key, reason) for field, keys, *_, reason in _FIELDS
                  for key in keys or (None,))
@@ -234,7 +126,7 @@ def _by_field(entries) -> list:
 
 
 # each entry's index in _ENTRIES, by field: an index, or a dict of them by key
-_INDEX = dict(zip(InvariantReport.__slots__[1:], _by_field(range(len(_ENTRIES)))))
+_INDEX = dict(zip((field for field, *_ in _FIELDS), _by_field(range(len(_ENTRIES)))))
 
 
 def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
@@ -242,7 +134,7 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
     order, from the defining formulas on plain ints: the twelve coordinates of the
     points, three per point, times `scale`.
 
-    Over Q the points are scaled by L (`_scaled_coordinates`) and the form by M
+    Over Q the points are scaled by L (`trig._scaled_coordinates`) and the form by M
     (`SymmetricForm._ints`); with s = L^2 M each entry's one division takes the
     scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads unscaled.  Over
     F_p, L = M = s = 1 and values are reduced mod p as they grow.  No branch on a
@@ -304,21 +196,6 @@ def _report_table(form: SymmetricForm, scale: int, coords) -> list:
         return [(num * pow(den, -1, p) % p, 1) if den % p else (1, 0) for num, den in parts]
     gcds = ((num, den, gcd(num, den) if den > 0 else -gcd(num, den)) for num, den in parts)
     return [(num // g, den // g) if den else (1, 0) for num, den, g in gcds]
-
-
-def analyze(tet: Tetrahedron) -> InvariantReport:
-    """The full invariant report: each entry of `_report_table` as num / den, or
-    Undefined, with the reason its field's denominator names, where den is 0."""
-    spec, table = tet.spec, _report_table(tet.form, *_scaled_coordinates(tet.points))
-    return InvariantReport(tet, *_by_field(
-        spec._ratio(num, den) if den else Undefined(reason)
-        for (_, _, reason), (num, den) in zip(_ENTRIES, table)))
-
-
-def _report_parts(report: InvariantReport) -> list:
-    """The report's entries as (num, den), in `_ENTRIES` order; an Undefined one is (1, 0)."""
-    return [entry._parts() for table in report._fields()[1:]
-            for entry in (table.values() if isinstance(table, dict) else (table,))]
 
 
 def _sum(*terms):
@@ -463,32 +340,6 @@ def _identity_verdicts(red, parts, rows=_IDENTITIES, *args) -> list:
     return [(row[0], row[1], status) for row, status in zip(rows, statuses)]
 
 
-def verify_identities(report: InvariantReport) -> CheckResults:
-    """One verdict per identity instance, from the report entries alone."""
-    verdicts = _identity_verdicts(report.tetrahedron.spec._red, _report_parts(report))
-    return CheckResults([Verdict(*verdict) for verdict in verdicts])
-
-
-def tri_rectangular_frame(form: SymmetricForm):
-    """Three mutually B-perpendicular directions with nonzero quadrances.
-
-    Successive orthogonalization of the standard basis using exact division
-    only; raises NullPivot when a swept direction has quadrance zero, in
-    which case a permuted seed basis may still succeed.
-    """
-    spec = form.spec
-    basis = (Vector3.of(spec, 1, 0, 0), Vector3.of(spec, 0, 1, 0), Vector3.of(spec, 0, 0, 1))
-    frame = []
-    for e in basis:
-        u = e
-        for prev in frame:
-            u = u - b_project(u, prev, form)
-        if form.quadrance(u).is_zero:
-            raise NullPivot("orthogonalization hit a direction with quadrance zero")
-        frame.append(u)
-    return tuple(frame)
-
-
 def _corner_factors(red, k) -> list:
     """K1, K2, K3, (num, den) pairs with nonzero dens, then K1 + K2, K1 + K3, K2 + K3 and
     K1 K2 + K1 K3 + K2 K3; raises DegenerateParams where one is zero under `red`."""
@@ -503,16 +354,6 @@ def _corner_factors(red, k) -> list:
     return [*k, *sums, cs]
 
 
-class TriRectParams(Frozen):
-    """Corner quadrances of a tetrahedron that is tri-rectangular at vertex 0."""
-
-    __slots__ = ("k1", "k2", "k3")
-
-    def __init__(self, k1: FieldElement, k2: FieldElement, k3: FieldElement):
-        _corner_factors(shared_spec(k1, k2, k3)._red, [k._parts() for k in (k1, k2, k3)])
-        super().__init__(k1, k2, k3)
-
-
 def _corner_parts(form: SymmetricForm, scale: int, coords) -> list:
     """K1, K2, K3, the quadrances of the edges at vertex 0, as (num, den) pairs on the scaled
     integers of `_analyze_parts`; NotTriRectangular unless those edges are B-perpendicular."""
@@ -523,20 +364,6 @@ def _corner_parts(form: SymmetricForm, scale: int, coords) -> list:
     return [(red(dot_values(b, v, v)), s) for v in edges]
 
 
-def corner_params(tet: Tetrahedron) -> TriRectParams:
-    """Validate tri-rectangularity at vertex 0 and extract the corner quadrances."""
-    k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
-    return TriRectParams(*(tet.spec._ratio(*pair) for pair in k))
-
-
-def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
-    """Verdicts for the right-corner closed forms and sum relations of `report`."""
-    tet = report.tetrahedron
-    k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
-    verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), k)
-    return CheckResults([Verdict(*verdict) for verdict in verdicts])
-
-
 def _right_corner_parts(red, parts, k) -> list:
     """(identity, instance, status) of each row of `_RIGHT_CORNER` from a report's entries
     `parts` and K1, K2, K3 (`_corner_parts`); an Undefined entry fails a relation.  Exact, as
@@ -544,3 +371,21 @@ def _right_corner_parts(red, parts, k) -> list:
     a, e, (num, den), d = (_sum(*(parts[n] for n in terms)) for terms in _CORNER_SUMS)
     extra = [*_corner_factors(red, k), a, e, (den - num, den), d]
     return _identity_verdicts(red, parts, _RIGHT_CORNER, extra, FAIL)
+
+
+def _from_trig(module: str, names: tuple):
+    """A module `__getattr__` (PEP 562) that resolves `names`, and no other, from `trig`."""
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from . import trig
+        return getattr(trig, name)
+    return __getattr__
+
+
+# the FieldElement library over these tables, now in `trig`, resolves at its old address here
+__getattr__ = _from_trig(__name__, (
+    "Tetrahedron", "Undefined", "InvariantReport", "Verdict", "CheckResults", "TriRectParams",
+    "is_defined", "skew_quadrance", "skew_quadrance_closed_form", "_scaled_coordinates",
+    "analyze", "_report_parts", "verify_identities", "tri_rectangular_frame", "corner_params",
+    "tri_rectangular_checks", "NotSkewOrDegenerate", "NullCommonPerpendicular", "NullPivot"))

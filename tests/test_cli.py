@@ -624,7 +624,7 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
     # report, verify and verify --corrupt work on one canonical table per document:
     # no report, boundary, read-back, Verdict or CheckResults, and the same bytes
     import tetrig.cli as cli
-    from tetrig import tetra
+    from tetrig import tetra, trig
     from tetrig.cli import _ENTRY_KEYS
     docs = _fixture_documents()
     runs = [(name, [command]) for name in docs for command in ("report", "verify")]
@@ -646,7 +646,7 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by report or verify")
-    for module in (cli, tetra):  # every name bound to a target
+    for module in (cli, tetra, trig):  # every name bound to a target
         for name, value in list(vars(module).items()):
             if any(value is target for target in targets):
                 monkeypatch.setattr(module, name, forbidden)
@@ -658,13 +658,33 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
     assert {code for code, _, _ in clean} == {0, 1, 2}  # passing, corrupted, unknown key
 
 
+def test_commands_load_only_the_integer_kernel():
+    # report, verify (the right corner included), verify --corrupt and in-process fuzz runs
+    # import the kernel and the CLI only, never the FieldElement library (`affine`, `trig`)
+    doc = str(FIXTURES / "tri_rectangular_f101.json")
+    runs = [["report", "--input", doc], ["verify", "--input", doc],
+            ["verify", "--input", doc, "--corrupt", "E.01"],
+            ["fuzz", "--prime", "101", "--samples", "30"],
+            ["fuzz", "--prime", "7", "--samples", "30", "--random-form"]]
+    probe = (f"import contextlib, io, json, sys\nfrom tetrig.cli import main\n"
+             f"with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [main(argv) for argv in {runs!r}]\n"
+             f"print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'tetrig']]))")
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    codes, modules = json.loads(run.stdout)
+    assert codes == [0, 0, 1, 0, 0]
+    assert sorted(modules) == ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field",
+                               "tetrig.tetra"]
+
+
 def test_report_and_verify_read_the_points_once(monkeypatch):
     # parsing scales the points without `_scaled_coordinates` and builds the form's seven
     # field elements (six entries and det) and no other; per document, one kernel call on
     # the coordinates that parsing scaled, and no field element built after parsing, the
     # right corner's K1, K2, K3 included
     import tetrig.cli as cli
-    from tetrig import field, tetra
+    from tetrig import field, tetra, trig
     calls = Counter()
 
     def counted(name, fn):
@@ -672,7 +692,7 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
             calls[name] += 1
             return fn(*args)
         return wrapper
-    for module in (cli, tetra):
+    for module in (cli, tetra, trig):
         for name in ("_analyze_parts", "_scaled_coordinates"):
             monkeypatch.setattr(module, name, counted(name, getattr(tetra, name)), raising=False)
     element = field.FieldElement
