@@ -9,10 +9,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "affine": ("DegeneratePlane", "Line", "NullAxis", "Plane", "Point3", "b_project",
                "displacement", "line_through", "lines_equal", "plane_normal", "plane_through",
-               "point_on_line", "point_on_plane", "translate"),
-    "blinalg": ("DegenerateForm", "SymmetricForm", "Vector3", "b_cross", "b_dot", "cross3",
-                "det3", "mat3_det", "quad_scalar", "quad_vector", "quadrance_vec",
-                "scalar_triple", "triple_of_crosses", "vector_triple"),
+               "point_on_line", "point_on_plane", "translate", "Vector3", "b_cross", "b_dot",
+               "cross3", "det3", "mat3_det", "quad_scalar", "quad_vector", "quadrance_vec",
+               "scalar_triple", "triple_of_crosses", "vector_triple"),
+    "blinalg": ("DegenerateForm", "SymmetricForm"),
     "field": ("DivisionByZero", "FieldElement", "FieldError", "FieldSpec", "InvalidFieldSpec",
               "LiteralTooLong", "MalformedLiteral", "MixedFields", "ZeroDenominator", "invert",
               "parse_element", "render"),
@@ -26,16 +26,32 @@ _EXPORTS = {
              "dual_solid_spread", "quadrance", "quadrea", "quadrume", "quadrume_from_gram",
              "quadrume_from_quadrances", "solid_spread", "spread", "spread_vectors"),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-__all__ = [*_EXPORTS, *_HOME]
+__all__ = [*_EXPORTS, *(name for names in _EXPORTS.values() for name in names)]
+
+
+def _resolver(namespace: dict, homes: dict):
+    """A module `__getattr__` (PEP 562) for the module whose globals are `namespace`: it
+    resolves each name of `homes` ({module of this package: its names}), and no other, from
+    the module that holds it, imported then, and binds it in `namespace`, so the hook runs
+    once per name.  Names that moved out of a module resolve, and unpickle, at its address."""
+    module = namespace["__name__"]
+    home = {name: source for source, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f"{__name__}.{home[name]}"), name)
+        return value
+    return __getattr__
+
+
+_resolve = _resolver(globals(), _EXPORTS)
 
 
 def __getattr__(name: str):
     if name in _EXPORTS:
         return import_module(f"{__name__}.{name}")
-    if name in _HOME:
-        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _resolve(name)
 
 
 def __dir__() -> list:

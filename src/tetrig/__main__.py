@@ -1,7 +1,7 @@
 import sys
-from time import perf_counter, process_time
+from time import perf_counter
 
 start = perf_counter()
 from .cli import main  # noqa: E402  (its import is timed for --timings)
 
-sys.exit(main(startup=(perf_counter() - start, process_time())))
+sys.exit(main(startup=perf_counter() - start))

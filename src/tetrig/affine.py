@@ -1,9 +1,121 @@
-"""Points, lines, planes, normals, and projection in affine 3-space."""
+"""Vectors and points, the twisted products of vectors, and lines, planes, normals and
+projection in affine 3-space, over field elements."""
 
 from __future__ import annotations
 
-from .blinalg import Frozen, SymmetricForm, Vector3, b_cross, cross3, det3, shared_spec
+from .blinalg import Frozen, SymmetricForm, _raw, adj_cross_values, shared_spec
 from .field import FieldElement, FieldSpec, MixedFields
+
+
+class Vector3(Frozen):
+    """Displacement vector with three exact components."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
+        shared_spec(x, y, z)
+        super().__init__(x, y, z)
+
+    @classmethod
+    def of(cls, spec: FieldSpec, x, y, z) -> "Vector3":
+        return cls(spec.element(x), spec.element(y), spec.element(z))
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.x.spec
+
+    @property
+    def is_zero(self) -> bool:
+        return self.x.is_zero and self.y.is_zero and self.z.is_zero
+
+    def components(self) -> tuple[FieldElement, FieldElement, FieldElement]:
+        return (self.x, self.y, self.z)
+
+    def __add__(self, other: "Vector3") -> "Vector3":
+        return Vector3(self.x + other.x, self.y + other.y, self.z + other.z)
+
+    def __sub__(self, other: "Vector3") -> "Vector3":
+        return Vector3(self.x - other.x, self.y - other.y, self.z - other.z)
+
+    def __neg__(self) -> "Vector3":
+        return Vector3(-self.x, -self.y, -self.z)
+
+    def __mul__(self, k) -> "Vector3":
+        return Vector3(self.x * k, self.y * k, self.z * k)
+
+    __rmul__ = __mul__
+
+
+def cross3(v: Vector3, w: Vector3) -> Vector3:
+    """Plain Euclidean cross product of two row vectors."""
+    return Vector3(v.y * w.z - v.z * w.y,
+                   v.z * w.x - v.x * w.z,
+                   v.x * w.y - v.y * w.x)
+
+
+def det3(v1: Vector3, v2: Vector3, v3: Vector3) -> FieldElement:
+    """Determinant of the matrix stacking v1, v2, v3 as rows."""
+    c = cross3(v2, v3)
+    return v1.x * c.x + v1.y * c.y + v1.z * c.z
+
+
+def mat3_det(rows) -> FieldElement:
+    """Determinant of a 3x3 matrix given as three rows of field elements."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    return (m00 * (m11 * m22 - m12 * m21)
+            - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
+
+
+
+
+def b_dot(v: Vector3, w: Vector3, form: SymmetricForm) -> FieldElement:
+    return form.dot(v, w)
+
+
+def quadrance_vec(v: Vector3, form: SymmetricForm) -> FieldElement:
+    return form.quadrance(v)
+
+
+def b_cross(v: Vector3, w: Vector3, form: SymmetricForm) -> Vector3:
+    """(v x w) adj B, evaluated on raw values with one division per component."""
+    form._check(v)
+    form._check(w)
+    ratio, m2 = form.spec._ratio, form._scale ** 2
+    x, y, z = adj_cross_values(form._adj, _raw(v), _raw(w))
+    return Vector3(ratio(x, m2), ratio(y, m2), ratio(z, m2))
+
+
+def scalar_triple(v1: Vector3, v2: Vector3, v3: Vector3, form: SymmetricForm) -> FieldElement:
+    return form.dot(v1, b_cross(v2, v3, form))
+
+
+def vector_triple(v1: Vector3, v2: Vector3, v3: Vector3, form: SymmetricForm) -> Vector3:
+    """First vector crossed with the cross of the other two."""
+    direct = b_cross(v1, b_cross(v2, v3, form), form)
+    expanded = (v2 * form.dot(v1, v3) - v3 * form.dot(v1, v2)) * form.det
+    # the two evaluation routes agree identically; a mismatch means the
+    # cached adjugate or determinant is corrupt
+    if direct != expanded:
+        raise RuntimeError("internal check failed: vector triple routes disagree")
+    return direct
+
+
+def quad_scalar(v1: Vector3, v2: Vector3, v3: Vector3, v4: Vector3,
+                form: SymmetricForm) -> FieldElement:
+    return form.dot(b_cross(v1, v2, form), b_cross(v3, v4, form))
+
+
+def quad_vector(v1: Vector3, v2: Vector3, v3: Vector3, v4: Vector3,
+                form: SymmetricForm) -> Vector3:
+    return b_cross(b_cross(v1, v2, form), b_cross(v3, v4, form), form)
+
+
+def triple_of_crosses(v1: Vector3, v2: Vector3, v3: Vector3,
+                      form: SymmetricForm) -> FieldElement:
+    return scalar_triple(b_cross(v2, v3, form),
+                         b_cross(v3, v1, form),
+                         b_cross(v1, v2, form), form)
 
 
 class DegeneratePlane(Exception):

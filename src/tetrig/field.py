@@ -24,7 +24,6 @@ and `FieldSpec._red`, which reduces a raw integer mod p (over Q: unchanged).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -106,6 +105,11 @@ class FieldSpec:
                 raise InvalidFieldSpec(f"modulus {p} is not below {MAX_MODULUS}")
             if not _is_prime(p):
                 raise InvalidFieldSpec(f"modulus {p} is not prime")
+        else:
+            # `fractions` (with `decimal` and `numbers`) is imported here, once: only Q uses
+            # `Fraction`, and every element of Q comes from this spec
+            global Fraction
+            from fractions import Fraction
         spec = object.__new__(cls)
         object.__setattr__(spec, "p", p)
         object.__setattr__(spec, "_red", int if p is None else p.__rmod__)

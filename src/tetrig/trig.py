@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from operator import truediv
 
-from .affine import Line, Plane, Point3, b_project, displacement, plane_normal, translate
-from .blinalg import (Frozen, Record, SymmetricForm, Vector3, b_cross, mat3_det,
-                      scalar_triple, shared_spec)
+from .affine import (Line, Plane, Point3, Vector3, b_cross, b_project, displacement, mat3_det,
+                     plane_normal, scalar_triple, translate)
+from .blinalg import Frozen, Record, SymmetricForm, shared_spec
+from .corner import _corner_factors, _corner_parts, _right_corner_parts
 from .field import FieldElement, MixedFields, _over_common_den
-from .tetra import (_ENTRIES, _FIELDS, EDGES, FAIL, INAPPLICABLE, PASS, _by_field, _corner_factors,
-                    _corner_parts, _identity_verdicts, _report_table, _right_corner_parts,
-                    _skew_denominator, archimedes, solid_spread_from_parts, spread_from_parts)
+from .tetra import (_ENTRIES, _FIELDS, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
+                    _identity_verdicts, _report_table, _skew_denominator, archimedes,
+                    solid_spread_from_parts, spread_from_parts)
 
 
 class NullDirection(Exception):

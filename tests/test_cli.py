@@ -430,11 +430,11 @@ def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
     assert code == 1
 
 
-def _fault_in_sample(monkeypatch, cli, index, target, fault):
-    """Make `cli.<target>` raise `fault` at its first call in fuzz sample `index`,
+def _fault_in_sample(monkeypatch, fuzz, index, target, fault):
+    """Make `fuzz.<target>` raise `fault` at its first call in fuzz sample `index`,
     with no pool; returns each sample's draws, by index, as the run makes them."""
     draws, current = {}, []
-    run_sample, sample, real = cli._run_sample, cli._sample_tetrahedron, getattr(cli, target)
+    run_sample, sample, real = fuzz._run_sample, fuzz._sample_tetrahedron, getattr(fuzz, target)
 
     def tracking_run(cfg, i):
         current.append(i)
@@ -454,9 +454,9 @@ def _fault_in_sample(monkeypatch, cli, index, target, fault):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(cli, "_run_sample", tracking_run)
-    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
-    monkeypatch.setattr(cli, target, faulty)
+    monkeypatch.setattr(fuzz, "_run_sample", tracking_run)
+    monkeypatch.setattr(fuzz, "_sample_tetrahedron", tracking_sample)
+    monkeypatch.setattr(fuzz, target, faulty)
     return draws
 
 
@@ -467,11 +467,11 @@ def _fault_in_sample(monkeypatch, cli, index, target, fault):
 def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
     # a fault raised while sample 2 is checked is recorded with its input;
     # the other samples are tallied as before and the run exits 1
-    import tetrig.cli as cli
+    from tetrig import fuzz
     cfg = FuzzConfig(prime=101, samples=5, seed=8)
     clean, _ = run_fuzz(cfg)
-    sample_2 = cli._run_sample(cfg, 2)[0]
-    draws = _fault_in_sample(monkeypatch, cli, 2, target, fault)
+    sample_2 = fuzz._run_sample(cfg, 2)[0]
+    draws = _fault_in_sample(monkeypatch, fuzz, 2, target, fault)
     assert main(["fuzz", "--prime", "101", "--samples", "5", "--seed", "8",
                  "--workers", "1"]) == 1
     summary = json.loads(capsys.readouterr().out)
@@ -494,12 +494,13 @@ def test_fuzz_fault_is_a_failure_record(monkeypatch, capsys, target, fault):
 def test_fuzz_fault_on_a_rejected_draw_is_a_failure_record(monkeypatch, capsys):
     # the kernel also decides degeneracy, inside the fault guard: a fault on a
     # draw that would be rejected as degenerate is recorded with that draw
-    import tetrig.cli as cli
+    from tetrig import fuzz
     from tetrig.trig import quadrume
     cfg = FuzzConfig(prime=7, samples=10, seed=2)
     index = next(i for i in range(cfg.samples)
-                 if cli._run_sample(cfg, i)[0]["degenerate_tetrahedra"])
-    draws = _fault_in_sample(monkeypatch, cli, index, "_analyze_parts", DivisionByZero("injected"))
+                 if fuzz._run_sample(cfg, i)[0]["degenerate_tetrahedra"])
+    draws = _fault_in_sample(monkeypatch, fuzz, index, "_analyze_parts",
+                             DivisionByZero("injected"))
     assert main(["fuzz", "--prime", "7", "--samples", "10", "--seed", "2",
                  "--workers", "1"]) == 1
     summary = json.loads(capsys.readouterr().out)
@@ -515,8 +516,8 @@ def test_fuzz_fault_on_a_rejected_draw_is_a_failure_record(monkeypatch, capsys):
 def test_fuzz_fault_on_the_first_draw_is_a_failure_record(monkeypatch):
     # a fault in the kernel on each sample's first draw is recorded with that
     # draw, written from its residues, and the run goes on
-    import tetrig.cli as cli
-    draws, sample = [], cli._sample_tetrahedron
+    from tetrig import fuzz
+    draws, sample = [], fuzz._sample_tetrahedron
 
     def tracking_sample(rng, p):
         draws.append(sample(rng, p))
@@ -524,8 +525,8 @@ def test_fuzz_fault_on_the_first_draw_is_a_failure_record(monkeypatch):
 
     def faulty(*args):
         raise DivisionByZero("injected")
-    monkeypatch.setattr(cli, "_sample_tetrahedron", tracking_sample)
-    monkeypatch.setattr(cli, "_analyze_parts", faulty)
+    monkeypatch.setattr(fuzz, "_sample_tetrahedron", tracking_sample)
+    monkeypatch.setattr(fuzz, "_analyze_parts", faulty)
     summary, code = run_fuzz(FuzzConfig(prime=101, samples=2, seed=1))
     monkeypatch.undo()
     assert code == 1
@@ -591,8 +592,7 @@ def test_fuzz_sample_builds_no_report(monkeypatch):
     # a sample checks the kernel's (num, den) parts of its drawn residues as they
     # are: no points or tetrahedron built, no report, no boundary, no read-back and
     # no second computation of V
-    import tetrig.cli as cli
-    from tetrig import affine, tetra, trig
+    from tetrig import affine, fuzz, tetra, trig
     configs = [FuzzConfig(prime=7, samples=30, seed=4, random_form=True),
                FuzzConfig(prime=101, samples=20, seed=5)]
     clean = [run_fuzz(cfg) for cfg in configs]
@@ -601,7 +601,7 @@ def test_fuzz_sample_builds_no_report(monkeypatch):
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a fuzz sample")
-    for module in (cli, affine, tetra, trig):  # every name bound to a target
+    for module in (fuzz, affine, tetra, trig):  # every name bound to a target
         for name, value in list(vars(module).items()):
             if any(value is target for target in targets):
                 monkeypatch.setattr(module, name, forbidden)
@@ -623,9 +623,8 @@ def _fixture_documents():
 def test_report_and_verify_build_no_report(monkeypatch, capsys):
     # report, verify and verify --corrupt work on one canonical table per document:
     # no report, boundary, read-back, Verdict or CheckResults, and the same bytes
-    import tetrig.cli as cli
-    from tetrig import tetra, trig
-    from tetrig.cli import _ENTRY_KEYS
+    from tetrig import document, tetra, trig
+    from tetrig.document import _ENTRY_KEYS
     docs = _fixture_documents()
     runs = [(name, [command]) for name in docs for command in ("report", "verify")]
     runs += [(name, ["verify", "--corrupt", key]) for name in docs
@@ -641,12 +640,12 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
     clean = outputs()
     targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts,
                tetra.tri_rectangular_checks, tetra.Verdict, tetra.CheckResults,
-               tetra.InvariantReport, tetra.Undefined, cli.report_to_obj, cli.results_to_obj,
-               cli.corrupt_entry)
+               tetra.InvariantReport, tetra.Undefined, document.report_to_obj,
+               document.results_to_obj, document.corrupt_entry)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by report or verify")
-    for module in (cli, tetra, trig):  # every name bound to a target
+    for module in (document, tetra, trig):  # every name bound to a target
         for name, value in list(vars(module).items()):
             if any(value is target for target in targets):
                 monkeypatch.setattr(module, name, forbidden)
@@ -658,24 +657,43 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
     assert {code for code, _, _ in clean} == {0, 1, 2}  # passing, corrupted, unknown key
 
 
-def test_commands_load_only_the_integer_kernel():
-    # report, verify (the right corner included), verify --corrupt and in-process fuzz runs
-    # import the kernel and the CLI only, never the FieldElement library (`affine`, `trig`)
-    doc = str(FIXTURES / "tri_rectangular_f101.json")
-    runs = [["report", "--input", doc], ["verify", "--input", doc],
-            ["verify", "--input", doc, "--corrupt", "E.01"],
-            ["fuzz", "--prime", "101", "--samples", "30"],
-            ["fuzz", "--prime", "7", "--samples", "30", "--random-form"]]
-    probe = (f"import contextlib, io, json, sys\nfrom tetrig.cli import main\n"
-             f"with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    codes = [main(argv) for argv in {runs!r}]\n"
-             f"print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'tetrig']]))")
+def _launch_modules(code: str) -> tuple[list, list]:
+    """The lines a fresh interpreter prints running `code`, and the modules it then holds of
+    the tetrig package and of `fractions`, `decimal` and `numbers` (Q's `Fraction`)."""
+    probe = (f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if "
+             "m.split('.')[0] in ('tetrig', 'fractions', 'decimal', 'numbers')))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
-    codes, modules = json.loads(run.stdout)
-    assert codes == [0, 0, 1, 0, 0]
-    assert sorted(modules) == ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field",
-                               "tetrig.tetra"]
+    *printed, modules = run.stdout.splitlines()
+    return printed, modules.split()
+
+
+def test_commands_load_only_the_integer_kernel():
+    # each launch imports the kernel, the CLI and its command's module only, never the
+    # FieldElement library (`affine`, `trig`): report and verify `document`, with `corner`
+    # for a right corner only, and fuzz `fuzz`; over F_p none imports `fractions`
+    q_plain, fp_corner = (str(FIXTURES / name) for name in ("tall_literal_q.json",
+                                                             "tri_rectangular_f101.json"))
+    kernel = ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field", "tetrig.tetra"]
+    launches = [
+        (["report", "--input", q_plain], 0, [*kernel, "tetrig.document"]),
+        (["verify", "--input", q_plain], 0, [*kernel, "tetrig.document"]),
+        (["report", "--input", fp_corner], 0, [*kernel, "tetrig.corner", "tetrig.document"]),
+        (["verify", "--input", fp_corner], 0, [*kernel, "tetrig.corner", "tetrig.document"]),
+        (["verify", "--input", fp_corner, "--corrupt", "E.01"], 1,
+         [*kernel, "tetrig.corner", "tetrig.document"]),
+        (["fuzz", "--prime", "101", "--samples", "30"], 0, [*kernel, "tetrig.fuzz"]),
+        (["fuzz", "--prime", "7", "--samples", "30", "--random-form"], 0,
+         [*kernel, "tetrig.fuzz"])]
+    for argv, code, modules in launches:
+        rational = ["decimal", "fractions", "numbers"] if argv[-1] == q_plain else []
+        launch = ("import contextlib, io, sys\nfrom tetrig.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = main({argv!r})\nprint(code)")
+        assert _launch_modules(launch) == ([str(code)], sorted(rational + modules)), argv
+    # importing the CLI loads no command module
+    assert _launch_modules("import tetrig.cli") == (
+        [], ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field"])
 
 
 def test_report_and_verify_read_the_points_once(monkeypatch):
@@ -683,8 +701,7 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
     # field elements (six entries and det) and no other; per document, one kernel call on
     # the coordinates that parsing scaled, and no field element built after parsing, the
     # right corner's K1, K2, K3 included
-    import tetrig.cli as cli
-    from tetrig import field, tetra, trig
+    from tetrig import corner, document, field, tetra, trig
     calls = Counter()
 
     def counted(name, fn):
@@ -692,7 +709,7 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
             calls[name] += 1
             return fn(*args)
         return wrapper
-    for module in (cli, tetra, trig):
+    for module in (document, corner, tetra, trig):
         for name in ("_analyze_parts", "_scaled_coordinates"):
             monkeypatch.setattr(module, name, counted(name, getattr(tetra, name)), raising=False)
     element = field.FieldElement
@@ -719,14 +736,14 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
 def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
     # on every draw of a fuzz run, the verdicts on the kernel's parts of the
     # residues equal those on the report, inapplicable ones included
-    import tetrig.cli as cli
+    from tetrig import fuzz
     from tetrig.tetra import _verify_parts, analyze, verify_identities
-    draws, kernel = [], cli._analyze_parts
+    draws, kernel = [], fuzz._analyze_parts
 
     def tracking_kernel(form, scale, coords):
         draws.append((form, coords, kernel(form, scale, coords)))
         return draws[-1][2]
-    monkeypatch.setattr(cli, "_analyze_parts", tracking_kernel)
+    monkeypatch.setattr(fuzz, "_analyze_parts", tracking_kernel)
     run_fuzz(FuzzConfig(prime=p, samples=40, seed=p % 1000, random_form=True,
                         reject_degenerate=reject_degenerate))
     statuses = set()
@@ -746,11 +763,10 @@ def _right_corner_doc(name):
 
 
 def _tracked_verdicts(monkeypatch):
-    """Binds every name for `_decide` in `cli` and `tetra` to a wrapper that records its
-    caller's name, and every name for `_verify_parts` to one that records its rows and extra
-    factors; returns the two lists."""
-    import tetrig.cli as cli
-    from tetrig import tetra
+    """Binds every name for `_decide` in the command modules, `corner` and `tetra` to a
+    wrapper that records its caller's name, and every name for `_verify_parts` to one that
+    records its rows and extra factors; returns the two lists."""
+    from tetrig import corner, document, fuzz, tetra
     callers, calls = [], []
     decide, verify_parts = tetra._decide, tetra._verify_parts
 
@@ -764,7 +780,7 @@ def _tracked_verdicts(monkeypatch):
     def tracked_verify_parts(red, parts, rows=tetra._IDENTITIES, extra=(), *args):
         calls.append((rows, list(extra)))
         return verify_parts(red, parts, rows, extra, *args)
-    for module in (cli, tetra):
+    for module in (document, fuzz, corner, tetra):
         for name, value in list(vars(module).items()):
             if value is decide:
                 monkeypatch.setattr(module, name, tracked_decide)
@@ -777,7 +793,8 @@ def test_every_verdict_is_decided_in_verify_parts(monkeypatch):
     # report, verify, verify --corrupt and fuzz decide every identity, right-corner
     # relation and skew projection in `_verify_parts`: once per document for the
     # identities and once for the right corner, and once per fuzz sample
-    from tetrig.tetra import _FUZZ_ROWS, _IDENTITIES, _RIGHT_CORNER
+    from tetrig.corner import _RIGHT_CORNER
+    from tetrig.tetra import _FUZZ_ROWS, _IDENTITIES
     callers, calls = _tracked_verdicts(monkeypatch)
     for name in ("unit_tri_rectangular", "tri_rectangular_mixed_corner", "tri_rectangular_f101"):
         doc = _right_corner_doc(name)
@@ -798,7 +815,8 @@ def test_row_factors_index_what_their_callers_supply(monkeypatch):
     # the identities index only the entries, the product of the Q^2 and the skew dens;
     # the right corner and the fuzz projection rows index those and every extra factor
     # that their callers pass, and no other
-    from tetrig.tetra import _EXTRA, _FUZZ_ROWS, _IDENTITIES, _RIGHT_CORNER
+    from tetrig.corner import _RIGHT_CORNER
+    from tetrig.tetra import _EXTRA, _FUZZ_ROWS, _IDENTITIES
     _, calls = _tracked_verdicts(monkeypatch)
     run_verify(_right_corner_doc("unit_tri_rectangular"))
     run_fuzz(FuzzConfig(prime=101, samples=1, seed=5))
@@ -816,7 +834,8 @@ def test_row_factors_index_what_their_callers_supply(monkeypatch):
 
 def test_right_corner_rows_are_the_golden_verdicts():
     # the 38 right-corner relations, in the order `verify` prints them
-    from tetrig.tetra import _IDENTITIES, _RIGHT_CORNER
+    from tetrig.corner import _RIGHT_CORNER
+    from tetrig.tetra import _IDENTITIES
     golden = json.loads((FIXTURES / "golden" / "verify-tri_rectangular_f101.json").read_text())
     printed = [(v["identity"], v["instance"]) for v in golden["verdicts"][len(_IDENTITIES):]]
     assert [row[:2] for row in _RIGHT_CORNER] == printed
@@ -913,4 +932,17 @@ def test_timings_time_the_import_under_python_m():
     assert proc.stdout == (FIXTURES / "golden" / "report-unit_tri_rectangular.json").read_bytes()
     lines = [json.loads(line) for line in proc.stderr.decode().splitlines()]
     assert [line["phase"] for line in lines] == ["import", "parse", "analyze", "serialise"]
+    assert lines[0]["ms"] > 0 and lines[0]["process_cpu_ms"] > 0
+
+
+def test_timings_count_the_command_import_as_import_under_python_m():
+    # `verify` imports its command module after `__main__` imported the CLI; that import is
+    # timed in the `import` line, and no other phase is added
+    fixture = FIXTURES / "tall_literal_q.json"
+    proc = run_python("-m", "tetrig", "verify", "--timings", "--input", str(fixture))
+    assert proc.returncode == 0
+    assert proc.stdout == (FIXTURES / "golden" / "verify-tall_literal_q.json").read_bytes()
+    lines = [json.loads(line) for line in proc.stderr.decode().splitlines()]
+    assert [line["phase"] for line in lines] == ["import", "parse", "analyze", "verify",
+                                                 "serialise"]
     assert lines[0]["ms"] > 0 and lines[0]["process_cpu_ms"] > 0

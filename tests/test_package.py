@@ -1,6 +1,6 @@
 """The package surface: every exported name resolves on first use, to the one object its
-module holds; the names that left `tetra` still resolve there; importing the package
-loads none of its modules."""
+module holds; the names that left `tetra`, `blinalg` and `cli` still resolve there, and
+old pickles load; importing the package loads none of its modules."""
 
 import os
 import pickle
@@ -45,9 +45,33 @@ TO_TRIG = ("Tetrahedron", "Undefined", "InvariantReport", "Verdict", "CheckResul
            "tri_rectangular_frame", "corner_params", "tri_rectangular_checks",
            "NotSkewOrDegenerate", "NullCommonPerpendicular", "NullPivot")
 TO_TETRA = ("archimedes", "spread_from_parts", "solid_spread_from_parts")
+# the right corner, which moved from `tetra` to `corner`
+TO_CORNER = ("_sum", "_CORNER_SUMS", "_right_corner_rows", "_RIGHT_CORNER", "_corner_factors",
+             "_corner_parts", "_right_corner_parts")
+# the vector library, which moved from `blinalg` to `affine`
+TO_AFFINE = ("Vector3", "cross3", "det3", "mat3_det", "b_dot", "quadrance_vec", "b_cross",
+             "scalar_triple", "vector_triple", "quad_scalar", "quad_vector", "triple_of_crosses")
+# the report/verify and fuzz code, which moved from `cli` to `document` and `fuzz`
+TO_DOCUMENT = ("ReportOptions", "InputDocument", "_field_spec_from_obj", "_parts_from_obj",
+               "document_from_obj", "load_document", "document_to_obj", "_PRINTED",
+               "_ENTRY_KEYS", "_report_obj", "report_to_obj", "_results_obj", "results_to_obj",
+               "_right_corner", "run_report", "_corrupt", "corrupt_entry", "run_verify")
+TO_FUZZ = ("FUZZ_IDENTITY_NAMES", "FuzzConfig", "_sample_tetrahedron", "_draw_obj",
+           "_run_sample", "MIN_SAMPLES_PER_PROCESS", "pool_size", "_processes", "_fold",
+           "_run_span", "run_fuzz")
 # the library's names that `bench/run.py --trace 1` reads and patches on `tetrig.cli`
 TRACED = ("analyze", "verify_identities", "skew_quadrance", "tri_rectangular_checks",
           "CheckResults", "InvariantReport")
+# every attribute that `bench/run.py` and `bench/tracing.py` read on each module
+BENCH_READS = {
+    "cli": ("load_document", "run_report", "run_verify", "FuzzConfig", "run_fuzz",
+            "_run_sample", "_sample_tetrahedron", "analyze", "verify_identities",
+            "skew_quadrance", "report_to_obj", "results_to_obj", "tri_rectangular_checks",
+            "FieldSpec", "SymmetricForm", "parse_element", "__file__"),
+    "blinalg": ("SymmetricForm", "b_cross"),
+    "tetra": ("analyze", "Undefined"),
+    "field": ("FieldSpec", "FieldElement"),
+}
 
 
 def _loaded_after(code: str) -> list:
@@ -79,7 +103,7 @@ def test_every_exported_name_resolves_to_its_module_object():
 
 
 def test_moved_names_resolve_at_their_old_address():
-    from tetrig import cli, tetra, trig
+    from tetrig import affine, blinalg, cli, corner, document, fuzz, tetra, trig
     for name in TO_TRIG:
         assert getattr(tetra, name) is getattr(trig, name), name
         assert name not in vars(tetra) or vars(tetra)[name] is getattr(trig, name), name
@@ -87,12 +111,20 @@ def test_moved_names_resolve_at_their_old_address():
         assert getattr(trig, name) is vars(tetra)[name], name
     for name in TRACED:
         assert getattr(cli, name) is getattr(trig, name), name
+    for old, new, names in ((tetra, corner, TO_CORNER), (blinalg, affine, TO_AFFINE),
+                            (cli, document, TO_DOCUMENT), (cli, fuzz, TO_FUZZ)):
+        for name in names:
+            assert getattr(old, name) is vars(new)[name], name
+            # the hook binds the name where it resolved it: the next read skips the hook
+            assert vars(old)[name] is vars(new)[name], name
     assert tetra.InvariantReport.__slots__ == ("tetrahedron", *(f[0] for f in tetra._FIELDS))
 
 
 @pytest.mark.parametrize("module, name", [
     ("tetrig", "nonesuch"), ("tetrig", "_report_parts"), ("tetrig.tetra", "nonesuch"),
-    ("tetrig.tetra", "quadrea"), ("tetrig.cli", "nonesuch"), ("tetrig.cli", "quadrea")])
+    ("tetrig.tetra", "quadrea"), ("tetrig.cli", "nonesuch"), ("tetrig.cli", "quadrea"),
+    ("tetrig.cli", "_analyze_parts"), ("tetrig.cli", "random"), ("tetrig.blinalg", "nonesuch"),
+    ("tetrig.blinalg", "Point3"), ("tetrig.tetra", "Vector3")])
 def test_an_unresolved_name_is_an_attribute_error(module, name):
     # each hook resolves its own names only, not every name of the module it reads
     with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
@@ -113,3 +145,20 @@ def test_tetrahedron_and_report_pickles_round_trip_old_addresses_included():
         assert old != data
         for twin in (pickle.loads(data), pickle.loads(old)):
             assert type(twin) is type(value) and repr(twin) == repr(value)
+
+
+def test_a_vector_pickle_from_the_old_address_loads():
+    from tetrig import Vector3
+    vector = Vector3.of(Q, 1, -2, 3)
+    data = pickle.dumps(vector, protocol=2)
+    # the same pickle written when the class lived in `blinalg`
+    old = data.replace(b"ctetrig.affine\nVector3", b"ctetrig.blinalg\nVector3")
+    assert old != data
+    for twin in (pickle.loads(data), pickle.loads(old)):
+        assert type(twin) is Vector3 and twin == vector
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    for module, names in BENCH_READS.items():
+        for name in names:
+            assert getattr(import_module(f"tetrig.{module}"), name) is not None, (module, name)

@@ -1,4 +1,5 @@
-"""Start-up cost of a tetrig launch: for `report`, `verify` and `fuzz` on a fixture, the
+"""Start-up cost of a tetrig launch: for `report` and `verify` on a fixture with the right
+corner, `report` on a Q fixture without it (the launch most Q documents pay) and `fuzz`, the
 tetrig modules that `python -m tetrig` imports and the AST nodes of their source, which the
 interpreter compiles at each launch when it writes no bytecode (PYTHONDONTWRITEBYTECODE).
 Run as `python tools/launch_cost.py SRC`, SRC holding the `tetrig` package (e.g. `src`).
@@ -10,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-FIXTURE = Path(__file__).resolve().parents[1] / "tests/fixtures/tri_rectangular_f101.json"
-COMMANDS = {"report": ["report", "--input", str(FIXTURE)],
-            "verify": ["verify", "--input", str(FIXTURE)],
+FIXTURES = Path(__file__).resolve().parents[1] / "tests/fixtures"
+CORNER, PLAIN = (str(FIXTURES / name) for name in ("tri_rectangular_f101.json",
+                                                   "tall_literal_q.json"))
+COMMANDS = {"report": ["report", "--input", CORNER],
+            "verify": ["verify", "--input", CORNER],
+            "report (Q, no right corner)": ["report", "--input", PLAIN],
             "fuzz": ["fuzz", "--prime", "101", "--samples", "20"]}
 
 
