@@ -3,7 +3,7 @@ projection in affine 3-space, over field elements."""
 
 from __future__ import annotations
 
-from .blinalg import Frozen, SymmetricForm, _raw, adj_cross_values, shared_spec
+from .blinalg import Frozen, SymmetricForm, _raw, adj_values, cross_values, shared_spec
 from .field import FieldElement, FieldSpec, MixedFields
 
 
@@ -82,7 +82,7 @@ def b_cross(v: Vector3, w: Vector3, form: SymmetricForm) -> Vector3:
     form._check(v)
     form._check(w)
     ratio, m2 = form.spec._ratio, form._scale ** 2
-    x, y, z = adj_cross_values(form._adj, _raw(v), _raw(w))
+    x, y, z = adj_values(form._adj, cross_values(_raw(v), _raw(w)))
     return Vector3(ratio(x, m2), ratio(y, m2), ratio(z, m2))
 
 

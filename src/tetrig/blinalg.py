@@ -2,12 +2,14 @@
 on raw values.
 
 The form B pairs vectors through v . w = v B w^T.  Cross-product style
-operations twist the Euclidean cross product by the adjugate of B, which
-keeps every result B-perpendicular to its factors and makes the classical
-triple/quadruple product identities hold over any field of characteristic
-not 2.  The integer kernel (`tetra`) calls `dot_values` and `adj_cross_values`
-on plain ints; the vector library over field elements (`Vector3`, `b_cross`,
-the triple products) is in `affine`, beside `Point3`.
+operations twist the Euclidean cross product by the adjugate of B:
+v x_B w = (v x w) adj B is B-perpendicular to its factors, as adj B . B = det B . I,
+and the classical triple/quadruple product identities hold over any field of
+characteristic not 2.  On plain ints the form's products are composed of four
+primitives: v B (`form_values`), the Euclidean cross product (`cross_values`),
+c adj B (`adj_values`) and the Euclidean inner product (`inner`).  The vector
+library over field elements (`Vector3`, `b_cross`, the triple products) is in
+`affine`, beside `Point3`.
 """
 
 from __future__ import annotations
@@ -72,27 +74,35 @@ class Frozen(Record):
     __delattr__ = __setattr__
 
 
-def dot_values(b, v, w):
-    """v B w^T on raw values: b = (a1, a2, a3, b1, b2, b3), v and w triples."""
+def form_values(b, v):
+    """v B on raw values: b = (a1, a2, a3, b1, b2, b3), v a triple."""
     a1, a2, a3, b1, b2, b3 = b
     x, y, z = v
-    return ((x * a1 + y * b3 + z * b2) * w[0] + (x * b3 + y * a2 + z * b1) * w[1]
-            + (x * b2 + y * b1 + z * a3) * w[2])
+    return x * a1 + y * b3 + z * b2, x * b3 + y * a2 + z * b1, x * b2 + y * b1 + z * a3
 
 
-def adj_cross_values(adj, v, w):
-    """(v x w) adj B on raw values: adj holds the adjugate as three rows."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = adj
-    cx = v[1] * w[2] - v[2] * w[1]
-    cy = v[2] * w[0] - v[0] * w[2]
-    cz = v[0] * w[1] - v[1] * w[0]
-    return (cx * a00 + cy * a10 + cz * a20,
-            cx * a01 + cy * a11 + cz * a21,
-            cx * a02 + cy * a12 + cz * a22)
+def cross_values(v, w):
+    """The Euclidean cross product v x w on raw values."""
+    (a, b, c), (x, y, z) = v, w
+    return b * z - c * y, c * x - a * z, a * y - b * x
+
+
+def adj_values(adj, c):
+    """c adj B on raw values: adj holds the adjugate, which is symmetric, as three rows."""
+    return inner(c, adj[0]), inner(c, adj[1]), inner(c, adj[2])
+
+
+def inner(v, w):
+    """The Euclidean inner product v . w of two triples of raw values."""
+    return v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
 
 
 def _raw(v: Vector3):
     return (v.x._value, v.y._value, v.z._value)
+
+
+# the form's entries in slot order, then its determinant: the field elements of a form
+_ELEMENTS = ("a1", "a2", "a3", "b1", "b2", "b3", "det")
 
 
 class SymmetricForm:
@@ -100,37 +110,52 @@ class SymmetricForm:
 
     Entry layout: a1, a2, a3 on the diagonal; b1 in rows/columns 2-3,
     b2 in 1-3, b3 in 1-2.  The determinant and adjugate are computed once,
-    at construction, by explicit cofactors; instances are immutable.  The
-    form keeps M B as raw ints (`_ints`) with its adjugate (`_adj`) and
-    determinant (`_int_det`); M (`_scale`) is the lcm of the entry
-    denominators over Q, and over F_p M = 1 and all three are reduced mod p.
+    at construction, by explicit cofactors, on integers; instances are
+    immutable.  The form keeps M B as raw ints (`_ints`) with its adjugate
+    (`_adj`) and determinant (`_int_det`); M (`_scale`) is the lcm of the
+    entry denominators over Q, and over F_p M = 1 and all three are reduced
+    mod p.  The entries and `det` as field elements are built on first use.
     """
 
-    __slots__ = ("a1", "a2", "a3", "b1", "b2", "b3", "spec", "det",
-                 "_ints", "_adj", "_int_det", "_scale")
+    __slots__ = (*_ELEMENTS, "spec", "_entry_parts", "_ints", "_adj", "_int_det", "_scale")
 
     def __init__(self, a1: FieldElement, a2: FieldElement, a3: FieldElement,
                  b1: FieldElement, b2: FieldElement, b3: FieldElement):
-        spec = self.spec = shared_spec(a1, a2, a3, b1, b2, b3)
-        self.a1, self.a2, self.a3 = a1, a2, a3
-        self.b1, self.b2, self.b3 = b1, b2, b3
-        m, ints = _over_common_den([e._parts() for e in (a1, a2, a3, b1, b2, b3)])  # 1 over F_p
+        entries = (a1, a2, a3, b1, b2, b3)
+        self._build(shared_spec(*entries), [e._parts() for e in entries])
+
+    @classmethod
+    def from_parts(cls, spec: FieldSpec, parts) -> "SymmetricForm":
+        """The form whose entries a1, a2, a3, b1, b2, b3 are the elements num/den of the six
+        integer pairs `parts`, each as `FieldElement._parts` gives it, over `spec`."""
+        form = object.__new__(cls)
+        form._build(spec, parts)
+        return form
+
+    def _build(self, spec: FieldSpec, parts) -> None:
+        m, ints = _over_common_den(parts)  # m = 1 over F_p
         i1, i2, i3, j1, j2, j3 = ints = tuple(ints)
-        adj = ((i2 * i3 - j1 * j1, j1 * j2 - i3 * j3, j1 * j3 - i2 * j2),
-               (j1 * j2 - i3 * j3, i1 * i3 - j2 * j2, j2 * j3 - i1 * j1),
-               (j1 * j3 - i2 * j2, j2 * j3 - i1 * j1, i1 * i2 - j3 * j3))
-        det = i1 * adj[0][0] + j3 * adj[0][1] + j2 * adj[0][2]
-        if (p := spec.p) is not None:
-            adj, det = tuple(tuple(x % p for x in row) for row in adj), det % p
+        # the adjugate, symmetric as B is: its diagonal c, and d in the layout of b1, b2, b3
+        red = spec._red
+        c1, c2, c3, d1, d2, d3 = map(red, (i2 * i3 - j1 * j1, i1 * i3 - j2 * j2, i1 * i2 - j3 * j3,
+                                           j2 * j3 - i1 * j1, j1 * j3 - i2 * j2, j1 * j2 - i3 * j3))
+        adj, det = ((c1, d3, d2), (d3, c2, d1), (d2, d1, c3)), red(i1 * c1 + j3 * d3 + j2 * d2)
         if det == 0:
             raise DegenerateForm("form matrix has determinant zero")
+        self.spec, self._entry_parts = spec, parts
         self._ints, self._adj, self._int_det, self._scale = ints, adj, det, m
-        self.det = spec._ratio(det, m ** 3)  # adj B = adj(M B) / M^2, det B = det(M B) / M^3
+
+    def __getattr__(self, name: str) -> FieldElement:
+        # the entries and `det` (det B = det(M B) / M^3), built on first use of one and kept
+        if name not in _ELEMENTS:
+            raise AttributeError(name)
+        for key, pair in zip(_ELEMENTS, (*self._entry_parts, (self._int_det, self._scale ** 3))):
+            setattr(self, key, self.spec._ratio(*pair))
+        return getattr(self, name)
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "SymmetricForm":
-        one, zero = spec.one(), spec.zero()
-        return cls(one, one, one, zero, zero, zero)
+        return cls.from_parts(spec, [(1, 1)] * 3 + [(0, 1)] * 3)
 
     @classmethod
     def diagonal(cls, d1: FieldElement, d2: FieldElement, d3: FieldElement) -> "SymmetricForm":
@@ -156,7 +181,7 @@ class SymmetricForm:
         """v B w^T, evaluated on raw values and reduced once."""
         self._check(v)
         self._check(w)
-        return self.spec._ratio(dot_values(self._ints, _raw(v), _raw(w)), self._scale)
+        return self.spec._ratio(inner(form_values(self._ints, _raw(v)), _raw(w)), self._scale)
 
     def quadrance(self, v: Vector3) -> FieldElement:
         return self.dot(v, v)

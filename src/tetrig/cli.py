@@ -149,11 +149,11 @@ def main(argv=None, startup: float | None = None) -> int:
 # --trace 1` patches here, resolve at this address on first use
 __getattr__ = _resolver(globals(), {
     "document": ("ReportOptions", "InputDocument", "_field_spec_from_obj", "_parts_from_obj",
-                 "document_from_obj", "load_document", "document_to_obj", "_PRINTED",
-                 "_ENTRY_KEYS", "_report_obj", "report_to_obj", "_results_obj", "results_to_obj",
-                 "_right_corner", "run_report", "_corrupt", "corrupt_entry", "run_verify"),
+                 "document_from_obj", "load_document", "_PRINTED", "_ENTRY_KEYS", "_report_obj",
+                 "_results_obj", "_right_corner", "run_report", "_corrupt", "run_verify"),
     "fuzz": ("FUZZ_IDENTITY_NAMES", "FuzzConfig", "_sample_tetrahedron", "_draw_obj",
              "_run_sample", "MIN_SAMPLES_PER_PROCESS", "pool_size", "_processes", "_fold",
              "_run_span", "run_fuzz"),
     "trig": ("analyze", "verify_identities", "skew_quadrance", "tri_rectangular_checks",
-             "CheckResults", "InvariantReport")})
+             "CheckResults", "InvariantReport", "document_to_obj", "report_to_obj",
+             "results_to_obj", "corrupt_entry")})

@@ -2,20 +2,22 @@
 canonical table, and the printed report and verdicts.
 
 The right corner (`corner`) is imported only for a document with the `tri_rectangular`
-option, and the `FieldElement` library (`affine`, `trig`) only by the library-facing helpers
-(`InputDocument.tetrahedron`, `document_to_obj`, `report_to_obj`, `corrupt_entry`).
+option, and the `FieldElement` library (`affine`, `trig`) only by `InputDocument.tetrahedron`.
+The writers of the library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`,
+`corrupt_entry`) are in `trig`.
 """
 
 from __future__ import annotations
 
 import json
 
+from . import _resolver
 from .blinalg import DegenerateForm, Record, SymmetricForm
-from .cli import _FORM_KEYS, InputError, _document_obj, _field_spec_obj, _untimed
+from .cli import _FORM_KEYS, InputError, _field_spec_obj, _untimed
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, _literal_parts,
                     _over_common_den)
-from .tetra import (_ENTRIES, _FIELDS, FAIL, INAPPLICABLE, PASS, DegenerateParams,
-                    NotTriRectangular, _identity_verdicts, _report_table)
+from .tetra import (_FIELDS, FAIL, INAPPLICABLE, PASS, DegenerateParams, NotTriRectangular,
+                    _identity_verdicts, _report_table)
 
 
 class ReportOptions(Record):
@@ -77,9 +79,9 @@ def document_from_obj(obj) -> InputDocument:
     for key in _FORM_KEYS:
         if key not in form_obj:
             raise InputError(f"form.{key}: missing entry")
-        entries.append(spec._ratio(*_parts_from_obj(form_obj[key], spec, f"form.{key}")))
+        entries.append(_parts_from_obj(form_obj[key], spec, f"form.{key}"))
     try:
-        form = SymmetricForm(*entries)
+        form = SymmetricForm.from_parts(spec, entries)
     except DegenerateForm as exc:
         raise InputError(f"form: {exc}") from exc
 
@@ -120,14 +122,6 @@ def load_document(text: str) -> InputDocument:
     return document_from_obj(obj)
 
 
-def document_to_obj(tet: Tetrahedron, options: ReportOptions | None = None) -> dict:
-    """Replayable input document for a tetrahedron."""
-    obj = _document_obj(tet.form, [[c.literal() for c in p.coordinates()] for p in tet.points])
-    if options is not None:
-        obj["options"] = dict(zip(ReportOptions.__slots__, options._fields()))
-    return obj
-
-
 # -- report / verify -------------------------------------------------------
 
 # every entry, in print order (`_ENTRIES`): its section, its name there (None for V and R),
@@ -154,21 +148,12 @@ def _report_obj(spec: FieldSpec, table, options: ReportOptions) -> dict:
     return out
 
 
-def report_to_obj(report: InvariantReport, options: ReportOptions) -> dict:
-    from .trig import _report_parts
-    return _report_obj(report.tetrahedron.spec, _report_parts(report), options)
-
-
 def _results_obj(verdicts: list) -> dict:
     """The printed verdicts, from (identity, instance, status) triples."""
     statuses = [status for _, _, status in verdicts]
     return {"verdicts": [{"identity": identity, "instance": instance, "status": status}
                          for identity, instance, status in verdicts],
             "summary": {status: statuses.count(status) for status in (PASS, FAIL, INAPPLICABLE)}}
-
-
-def results_to_obj(results: CheckResults) -> dict:
-    return _results_obj([verdict._fields() for verdict in results.verdicts])
 
 
 def _right_corner(doc: InputDocument, table) -> list:
@@ -206,18 +191,6 @@ def _corrupt(spec: FieldSpec, table: list, key: str) -> int:
     return n
 
 
-def corrupt_entry(report: InvariantReport, key: str) -> None:
-    """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
-    from .trig import _report_parts
-    spec, table = report.tetrahedron.spec, _report_parts(report)
-    n = _corrupt(spec, table, key)
-    (field, entry_key, _), entry = _ENTRIES[n], spec._ratio(*table[n])
-    if entry_key is None:
-        setattr(report, field, entry)
-    else:
-        getattr(report, field)[entry_key] = entry
-
-
 def run_verify(doc: InputDocument, corrupt: str | None = None,
                run=_untimed) -> tuple[dict, int]:
     spec = doc.form.spec
@@ -229,3 +202,9 @@ def run_verify(doc: InputDocument, corrupt: str | None = None,
         verdicts += run("right corner", _right_corner, doc, table)
     out = run("serialise", _results_obj, verdicts)
     return out, 1 if out["summary"][FAIL] else 0
+
+
+# the library-facing writers, which read `trig`'s report objects, resolve at their old
+# address here
+__getattr__ = _resolver(globals(), {"trig": ("document_to_obj", "report_to_obj",
+                                             "results_to_obj", "corrupt_entry")})

@@ -81,6 +81,19 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+Fraction = None  # `fractions.Fraction` once `_fraction` has imported it
+
+
+def _fraction():
+    """The class of Q's elements, `fractions.Fraction`: its module, with the `decimal` and
+    `numbers` it imports, loads with the first element of Q built, not before, so a launch
+    that builds none (`report` and `verify` work on integers) loads none of the three."""
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction
+
+
 class FieldSpec:
     """Identifies the coefficient field: Q when p is None, else F_p.
 
@@ -105,11 +118,6 @@ class FieldSpec:
                 raise InvalidFieldSpec(f"modulus {p} is not below {MAX_MODULUS}")
             if not _is_prime(p):
                 raise InvalidFieldSpec(f"modulus {p} is not prime")
-        else:
-            # `fractions` (with `decimal` and `numbers`) is imported here, once: only Q uses
-            # `Fraction`, and every element of Q comes from this spec
-            global Fraction
-            from fractions import Fraction
         spec = object.__new__(cls)
         object.__setattr__(spec, "p", p)
         object.__setattr__(spec, "_red", int if p is None else p.__rmod__)
@@ -152,8 +160,8 @@ class FieldSpec:
         """Uniform residue over F_p; bounded random fraction over Q."""
         if self.p is not None:
             return FieldElement(self, rng.randrange(self.p))
-        return FieldElement(self, Fraction(rng.randint(-max_numerator, max_numerator),
-                                           rng.randint(1, max_denominator)))
+        return FieldElement(self, _fraction()(rng.randint(-max_numerator, max_numerator),
+                                              rng.randint(1, max_denominator)))
 
     def _wrap(self, value: int | Fraction) -> "FieldElement":
         """Element from a raw value built from canonical values of this field.
@@ -171,7 +179,7 @@ class FieldSpec:
         """Element num/den from raw values, den nonzero in this field: one division."""
         p = self.p
         if p is None:
-            return self._wrap(Fraction(num, den))
+            return self._wrap(_fraction()(num, den))
         return self._wrap(num if den == 1 else num * pow(den, -1, p))
 
     def __repr__(self) -> str:
@@ -197,9 +205,10 @@ class FieldElement:
 
     def __init__(self, spec: FieldSpec, value: int | Fraction):
         if spec.p is None:
-            if not isinstance(value, (int, Fraction)):
+            fraction = _fraction()
+            if not isinstance(value, (int, fraction)):
                 raise TypeError(f"cannot build a rational element from {type(value).__name__}")
-            self._value = Fraction(value)
+            self._value = fraction(value)
         else:
             if not isinstance(value, int):
                 raise TypeError(f"cannot build an F_{spec.p} element from {type(value).__name__}")

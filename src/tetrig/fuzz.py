@@ -56,7 +56,7 @@ def _run_sample(cfg: FuzzConfig, index: int):
     form = None if cfg.random_form else SymmetricForm.identity(spec)
     while form is None:
         try:
-            form = SymmetricForm(*(spec.element(rng.randrange(p)) for _ in range(6)))
+            form = SymmetricForm.from_parts(spec, [(rng.randrange(p), 1) for _ in range(6)])
         except DegenerateForm:
             counts["singular_forms"] += 1
     try:

@@ -9,6 +9,14 @@ denominator of its defining formula vanishes, with a reason naming what vanished
 edge (face and solid spreads), a null face normal (dihedral and dual solid spreads), a zero
 quadrea (R) or the zero skew denominator.  Q, A and V are always defined.  `trig` reads
 these tables back as field elements (`analyze`, `verify_identities`, ...).
+
+Each quantity that entries share is computed once, from `blinalg`'s integer primitives: the
+image e B of each edge; each face's normal n = c adj B, the twisted product of two of its
+edges, with c their Euclidean cross product; and every B-product with a normal as det B
+times a Euclidean one with c, as adj B . B = det B . I gives n B x^T = det B (c . x): the
+dihedral dots, Q(n), the dual solid spread's triple, the solid spread's B-triple and the
+skew quadrance's projection.  Over F_p the canonical table makes one inversion, of the
+product of its nonzero dens (`_residue_table`).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from itertools import combinations
 from math import gcd, prod
 
 from . import _resolver
-from .blinalg import SymmetricForm, adj_cross_values, dot_values
+from .blinalg import SymmetricForm, adj_values, cross_values, form_values, inner
 from .field import _over_common_den
 
 
@@ -95,14 +103,15 @@ def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: i
     """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)), scaled as in
     `_analyze_parts`: the gap w from a + t1 v1 to c + t2 v2 (v1 = ab, v2 = cd) projected
     onto n = v1 x_B v2 has quadrance (n . w)^2 / Q(n), whatever t1 and t2, as n is
-    B-perpendicular to both edges; Q(n) = det B * den / 4 for the closed form's den."""
-    red, b = form.spec._red, form._ints
+    B-perpendicular to both edges; with c = v1 x v2, n = c adj B, so n . w = det B (c . w)
+    and Q(n) = det B (c . n) = det B * den / 4 for the closed form's den."""
+    red = form.spec._red
     (i, j), (k, l) = pairing
     v1, v2 = _edge(coords, i, j), _edge(coords, k, l)
-    n = tuple(map(red, adj_cross_values(form._adj, v1, v2)))
+    c = cross_values(v1, v2)
     w = [x + t2 * y - t1 * z for x, y, z in zip(_edge(coords, i, k), v2, v1)]
-    nw = red(dot_values(b, n, w))
-    return nw * nw, red(dot_values(b, n, n)) * s
+    nw = red(form._int_det * inner(c, w))
+    return nw * nw, red(form._int_det * inner(c, adj_values(form._adj, c))) * s
 
 
 # a report's fields (`trig.InvariantReport`) in print order: keys (None: one entry), section,
@@ -142,46 +151,42 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
     F_p, L = M = s = 1 and values are reduced mod p as they grow.  No branch on a
     value: a den is zero (mod p over F_p) exactly where the entry is Undefined.
     """
-    red = form.spec._red
-    b, adj, det = form._ints, form._adj, form._int_det
+    red, det = form.spec._red, form._int_det
     s = scale * scale * form._scale
 
-    def dot(v, w):
-        return red(dot_values(b, v, w))
-
-    def cross(v, w):  # b_cross
-        return tuple(map(red, adj_cross_values(adj, v, w)))
-
-    # each edge vector and quadrance is built once, keyed both ways round
-    edge, q = {}, {}
-    for (i, j) in EDGES:
-        v = _edge(coords, i, j)
-        edge[i, j], edge[j, i] = v, tuple(-x for x in v)
-        q[i, j] = q[j, i] = dot(v, v)
+    # each edge vector, its image e B and its quadrance, once per edge (q keyed both ways round)
+    edge = {e: _edge(coords, *e) for e in EDGES}
+    image = {e: form_values(form._ints, v) for e, v in edge.items()}
+    q = {e: red(inner(image[e], v)) for e, v in edge.items()}
+    q.update({(j, i): x for (i, j), x in q.items()})
     a = {(i, j, k): red(archimedes(q[j, k], q[i, k], q[i, j])) for (i, j, k) in FACES}
-    t = {i: dot(edge[i, j], cross(edge[i, k], edge[i, l]))
-         for i, (j, k, l) in _REST_OF_VERTEX.items()}
 
-    # One normal per face, with its quadrance Q(n) = det B * A / 4, so the
-    # normal spreads' denominators vanish exactly where a face quadrea does.  A
-    # normal built at another vertex of the face differs only in sign, which
-    # the squares in every spread cancel.
-    normals = {(i, j, k): cross(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
-    qn = {f: dot(n, n) for f, n in normals.items()}
+    # One normal per face (i, j, k): c = e_ij x e_ik and n = c adj B, with the quadrance
+    # Q(n) = det B (c . n) = det B * A / 4, so the normal spreads' denominators vanish exactly
+    # where a face quadrea does.  A normal built at another vertex of the face differs only
+    # in sign, which the squares in every spread cancel.
+    c = {(i, j, k): cross_values(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
+    n = {f: adj_values(form._adj, cf) for f, cf in c.items()}
+    qn = {f: red(det * inner(c[f], n[f])) for f in FACES}
+    # the B-triple of the edges at vertex i, e_ij . (e_ik x_B e_il) = det B (c . e_ij) with
+    # c of the face i k l, the face opposite j; each e_ij as `edge` holds it, up to sign
+    t = [red(det * inner(c[_REST_OF_VERTEX[j]], edge[edge_key(i, j)]))
+         for i, (j, _, _) in _REST_OF_VERTEX.items()]
     vol_num = 4 * t[0] * t[0]  # V = 4 t^2 / det B from the edges at vertex 0
 
     return [
         *((q[e], s) for e in EDGES),
         *((a[f], s * s) for f in FACES),
         (vol_num, s * s * s * det),
-        *(spread_from_parts(dot(edge[i, j], edge[i, k]), q[i, j], q[i, k])
-          for (i, j, k) in FACE_SPREAD_KEYS),
-        *(spread_from_parts(dot(normals[f1], normals[f2]), qn[f1], qn[f2])
+        # e_ij . e_ik up to sign, from the edges as `edge` and `image` hold them
+        *(spread_from_parts(red(inner(image[edge_key(i, j)], edge[edge_key(i, k)])),
+                            q[i, j], q[i, k]) for (i, j, k) in FACE_SPREAD_KEYS),
+        *(spread_from_parts(red(det * inner(c[f1], n[f2])), qn[f1], qn[f2])
           for f1, f2 in _FACES_ON.values()),
         *(solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det)
           for i, rest in _REST_OF_VERTEX.items()),
         # the solid spread of the normals of the three faces at the vertex
-        *(solid_spread_from_parts(dot(normals[f1], cross(normals[f2], normals[f3])),
+        *(solid_spread_from_parts(red(det * inner(n[f1], cross_values(n[f2], n[f3]))),
                                   qn[f1], qn[f2], qn[f3], det)
           for f1, f2, f3 in _FACES_AT.values()),
         (16 * vol_num * vol_num * s * s, det * det * prod(a.values())),
@@ -194,10 +199,25 @@ def _report_table(form: SymmetricForm, scale: int, coords) -> list:
     (num, den) in lowest terms with den > 0 over Q, to (residue, 1) over F_p, and to (1, 0)
     where it is Undefined, its den zero (mod p).  Equal to `_report_parts(analyze(tet))`."""
     p, parts = form.spec.p, _analyze_parts(form, scale, coords)
-    if p is not None:
-        return [(num * pow(den, -1, p) % p, 1) if den % p else (1, 0) for num, den in parts]
+    if p:  # F_p
+        return _residue_table(p, parts)
     gcds = ((num, den, gcd(num, den) if den > 0 else -gcd(num, den)) for num, den in parts)
     return [(num // g, den // g) if den else (1, 0) for num, den, g in gcds]
+
+
+def _residue_table(p: int, parts) -> list:
+    """Each (num, den) of `parts` as (num / den mod p, 1), or (1, 0) where den is 0 mod p, with
+    one inversion (Montgomery's trick): the product of the nonzero dens is inverted, and each
+    den's inverse read off on the way back down their prefix products."""
+    table = [1]  # the product of the nonzero dens before each entry, then of them all
+    for _, den in parts:
+        table.append(table[-1] * den % p or table[-1])
+    inv = pow(table.pop(), -1, p)  # 1 / the product of the nonzero dens up to entry n
+    for n in reversed(range(len(parts))):
+        num, den = parts[n]
+        table[n] = (num * table[n] * inv % p, 1) if den % p else (1, 0)
+        inv = inv * den % p or inv
+    return table
 
 
 def _decide(red, ln: int, lhs, rn: int, rhs):

@@ -335,3 +335,38 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
     verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), k)
     return CheckResults([Verdict(*verdict) for verdict in verdicts])
+
+
+# -- the library's objects as printed documents (`report`, `verify`) --------
+
+def document_to_obj(tet: Tetrahedron, options=None) -> dict:
+    """Replayable input document for a tetrahedron, with `options` (a `ReportOptions`) if given."""
+    from .cli import _document_obj
+    from .document import ReportOptions
+    obj = _document_obj(tet.form, [[c.literal() for c in p.coordinates()] for p in tet.points])
+    if options is not None:
+        obj["options"] = dict(zip(ReportOptions.__slots__, options._fields()))
+    return obj
+
+
+def report_to_obj(report: InvariantReport, options) -> dict:
+    """The printed report of `report` under `options` (a `ReportOptions`)."""
+    from .document import _report_obj
+    return _report_obj(report.tetrahedron.spec, _report_parts(report), options)
+
+
+def results_to_obj(results: CheckResults) -> dict:
+    from .document import _results_obj
+    return _results_obj([verdict._fields() for verdict in results.verdicts])
+
+
+def corrupt_entry(report: InvariantReport, key: str) -> None:
+    """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
+    from .document import _corrupt
+    spec, table = report.tetrahedron.spec, _report_parts(report)
+    n = _corrupt(spec, table, key)
+    (field, entry_key, _), entry = _ENTRIES[n], spec._ratio(*table[n])
+    if entry_key is None:
+        setattr(report, field, entry)
+    else:
+        getattr(report, field)[entry_key] = entry

@@ -3,7 +3,7 @@
 import pytest
 
 from tetrig import (DegenerateForm, FieldSpec, MixedFields, SymmetricForm,
-                    Vector3, b_cross, b_dot, cross3, det3, quad_scalar,
+                    Vector3, b_cross, b_dot, cross3, det3, mat3_det, quad_scalar,
                     quad_vector, quadrance_vec, scalar_triple,
                     triple_of_crosses, vector_triple)
 from support import Q, rand_element, rand_form, rand_vector, rng
@@ -122,6 +122,42 @@ def test_adjugate_times_matrix_is_det_identity():
 def test_degenerate_form_rejected():
     with pytest.raises(DegenerateForm):
         SymmetricForm.diagonal(Q.element(1), Q.element(0), Q.element(3))
+
+
+@pytest.mark.parametrize("spec", [Q, FieldSpec.prime(3), F7, FieldSpec.prime(2**31 - 1)],
+                         ids=["Q", "F_3", "F_7", "F_2147483647"])
+def test_form_built_on_integers_equals_the_form_of_elements(spec):
+    # `from_parts` builds the form from its entries' (num, den) pairs, as `report` and
+    # `verify` parse them: the same M B, adjugate, determinant and M as the form of the
+    # elements, its entries and det as elements only on first use, and the same error
+    # for a singular form
+    rnd = rng(17)
+    singular = [[(1, 1), (2, 1), (0, 1), (0, 1), (0, 1), (0, 1)], [(1, 2)] * 6]
+    cases = [[rand_element(spec, rnd)._parts() for _ in range(6)] for _ in range(150)]
+    built = 0
+    for parts in singular + cases:
+        elements = [spec._ratio(*pair) for pair in parts]
+        try:
+            by_elements = SymmetricForm(*elements)
+        except DegenerateForm as exc:
+            assert str(exc) == "form matrix has determinant zero"
+            with pytest.raises(DegenerateForm, match="^form matrix has determinant zero$"):
+                SymmetricForm.from_parts(spec, parts)
+            continue
+        by_ints = SymmetricForm.from_parts(spec, parts)
+        for name in ("_ints", "_adj", "_int_det", "_scale", "spec"):
+            assert getattr(by_ints, name) == getattr(by_elements, name), name
+        for name in ("a1", "b2", "det"):  # unset slots until first use
+            with pytest.raises(AttributeError):
+                getattr(SymmetricForm, name).__get__(by_ints)
+        assert by_ints.entries() == by_elements.entries() == tuple(elements)
+        assert by_ints.det == by_elements.det == mat3_det(by_ints.rows())
+        assert SymmetricForm.det.__get__(by_ints) == by_ints.det  # kept once built
+        built += 1
+    assert built > 50
+    assert SymmetricForm.identity(spec).entries() == (spec.one(),) * 3 + (spec.zero(),) * 3
+    with pytest.raises(AttributeError):
+        SymmetricForm.identity(spec).nonesuch
 
 
 def test_mixed_field_vectors_rejected():

@@ -572,7 +572,7 @@ def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
     # the kernel's skew part against, and the library's FieldElement route agree on
     # every defined instance; two broken integer routes fail on most of them
     from tetrig import tetra
-    from tetrig.blinalg import adj_cross_values
+    from tetrig.blinalg import adj_values
     from tetrig.tetra import _decide, _skew_parts
     red, instances = FieldSpec.prime(p)._red, _skew_instances(p, 150)
 
@@ -584,7 +584,7 @@ def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
     assert statuses(_skew_parts) == [PASS] * len(instances)
     assert statuses(no_den).count(FAIL) > len(instances) // 2
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the plain cross product, not B's
-    monkeypatch.setattr(tetra, "adj_cross_values", lambda adj, v, w: adj_cross_values(unit, v, w))
+    monkeypatch.setattr(tetra, "adj_values", lambda adj, c: adj_values(unit, c))
     assert statuses(_skew_parts).count(FAIL) > len(instances) // 2
 
 
@@ -671,7 +671,8 @@ def _launch_modules(code: str) -> tuple[list, list]:
 def test_commands_load_only_the_integer_kernel():
     # each launch imports the kernel, the CLI and its command's module only, never the
     # FieldElement library (`affine`, `trig`): report and verify `document`, with `corner`
-    # for a right corner only, and fuzz `fuzz`; over F_p none imports `fractions`
+    # for a right corner only, and fuzz `fuzz`; none imports `fractions`, `decimal` or
+    # `numbers`, over Q either, as the form and the points are parsed to integers
     q_plain, fp_corner = (str(FIXTURES / name) for name in ("tall_literal_q.json",
                                                              "tri_rectangular_f101.json"))
     kernel = ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field", "tetrig.tetra"]
@@ -686,20 +687,19 @@ def test_commands_load_only_the_integer_kernel():
         (["fuzz", "--prime", "7", "--samples", "30", "--random-form"], 0,
          [*kernel, "tetrig.fuzz"])]
     for argv, code, modules in launches:
-        rational = ["decimal", "fractions", "numbers"] if argv[-1] == q_plain else []
         launch = ("import contextlib, io, sys\nfrom tetrig.cli import main\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   f"    code = main({argv!r})\nprint(code)")
-        assert _launch_modules(launch) == ([str(code)], sorted(rational + modules)), argv
+        assert _launch_modules(launch) == ([str(code)], sorted(modules)), argv
     # importing the CLI loads no command module
     assert _launch_modules("import tetrig.cli") == (
         [], ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field"])
 
 
 def test_report_and_verify_read_the_points_once(monkeypatch):
-    # parsing scales the points without `_scaled_coordinates` and builds the form's seven
-    # field elements (six entries and det) and no other; per document, one kernel call on
-    # the coordinates that parsing scaled, and no field element built after parsing, the
+    # parsing scales the points without `_scaled_coordinates` and builds the form on the
+    # literals' integers, with no field element; per document, one kernel call on the
+    # coordinates that parsing scaled, and no field element built after parsing, the
     # right corner's K1, K2, K3 included
     from tetrig import corner, document, field, tetra, trig
     calls = Counter()
@@ -721,7 +721,7 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
             obj["options"] = options
             calls.clear()
             doc = load_document(json.dumps(obj))
-            assert calls == {"element": 7}, name
+            assert calls == {}, name
             for command in (run_report, run_verify):
                 calls.clear()
                 try:

@@ -53,9 +53,10 @@ TO_AFFINE = ("Vector3", "cross3", "det3", "mat3_det", "b_dot", "quadrance_vec", 
              "scalar_triple", "vector_triple", "quad_scalar", "quad_vector", "triple_of_crosses")
 # the report/verify and fuzz code, which moved from `cli` to `document` and `fuzz`
 TO_DOCUMENT = ("ReportOptions", "InputDocument", "_field_spec_from_obj", "_parts_from_obj",
-               "document_from_obj", "load_document", "document_to_obj", "_PRINTED",
-               "_ENTRY_KEYS", "_report_obj", "report_to_obj", "_results_obj", "results_to_obj",
-               "_right_corner", "run_report", "_corrupt", "corrupt_entry", "run_verify")
+               "document_from_obj", "load_document", "_PRINTED", "_ENTRY_KEYS", "_report_obj",
+               "_results_obj", "_right_corner", "run_report", "_corrupt", "run_verify")
+# the writers of the library's objects, which moved from `cli` to `document` and then to `trig`
+WRITERS = ("document_to_obj", "report_to_obj", "results_to_obj", "corrupt_entry")
 TO_FUZZ = ("FUZZ_IDENTITY_NAMES", "FuzzConfig", "_sample_tetrahedron", "_draw_obj",
            "_run_sample", "MIN_SAMPLES_PER_PROCESS", "pool_size", "_processes", "_fold",
            "_run_span", "run_fuzz")
@@ -112,7 +113,8 @@ def test_moved_names_resolve_at_their_old_address():
     for name in TRACED:
         assert getattr(cli, name) is getattr(trig, name), name
     for old, new, names in ((tetra, corner, TO_CORNER), (blinalg, affine, TO_AFFINE),
-                            (cli, document, TO_DOCUMENT), (cli, fuzz, TO_FUZZ)):
+                            (cli, document, TO_DOCUMENT), (cli, fuzz, TO_FUZZ),
+                            (cli, trig, WRITERS), (document, trig, WRITERS)):
         for name in names:
             assert getattr(old, name) is vars(new)[name], name
             # the hook binds the name where it resolved it: the next read skips the hook

@@ -483,3 +483,31 @@ def test_tri_rectangular_checks_random_frames():
             continue
         assert results.all_applicable_pass
         done += 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_one_inversion_per_table_equals_one_per_entry(p):
+    # over F_p the canonical table inverts the product of its nonzero dens once
+    # (`_residue_table`); inverting each den on its own gives the same table, with none,
+    # some or all of the entries Undefined (den 0 mod p), and on the kernel's tables
+    from tetrig.tetra import _analyze_parts, _report_table, _residue_table
+
+    def per_entry(parts):
+        return [(num * pow(den, -1, p) % p, 1) if den % p else (1, 0) for num, den in parts]
+    rnd = rng(p)
+    for undefined in (lambda n: False, lambda n: n % 3 == 1, lambda n: True):
+        for size in (0, 1, 2, 41):
+            for _ in range(30):
+                parts = [(rnd.randrange(-9 * p, 9 * p),
+                          p * rnd.randrange(-9, 10) if undefined(n)
+                          else rnd.choice((-1, 1)) * (p * rnd.randrange(9) + rnd.randrange(1, p)))
+                         for n in range(size)]
+                assert _residue_table(p, parts) == per_entry(parts), parts
+    spec, with_undefined = FieldSpec.prime(p), 0
+    for _ in range(200):
+        form = rand_form(spec, rnd)
+        coords = [rnd.randrange(p) for _ in range(12)]
+        table = _report_table(form, 1, coords)
+        assert table == per_entry(_analyze_parts(form, 1, coords))
+        with_undefined += (1, 0) in table
+    assert with_undefined > 0
