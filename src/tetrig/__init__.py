@@ -33,7 +33,7 @@ def _resolver(namespace: dict, homes: dict):
     """A module `__getattr__` (PEP 562) for the module whose globals are `namespace`: it
     resolves each name of `homes` ({module of this package: its names}), and no other, from
     the module that holds it, imported then, and binds it in `namespace`, so the hook runs
-    once per name.  Names that moved out of a module resolve, and unpickle, at its address."""
+    once per name."""
     module = namespace["__name__"]
     home = {name: source for source, names in homes.items() for name in names}
 

@@ -191,7 +191,5 @@ class SymmetricForm:
         return f"SymmetricForm({e}; {self.spec})"
 
 
-# the vector library, now in `affine`, resolves at its old address here
-__getattr__ = _resolver(globals(), {"affine": (
-    "Vector3", "cross3", "det3", "mat3_det", "b_dot", "quadrance_vec", "b_cross", "scalar_triple",
-    "vector_triple", "quad_scalar", "quad_vector", "triple_of_crosses")})
+# read by `bench/run.py` here; ROADMAP item 1's benchmark retarget deletes it
+__getattr__ = _resolver(globals(), {"affine": ("b_cross",)})

@@ -145,15 +145,9 @@ def main(argv=None, startup: float | None = None) -> int:
                 print(json.dumps({"phase": phase, **figures}), file=sys.stderr)
 
 
-# the names that moved to the command modules, and the library's names that `bench/run.py
-# --trace 1` patches here, resolve at this address on first use
+# read by `bench/run.py` here; ROADMAP item 1's benchmark retarget deletes them
 __getattr__ = _resolver(globals(), {
-    "document": ("ReportOptions", "InputDocument", "_field_spec_from_obj", "_parts_from_obj",
-                 "document_from_obj", "load_document", "_PRINTED", "_ENTRY_KEYS", "_report_obj",
-                 "_results_obj", "_right_corner", "run_report", "_corrupt", "run_verify"),
-    "fuzz": ("FUZZ_IDENTITY_NAMES", "FuzzConfig", "_sample_tetrahedron", "_draw_obj",
-             "_run_sample", "MIN_SAMPLES_PER_PROCESS", "pool_size", "_processes", "_fold",
-             "_run_span", "run_fuzz"),
+    "document": ("load_document", "run_report", "run_verify"),
+    "fuzz": ("FuzzConfig", "run_fuzz", "_run_sample", "_sample_tetrahedron"),
     "trig": ("analyze", "verify_identities", "skew_quadrance", "tri_rectangular_checks",
-             "CheckResults", "InvariantReport", "document_to_obj", "report_to_obj",
-             "results_to_obj", "corrupt_entry")})
+             "report_to_obj", "results_to_obj")})

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 
-from . import _resolver
 from .blinalg import DegenerateForm, Record, SymmetricForm
 from .cli import _FORM_KEYS, InputError, _field_spec_obj, _untimed
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, _literal_parts,
@@ -203,8 +202,3 @@ def run_verify(doc: InputDocument, corrupt: str | None = None,
     out = run("serialise", _results_obj, verdicts)
     return out, 1 if out["summary"][FAIL] else 0
 
-
-# the library-facing writers, which read `trig`'s report objects, resolve at their old
-# address here
-__getattr__ = _resolver(globals(), {"trig": ("document_to_obj", "report_to_obj",
-                                             "results_to_obj", "corrupt_entry")})

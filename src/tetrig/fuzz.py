@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 import random
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 from importlib import import_module
 
 from .blinalg import DegenerateForm, Record, SymmetricForm
@@ -20,6 +20,8 @@ from .tetra import (_FUZZ_ROWS, _INDEX, FAIL, INAPPLICABLE, PASS, _analyze_parts
                     _verify_parts)
 
 FUZZ_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _FUZZ_ROWS))
+# the identity form of each field, built once: a form is immutable and a FieldSpec interned
+_identity_form = cache(SymmetricForm.identity)
 
 
 class FuzzConfig(Record):
@@ -53,7 +55,7 @@ def _run_sample(cfg: FuzzConfig, index: int):
     p = cfg.prime
     spec = FieldSpec.prime(p)
     red, counts = spec._red, Counter()
-    form = None if cfg.random_form else SymmetricForm.identity(spec)
+    form = None if cfg.random_form else _identity_form(spec)
     while form is None:
         try:
             form = SymmetricForm.from_parts(spec, [(rng.randrange(p), 1) for _ in range(6)])

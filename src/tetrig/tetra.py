@@ -309,13 +309,5 @@ def _identity_verdicts(red, parts, rows=_IDENTITIES, *args) -> list:
     return [(row[0], row[1], status) for row, status in zip(rows, statuses)]
 
 
-# the FieldElement library over these tables (`trig`) and the right corner (`corner`), which
-# moved out of this module, resolve at their old address here
-__getattr__ = _resolver(globals(), {
-    "trig": ("Tetrahedron", "Undefined", "InvariantReport", "Verdict", "CheckResults",
-             "TriRectParams", "is_defined", "skew_quadrance", "skew_quadrance_closed_form",
-             "_scaled_coordinates", "analyze", "_report_parts", "verify_identities",
-             "tri_rectangular_frame", "corner_params", "tri_rectangular_checks",
-             "NotSkewOrDegenerate", "NullCommonPerpendicular", "NullPivot"),
-    "corner": ("_sum", "_CORNER_SUMS", "_right_corner_rows", "_RIGHT_CORNER", "_corner_factors",
-               "_corner_parts", "_right_corner_parts")})
+# read by `bench/run.py` here; ROADMAP item 1's benchmark retarget deletes them
+__getattr__ = _resolver(globals(), {"trig": ("analyze", "Undefined")})

@@ -19,7 +19,9 @@ from tetrig import (DegeneratePlane, FieldSpec, NotSkewOrDegenerate, NullCross,
                     scalar_triple, skew_quadrance, skew_quadrance_closed_form,
                     solid_spread, spread_vectors, triple_of_crosses,
                     vector_triple, verify_identities, SKEW_PAIRINGS)
-from tetrig.cli import FuzzConfig, document_from_obj, main, run_fuzz
+from tetrig.cli import main
+from tetrig.document import document_from_obj
+from tetrig.fuzz import FuzzConfig, run_fuzz
 from support import Q, rand_form, rand_point, rand_vector, rng
 
 F10007 = FieldSpec.prime(10007)

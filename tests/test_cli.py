@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 
 from tetrig import DivisionByZero, FieldSpec, SymmetricForm, parse_element
-from tetrig.cli import (MIN_SAMPLES_PER_PROCESS, FuzzConfig, InputError, document_from_obj,
-                        document_to_obj, load_document, main, pool_size, run_fuzz, run_report,
-                        run_verify)
+from tetrig.cli import InputError, main
+from tetrig.document import document_from_obj, load_document, run_report, run_verify
+from tetrig.fuzz import MIN_SAMPLES_PER_PROCESS, FuzzConfig, pool_size, run_fuzz
 from tetrig.tetra import FAIL, INAPPLICABLE, PASS
+from tetrig.trig import document_to_obj
 from support import Q, draw_tetrahedron
 
 F101_IDENTITY = SymmetricForm.identity(FieldSpec.prime(101))
@@ -541,11 +542,11 @@ def test_fuzz_fault_on_the_first_draw_is_a_failure_record(monkeypatch):
 def _skew_instances(p, count):
     """`count` random defined skew instances over F_p: `_skew_parts`' arguments (form, 1,
     coords, pairing, t1, t2) and the (num, den) of the library's FieldElement route,
-    `tetra.skew_quadrance`."""
+    `trig.skew_quadrance`."""
     import random
     from tetrig.blinalg import DegenerateForm
-    from tetrig.tetra import (SKEW_PAIRINGS, NotSkewOrDegenerate, NullCommonPerpendicular,
-                              _skew_parts, skew_quadrance)
+    from tetrig.tetra import SKEW_PAIRINGS, _skew_parts
+    from tetrig.trig import NotSkewOrDegenerate, NullCommonPerpendicular, skew_quadrance
     rng, spec, out = random.Random(p), FieldSpec.prime(p), []
     while len(out) < count:
         try:
@@ -596,8 +597,8 @@ def test_fuzz_sample_builds_no_report(monkeypatch):
     configs = [FuzzConfig(prime=7, samples=30, seed=4, random_form=True),
                FuzzConfig(prime=101, samples=20, seed=5)]
     clean = [run_fuzz(cfg) for cfg in configs]
-    targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts, trig.quadrume,
-               tetra.Tetrahedron, affine.Point3)
+    targets = (trig.analyze, trig.verify_identities, trig._report_parts, trig.quadrume,
+               trig.Tetrahedron, affine.Point3)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by a fuzz sample")
@@ -638,10 +639,10 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
             out.append((code, *capsys.readouterr()))
         return out
     clean = outputs()
-    targets = (tetra.analyze, tetra.verify_identities, tetra._report_parts,
-               tetra.tri_rectangular_checks, tetra.Verdict, tetra.CheckResults,
-               tetra.InvariantReport, tetra.Undefined, document.report_to_obj,
-               document.results_to_obj, document.corrupt_entry)
+    targets = (trig.analyze, trig.verify_identities, trig._report_parts,
+               trig.tri_rectangular_checks, trig.Verdict, trig.CheckResults,
+               trig.InvariantReport, trig.Undefined, trig.report_to_obj,
+               trig.results_to_obj, trig.corrupt_entry)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by report or verify")
@@ -710,8 +711,8 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
             return fn(*args)
         return wrapper
     for module in (document, corner, tetra, trig):
-        for name in ("_analyze_parts", "_scaled_coordinates"):
-            monkeypatch.setattr(module, name, counted(name, getattr(tetra, name)), raising=False)
+        for name, home in (("_analyze_parts", tetra), ("_scaled_coordinates", trig)):
+            monkeypatch.setattr(module, name, counted(name, getattr(home, name)), raising=False)
     element = field.FieldElement
     monkeypatch.setattr(element, "__init__", counted("element", element.__init__))
     monkeypatch.setattr(field.FieldSpec, "_wrap", counted("element", field.FieldSpec._wrap))
@@ -737,7 +738,8 @@ def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
     # on every draw of a fuzz run, the verdicts on the kernel's parts of the
     # residues equal those on the report, inapplicable ones included
     from tetrig import fuzz
-    from tetrig.tetra import _verify_parts, analyze, verify_identities
+    from tetrig.tetra import _verify_parts
+    from tetrig.trig import analyze, verify_identities
     draws, kernel = [], fuzz._analyze_parts
 
     def tracking_kernel(form, scale, coords):

@@ -20,9 +20,10 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from tetrig import FieldSpec, Point3, SymmetricForm, parse_element
-from tetrig.cli import InputError, load_document, main
+from tetrig.cli import InputError, main
+from tetrig.document import load_document
 from tetrig.field import _literal_parts
-from tetrig.tetra import _scaled_coordinates
+from tetrig.trig import _scaled_coordinates
 
 VALID = {
     "field": {"kind": "rational"},

@@ -17,8 +17,8 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams,
                     skew_quadrance, skew_quadrance_closed_form, solid_spread,
                     spread_vectors, translate, tri_rectangular_checks,
                     tri_rectangular_frame, verify_identities)
-from tetrig.cli import load_document
-from tetrig.tetra import corner_params
+from tetrig.document import load_document
+from tetrig.trig import corner_params
 from support import Q, rand_element, rand_form, rand_point, rng
 
 F7 = FieldSpec.prime(7)

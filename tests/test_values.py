@@ -10,7 +10,8 @@ import pytest
 from tetrig import (DegenerateParams, DegeneratePlane, FieldSpec, Line, MixedFields, Plane,
                     Point3, SymmetricForm, Tetrahedron, Triangle, TriLines, TriRectParams,
                     Undefined, Vector3, Verdict, analyze, verify_identities)
-from tetrig.cli import FuzzConfig, ReportOptions, load_document
+from tetrig.document import ReportOptions, load_document
+from tetrig.fuzz import FuzzConfig
 from support import Q
 
 F7 = FieldSpec.prime(7)

@@ -19,10 +19,10 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     InvariantReport, NullPivot, Point3, Tetrahedron, Undefined, analyze,
                     is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
-from tetrig.cli import (_PRINTED, ReportOptions, _report_obj, corrupt_entry, load_document,
-                        report_to_obj)
-from tetrig.tetra import (_analyze_parts, _decide, _report_parts, _report_table,
-                          _scaled_coordinates, _sum)
+from tetrig.corner import _sum
+from tetrig.document import _PRINTED, ReportOptions, _report_obj, load_document
+from tetrig.tetra import _analyze_parts, _decide, _report_table
+from tetrig.trig import _report_parts, _scaled_coordinates, corrupt_entry, report_to_obj
 from support import Q, rand_form, rand_point, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
