@@ -13,7 +13,6 @@ launch, nor by importing this module.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from time import perf_counter, process_time
@@ -27,7 +26,7 @@ _FORM_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 class InputError(Exception):
-    """Invalid input document or configuration; maps to exit code 2."""
+    """Invalid command line, input document or configuration; maps to exit code 2."""
 
 
 def _untimed(phase: str, fn, *args):
@@ -68,51 +67,56 @@ def _write_output(path: str | None, obj: dict) -> None:
             handle.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tetrig",
-        description="Exact tetrahedron trigonometry over Q or an odd prime field.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# each command's options and their defaults: False marks a switch, and `int` an integer that
+# must be given; `_INTEGERS` take an int
+_OPTIONS = {"report": {"input": None, "output": None, "timings": False},
+            "verify": {"input": None, "output": None, "corrupt": None, "timings": False},
+            "fuzz": {"prime": int, "samples": int, "seed": 0, "allow_degenerate": False,
+                     "random_form": False, "workers": 1, "output": None, "timings": False}}
+_INTEGERS = ("prime", "samples", "seed", "workers")
+_USAGE = """usage: tetrig report [--input PATH] [--output PATH] [--timings]
+       tetrig verify [--input PATH] [--output PATH] [--corrupt ENTRY] [--timings]
+       tetrig fuzz --prime P --samples N [--seed 0] [--workers 1] [--allow-degenerate]
+                   [--random-form] [--output PATH] [--timings]
+A PATH of - or none is stdin or stdout.  --corrupt adds 1 to one report entry (e.g. E.01)
+before the check; --allow-degenerate keeps quadrume-zero samples; --random-form draws a form
+per sample; --timings writes phase timings to stderr.  An option may be cut to a unique
+prefix and given as --option=VALUE.  Exit 0: success, 1: an identity failed, 2: bad input."""
 
-    report = sub.add_parser("report", help="compute the full invariant report")
-    verify = sub.add_parser("verify", help="check every identity on one tetrahedron")
-    for command in (report, verify):
-        command.add_argument("--input", help="input document path (default: stdin)")
-        command.add_argument("--output", help="output path (default: stdout)")
-    verify.add_argument("--corrupt", metavar="ENTRY",
-                        help="debug: add 1 to one report entry (e.g. E.01) before checking")
 
-    fuzz = sub.add_parser("fuzz", help="randomized identity check over a prime field")
-    fuzz.add_argument("--prime", type=int, required=True, help="odd prime modulus")
-    fuzz.add_argument("--samples", type=int, required=True, help="number of tetrahedra")
-    fuzz.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    fuzz.add_argument("--allow-degenerate", action="store_true",
-                      help="keep quadrume-zero samples instead of resampling")
-    fuzz.add_argument("--random-form", action="store_true",
-                      help="sample a non-degenerate form per sample instead of the identity")
-    fuzz.add_argument("--workers", type=int, default=1,
-                      help="worker processes; the summary does not depend on this")
-    fuzz.add_argument("--output", help="output path (default: stdout)")
-    for command in (report, verify, fuzz):
-        command.add_argument("--timings", action="store_true",
-                             help="write one JSON line of timings per phase to stderr")
-    return parser
+def _parse_args(argv):
+    """The command of `argv` under "command" and each of its options under its name, '_' for
+    '-'.  A unique prefix names a flag; its value follows '=' or is the next token, whatever that
+    holds (`--input -`, `--seed -1`); a repeated option keeps its last value."""
+    command, *tokens = argv or [None]
+    if command not in _OPTIONS:
+        raise InputError(f"expected a command, report, verify or fuzz, not {command!r}")
+    options = _OPTIONS[command]
+    args, tokens = {"command": command, **options}, iter(tokens)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        names = [name for name in options if f"--{name}".replace("_", "-").startswith(flag)]
+        if len(names) != 1:
+            raise InputError(f"{command}: unknown or ambiguous option {token!r}")
+        name = names[0]
+        value = (not eq or None) if options[name] is False else value if eq else next(tokens, None)
+        if value is None:  # a value missing, or one given to a switch
+            raise InputError(f"{token}: expected {'no' if eq else 'a'} value")
+        try:
+            args[name] = int(value) if name in _INTEGERS else value
+        except ValueError:
+            raise InputError(f"--{name}: expected an integer, not {value!r}") from None
+    if int in args.values():
+        raise InputError("fuzz: --prime and --samples are required")
+    return args
 
 
 def main(argv=None, startup: float | None = None) -> int:
     """Run the CLI; `startup` is the seconds `__main__` took to import this module, for
     --timings, whose `import` line adds the import of the command's module to it."""
-    args = _build_parser().parse_args(argv)
-    start = perf_counter()
-    if args.command == "fuzz":
-        from . import fuzz as command
-    else:
-        from . import document as command
+    args = {}  # empty until the command line parses: an error then prints the usage too
+    argv = sys.argv[1:] if argv is None else argv
     timings = {}  # phase -> {"ms": wall milliseconds, other figures}, for --timings
-    if startup is not None:
-        timings["import"] = {"ms": (startup + perf_counter() - start) * 1000,
-                             "process_cpu_ms": process_time() * 1000}
 
     def run(phase: str, fn, *args):
         start = perf_counter()
@@ -121,25 +125,38 @@ def main(argv=None, startup: float | None = None) -> int:
         return out
 
     try:
-        if args.command != "fuzz":
-            doc = run("parse", command.load_document, _read_input(args.input))
-            out, code = ((command.run_report(doc, run), 0) if args.command == "report" else
-                         command.run_verify(doc, args.corrupt, run))
-            run("serialise", _write_output, args.output, out)
-            return code
-        cfg = command.FuzzConfig(prime=args.prime, samples=args.samples, seed=args.seed,
-                                 reject_degenerate=not args.allow_degenerate,
-                                 random_form=args.random_form, workers=args.workers)
-        summary, code = command.run_fuzz(cfg, run)
-        timings["samples"].update(processes=command._processes(cfg),
-                                  samples_per_s=cfg.samples * 1000 / timings["samples"]["ms"])
-        run("serialise", _write_output, args.output, summary)
+        if {"-h", "--help"} & {*argv}:
+            print(_USAGE)
+            return 0
+        args = _parse_args(argv)
+        start = perf_counter()
+        if args["command"] == "fuzz":
+            from . import fuzz as command
+        else:
+            from . import document as command
+        if startup is not None:
+            timings["import"] = {"ms": (startup + perf_counter() - start) * 1000,
+                                 "process_cpu_ms": process_time() * 1000}
+        if args["command"] == "fuzz":
+            cfg = command.FuzzConfig(args["prime"], args["samples"], args["seed"],
+                                     not args["allow_degenerate"], args["random_form"],
+                                     args["workers"])
+            out, code = command.run_fuzz(cfg, run)
+            timings["samples"].update(processes=command._processes(cfg),
+                                      samples_per_s=cfg.samples * 1000 / timings["samples"]["ms"])
+        else:
+            doc = run("parse", command.load_document, _read_input(args["input"]))
+            out, code = ((command.run_report(doc, run), 0) if args["command"] == "report" else
+                         command.run_verify(doc, args["corrupt"], run))
+        run("serialise", _write_output, args["output"], out)
         return code
     except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
+        if not args:
+            print(_USAGE, file=sys.stderr)
         return 2
     finally:
-        if args.timings:
+        if args.get("timings"):
             for phase, figures in timings.items():
                 figures = {name: round(value, 3) for name, value in figures.items()}
                 print(json.dumps({"phase": phase, **figures}), file=sys.stderr)

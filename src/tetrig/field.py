@@ -23,7 +23,6 @@ and `FieldSpec._red`, which reduces a raw integer mod p (over Q: unchanged).
 
 from __future__ import annotations
 
-import re
 from math import gcd, lcm
 
 
@@ -194,9 +193,6 @@ class FieldSpec:
 MAX_LITERAL_DIGITS = 4300
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
-_RATIONAL_LIT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-_INTEGER_LIT = re.compile(r"-?[0-9]+")
-
 
 class FieldElement:
     """Immutable element of Q or F_p, always held in canonical form."""
@@ -345,12 +341,13 @@ class FieldElement:
 def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
     """An element literal read as (num, den): in lowest terms with den > 0 over Q,
     (residue, 1) over F_p; the grammar is `parse_element`'s."""
-    if not (_RATIONAL_LIT if spec.p is None else _INTEGER_LIT).fullmatch(text):
+    digits = text.removeprefix("-").split("/", spec.p is None)  # a '/' splits over Q only
+    if not all(part.isascii() and part.isdigit() for part in digits):
         kind = "a rational" if spec.p is None else "an integer"
         raise MalformedLiteral(f"{text!r} is not {kind} literal")
-    num, _, den = text.partition("/")
-    if max(len(num.lstrip("-")), len(den)) > MAX_LITERAL_DIGITS:
+    if max(map(len, digits)) > MAX_LITERAL_DIGITS:
         raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
+    num, _, den = text.partition("/")
     if not den:
         return spec._red(int(num)), 1
     num, den = int(num), int(den)

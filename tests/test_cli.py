@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tetrig import DivisionByZero, FieldSpec, SymmetricForm, parse_element
-from tetrig.cli import InputError, main
+from tetrig.cli import _USAGE, InputError, _parse_args, main
 from tetrig.document import document_from_obj, load_document, run_report, run_verify
 from tetrig.fuzz import MIN_SAMPLES_PER_PROCESS, FuzzConfig, pool_size, run_fuzz
 from tetrig.tetra import FAIL, INAPPLICABLE, PASS
@@ -658,11 +658,16 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
     assert {code for code, _, _ in clean} == {0, 1, 2}  # passing, corrupted, unknown key
 
 
+# the standard library's command-line parser and the translation lookup it loads
+ARGPARSE = ("argparse", "gettext", "locale")
+
+
 def _launch_modules(code: str) -> tuple[list, list]:
     """The lines a fresh interpreter prints running `code`, and the modules it then holds of
-    the tetrig package and of `fractions`, `decimal` and `numbers` (Q's `Fraction`)."""
+    the tetrig package, of `fractions`, `decimal` and `numbers` (Q's `Fraction`) and of
+    ARGPARSE."""
     probe = (f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if "
-             "m.split('.')[0] in ('tetrig', 'fractions', 'decimal', 'numbers')))")
+             f"m.split('.')[0] in ('tetrig', 'fractions', 'decimal', 'numbers', *{ARGPARSE!r})))")
     run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
     *printed, modules = run.stdout.splitlines()
@@ -876,6 +881,94 @@ def test_report_stdin_stdout(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# command line
+# ---------------------------------------------------------------------------
+
+REPORT_DEFAULTS = {"command": "report", "input": None, "output": None, "timings": False}
+VERIFY_DEFAULTS = {**REPORT_DEFAULTS, "command": "verify", "corrupt": None}
+FUZZ_DEFAULTS = {"command": "fuzz", "prime": 101, "samples": 40, "seed": 0,
+                 "allow_degenerate": False, "random_form": False, "workers": 1, "output": None,
+                 "timings": False}
+
+
+# each expected value is what argparse gave for the same command line before `_parse_args`
+@pytest.mark.parametrize("argv, args", [
+    (["report", "--input=doc.json", "--output=-"],
+     {**REPORT_DEFAULTS, "input": "doc.json", "output": "-"}),
+    (["verify", "--inp", "doc.json", "--corrupt=E.01", "--ti"],
+     {**VERIFY_DEFAULTS, "input": "doc.json", "corrupt": "E.01", "timings": True}),
+    (["fuzz", "--prime", "101", "--sa", "40", "--se", "3", "--work=2", "--random-form",
+      "--allow-degenerate"],
+     {**FUZZ_DEFAULTS, "seed": 3, "workers": 2, "random_form": True, "allow_degenerate": True}),
+    (["fuzz", "--samples", "40", "--prime=7", "--prime", "101"], FUZZ_DEFAULTS),
+    (["verify", "--output", "a", "--output", "b", "--timings", "--timings"],
+     {**VERIFY_DEFAULTS, "output": "b", "timings": True}),
+    (["report", "--input", "-"], {**REPORT_DEFAULTS, "input": "-"}),
+    (["fuzz", "--prime", "101", "--samples", "40", "--seed", "-1"], {**FUZZ_DEFAULTS, "seed": -1}),
+])
+def test_command_line_grammar(argv, args):
+    # --flag=VALUE, unique prefixes, the last of a repeated flag, and a value that starts
+    # with '-': it is the next token whatever it holds
+    assert _parse_args(argv) == args
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["report", "--help"],
+                                  ["fuzz", "--prime", "7", "-h"]])
+def test_help_prints_the_usage_on_stdout_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (_USAGE + "\n", "")
+
+
+def _unit_doc(**changes) -> str:
+    return json.dumps({**json.loads(UNIT_DOC.read_text()), **changes})
+
+
+UNIT_FORM = json.loads(UNIT_DOC.read_text())["form"]
+REPEATED_POINT = [["0", "0", "0"], ["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+INPUT_ERRORS = [  # argv, the document on stdin, the message
+    (["report"], _unit_doc(field={"kind": "real"}),
+     "field.kind: expected 'rational' or 'prime', got 'real'"),
+    (["report"], _unit_doc(form=list(UNIT_FORM.values())),
+     "form: expected an object with entries a1,a2,a3,b1,b2,b3"),
+    (["verify"], _unit_doc(form={k: v for k, v in UNIT_FORM.items() if k != "b2"}),
+     "form.b2: missing entry"),
+    (["report"], _unit_doc(options=[]), "options: expected an object"),
+    (["verify", "--corrupt", "R"], _unit_doc(points=REPEATED_POINT),
+     "--corrupt R: entry is undefined"),
+    (["fuzz", "--prime", "101", "--samples", "-1"], "", "--samples: expected a non-negative count"),
+    (["fuzz", "--prime", "101", "--samples", "1", "--workers", "0"], "",
+     "--workers: expected a positive count"),
+]
+USAGE_ERRORS = [  # argv, the message; each is followed by the usage
+    ([], "expected a command, report, verify or fuzz, not None"),
+    (["tally"], "expected a command, report, verify or fuzz, not 'tally'"),
+    (["report", "--inputs", "doc.json"], "report: unknown or ambiguous option '--inputs'"),
+    (["fuzz", "--prime", "101", "--s", "1"], "fuzz: unknown or ambiguous option '--s'"),
+    (["report", "doc.json"], "report: unknown or ambiguous option 'doc.json'"),
+    (["report", "--input"], "--input: expected a value"),
+    (["verify", "--cor"], "--cor: expected a value"),
+    (["report", "--timings=yes"], "--timings=yes: expected no value"),
+    (["fuzz", "--prime", "seven", "--samples", "1"], "--prime: expected an integer, not 'seven'"),
+    (["fuzz", "--prime", "101", "--samples=1.5"], "--samples: expected an integer, not '1.5'"),
+    (["fuzz", "--samples", "1"], "fuzz: --prime and --samples are required"),
+    (["fuzz", "--prime", "101"], "fuzz: --prime and --samples are required"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, message, usage", [
+    *((argv, stdin, message, "") for argv, stdin, message in INPUT_ERRORS),
+    *((argv, "", message, "\n" + _USAGE) for argv, message in USAGE_ERRORS)])
+def test_every_input_error_returns_2_with_its_message(argv, stdin, message, usage, monkeypatch,
+                                                      capsys):
+    # each exit-2 path of the command line, of parsing and of fuzz's configuration: `main`
+    # returns 2 (it raises no SystemExit), with nothing on stdout and one error on stderr,
+    # which a command-line error follows with the usage
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}{usage}\n")
+
+
+# ---------------------------------------------------------------------------
 # start-up and --timings
 # ---------------------------------------------------------------------------
 
@@ -887,14 +980,22 @@ def run_python(*args):
 
 def test_cli_import_loads_no_pool_dataclasses_or_typing():
     # modules a fresh interpreter gains by importing the CLI; report and verify
-    # must not pay for the process pool or for dataclasses' inspect/typing
+    # must not pay for the process pool or for dataclasses' inspect/typing, and no
+    # command for argparse, which imports gettext and, through it, locale
     proc = run_python("-c", "import sys; bare = set(sys.modules); import tetrig.cli; "
                             "print(*sorted(set(sys.modules) - bare))")
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.decode().split())
     assert "tetrig.cli" in loaded
     assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses", "inspect",
-                         "typing"}
+                         "typing", *ARGPARSE}
+    for argv in (["report", "--input", str(UNIT_DOC)], ["verify", "--input", str(UNIT_DOC)],
+                 ["fuzz", "--prime", "101", "--samples", "30"]):
+        launch = ("import contextlib, io\nfrom tetrig.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = main({argv!r})\nprint(code)")
+        printed, modules = _launch_modules(launch)
+        assert printed == ["0"] and not set(modules) & set(ARGPARSE), argv
 
 
 MIXED_CORNER = str(FIXTURES / "tri_rectangular_mixed_corner.json")

@@ -17,12 +17,12 @@ import tempfile
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tetrig import FieldSpec, Point3, SymmetricForm, parse_element
 from tetrig.cli import InputError, main
 from tetrig.document import load_document
-from tetrig.field import _literal_parts
+from tetrig.field import MalformedLiteral, ZeroDenominator, _literal_parts
 from tetrig.trig import _scaled_coordinates
 
 VALID = {
@@ -139,6 +139,35 @@ def test_bad_literal_is_rejected(prime, slot, literal):
     else:
         obj["points"][(slot - 6) // 3][(slot - 6) % 3] = literal
     _assert_rejected(_document(obj))
+
+
+# the literal grammar as regular expressions, as `_literal_parts` once checked it
+RATIONAL_LIT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+INTEGER_LIT = re.compile(r"-?[0-9]+")
+
+
+@settings(SETTINGS, max_examples=400)
+@given(st.text(alphabet="0123456789-/+_ ²٣", max_size=8), st.sampled_from([None, 7]))
+@example("²", None).via("a digit that is not ASCII")
+@example("1/٣", None).via("a digit that is not ASCII")
+@example("-1/2", None).via("a signed rational")
+@example("1/-2", None).via("a signed denominator")
+@example("--1", 7).via("two signs")
+@example("1/0", None).via("a zero denominator is well formed")
+@example("1/2", 7).via("no '/' over F_p")
+@example("1/2/3", None).via("two '/'")
+def test_literal_grammar_is_the_regular_expressions(text, p):
+    # str methods in place of the patterns: each literal either is malformed for both or
+    # for neither, over Q and over F_p
+    spec = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    try:
+        _literal_parts(text, spec)
+        well_formed = True
+    except MalformedLiteral:
+        well_formed = False
+    except ZeroDenominator:
+        well_formed = True
+    assert well_formed == bool((RATIONAL_LIT if p is None else INTEGER_LIT).fullmatch(text))
 
 
 def test_json_beyond_the_parser_limits_is_rejected():

@@ -1,7 +1,9 @@
 """Start-up cost of a tetrig launch: for `report` and `verify` on a fixture with the right
 corner, `report` on a Q fixture without it (the launch most Q documents pay) and `fuzz`, the
 tetrig modules that `python -m tetrig` imports and the AST nodes of their source, which the
-interpreter compiles at each launch when it writes no bytecode (PYTHONDONTWRITEBYTECODE).
+interpreter compiles at each launch when it writes no bytecode (PYTHONDONTWRITEBYTECODE),
+and the other modules that the launch imports beyond a bare `python -c pass`: the standard
+library's share of the start-up (`runpy` and its imports come with `-m`).
 Run as `python tools/launch_cost.py SRC`, SRC holding the `tetrig` package (e.g. `src`).
 """
 
@@ -20,13 +22,13 @@ COMMANDS = {"report": ["report", "--input", CORNER],
             "fuzz": ["fuzz", "--prime", "101", "--samples", "20"]}
 
 
-def launched(src: Path, argv: list) -> list:
-    """The tetrig modules that `python -m tetrig ARGV` imports, its `__main__` included."""
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "tetrig", *argv],
+def imported(src: Path, args: list) -> list:
+    """The modules that `python ARGS` imports, in order, as `-X importtime` lists them."""
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                          text=True, check=True)
-    names = [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()]
-    return [name for name in names if name.split(".")[0] == "tetrig"] + ["tetrig.__main__"]
+    return [line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:") and not line.endswith("imported package")]
 
 
 def ast_nodes(src: Path, module: str) -> int:
@@ -37,7 +39,11 @@ def ast_nodes(src: Path, module: str) -> int:
 
 if __name__ == "__main__":
     src = Path(sys.argv[1]).resolve()
+    bare = set(imported(src, ["-c", "pass"]))
     for command, argv in COMMANDS.items():
-        modules = launched(src, argv)
+        names = imported(src, ["-m", "tetrig", *argv])
+        modules = [name for name in names if name.split(".")[0] == "tetrig"] + ["tetrig.__main__"]
+        stdlib = [name for name in names if name not in bare and name.split(".")[0] != "tetrig"]
         total = sum(ast_nodes(src, module) for module in modules)
         print(f"{command}: {total} AST nodes in {len(modules)} modules: {', '.join(modules)}")
+        print(f"  {len(stdlib)} more modules than `python -c pass`: {', '.join(stdlib)}")
