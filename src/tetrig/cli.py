@@ -125,7 +125,7 @@ def main(argv=None, startup: float | None = None) -> int:
         return out
 
     try:
-        if {"-h", "--help"} & {*argv}:
+        if {"-h", "--h", "--he", "--hel", "--help"} & {*argv}:  # --help or a prefix of it
             print(_USAGE)
             return 0
         args = _parse_args(argv)

@@ -342,7 +342,7 @@ def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
     """An element literal read as (num, den): in lowest terms with den > 0 over Q,
     (residue, 1) over F_p; the grammar is `parse_element`'s."""
     digits = text.removeprefix("-").split("/", spec.p is None)  # a '/' splits over Q only
-    if not all(part.isascii() and part.isdigit() for part in digits):
+    if not (text.isascii() and all(map(str.isdigit, digits))):  # '²'.isdigit() holds
         kind = "a rational" if spec.p is None else "an integer"
         raise MalformedLiteral(f"{text!r} is not {kind} literal")
     if max(map(len, digits)) > MAX_LITERAL_DIGITS:

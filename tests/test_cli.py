@@ -913,7 +913,7 @@ def test_command_line_grammar(argv, args):
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["report", "--help"],
-                                  ["fuzz", "--prime", "7", "-h"]])
+                                  ["fuzz", "--prime", "7", "-h"], ["verify", "--he"]])
 def test_help_prints_the_usage_on_stdout_and_exits_0(argv, capsys):
     assert main(argv) == 0
     assert capsys.readouterr() == (_USAGE + "\n", "")
