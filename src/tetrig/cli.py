@@ -13,7 +13,9 @@ launch, nor by importing this module.
 
 from __future__ import annotations
 
+import atexit
 import json
+import os
 import sys
 from time import perf_counter, process_time
 
@@ -58,10 +60,17 @@ def _read_input(path: str | None) -> str:
         return handle.read()
 
 
-def _write_output(path: str | None, obj: dict) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
+def _write_output(path: str | None, text: str) -> None:
+    """Write `text` to the file at `path`, or with none or "-" to stdout, flushed: `launch` ends
+    the process with no stdout byte unwritten.  On a closed stdout, fd 1 becomes os.devnull, so
+    that no later flush fails (as the `signal` docs' note on SIGPIPE advises), and the error goes
+    on to `main`'s handler."""
+    if path in (None, "-"):
+        try:
+            print(text, end="", flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+            raise
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -126,7 +135,8 @@ def main(argv=None, startup: float | None = None) -> int:
 
     try:
         if {"-h", "--h", "--he", "--hel", "--help"} & {*argv}:  # --help or a prefix of it
-            print(_USAGE)
+            args = {"command": "help"}  # so that a closed stdout prints no usage
+            _write_output(None, _USAGE + "\n")
             return 0
         args = _parse_args(argv)
         start = perf_counter()
@@ -148,7 +158,7 @@ def main(argv=None, startup: float | None = None) -> int:
             doc = run("parse", command.load_document, _read_input(args["input"]))
             out, code = ((command.run_report(doc, run), 0) if args["command"] == "report" else
                          command.run_verify(doc, args["corrupt"], run))
-        run("serialise", _write_output, args["output"], out)
+        run("serialise", lambda: _write_output(args["output"], json.dumps(out, indent=2) + "\n"))
         return code
     except (InputError, OSError, UnicodeDecodeError) as exc:  # unreadable or not UTF-8
         print(f"error: {exc}", file=sys.stderr)
@@ -160,6 +170,19 @@ def main(argv=None, startup: float | None = None) -> int:
             for phase, figures in timings.items():
                 figures = {name: round(value, 3) for name, value in figures.items()}
                 print(json.dumps({"phase": phase, **figures}), file=sys.stderr)
+
+
+def launch(startup=None):
+    """`python -m tetrig` and the `tetrig` script: run `main` and end the process with its code.
+    `main` has flushed stdout; once the atexit handlers have run and stderr is flushed,
+    `os._exit` skips module teardown and the final collection, which do no work for the user.
+    Under -X dev, there to show what finalization warns of, the process exits as usual."""
+    code = main(None, startup)
+    if sys.flags.dev_mode:
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 # read by `bench/run.py` here; ROADMAP item 1's benchmark retarget deletes them

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -1049,3 +1050,76 @@ def test_timings_count_the_command_import_as_import_under_python_m():
     assert [line["phase"] for line in lines] == ["import", "parse", "analyze", "verify",
                                                  "serialise"]
     assert lines[0]["ms"] > 0 and lines[0]["process_cpu_ms"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the end of a launch
+# ---------------------------------------------------------------------------
+
+def _launch_env(unbuffered: bool) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+@pytest.mark.parametrize("argv", [["report", "--input", str(UNIT_DOC)], ["--help"]],
+                         ids=["report", "help"])
+@pytest.mark.parametrize("flags", [[], ["-X", "dev"]], ids=["plain", "dev"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_2_in_every_buffering_mode(argv, flags, unbuffered):
+    # a pipe whose reader has gone: buffered or not, the output's write or flush fails inside
+    # `main`, which prints one error and returns 2, and no final flush fails after it (that
+    # printed "Exception ignored ... BrokenPipeError" and exited 120)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *flags, "-m", "tetrig", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=_launch_env(unbuffered), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+# an entry point behind a global whose finalizer writes to stderr, and an atexit handler
+ENDING_PROBE = """import atexit, importlib, runpy, sys
+class Finalized:
+    def __del__(self):
+        sys.stderr.write("finalized\\n")
+keep = Finalized()
+atexit.register(sys.stderr.write, "atexit ran\\n")
+"""
+# what the `tetrig` script's wrapper does with the entry point that pyproject.toml names
+SCRIPT = re.search(r'^tetrig = "(.+):(.+)"$', (SRC.parent / "pyproject.toml").read_text(), re.M)
+ENTRY_POINTS = {"python-m": 'runpy.run_module("tetrig", run_name="__main__", alter_sys=True)',
+                "script": f"sys.exit(getattr(importlib.import_module({SCRIPT[1]!r}), "
+                          f"{SCRIPT[2]!r})())"}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("flags, ending", [([], "atexit ran\n"),
+                                           (["-X", "dev"], "atexit ran\nfinalized\n")],
+                         ids=["plain", "dev"])
+def test_a_launch_runs_atexit_and_finalizes_only_under_dev_mode(entry, flags, ending):
+    # both entry points end once the atexit handlers have run, with no module teardown: no
+    # finalizer runs, except under -X dev, which exits as usual
+    proc = run_python(*flags, "-c", ENDING_PROBE + ENTRY_POINTS[entry], "report", "--input",
+                      str(UNIT_DOC))
+    assert proc.returncode == 0
+    assert proc.stdout == (FIXTURES / "golden" / "report-unit_tri_rectangular.json").read_bytes()
+    err = proc.stderr.decode()
+    assert err.endswith(ending) and err.count("finalized") == ending.count("finalized")
+
+
+def test_a_pooled_launch_leaves_no_process_behind():
+    # the pool's `with` block has joined its workers before the launch ends without
+    # finalization: its own session holds no process once it has exited
+    fuzz = ["-m", "tetrig", "fuzz", "--prime", "101", "--seed", "42", "--samples", "600"]
+    one_worker = run_python(*fuzz, "--workers", "1")
+    proc = subprocess.Popen([sys.executable, *fuzz, "--workers", "2"], env=_launch_env(False),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (0, one_worker.stdout, b"")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)

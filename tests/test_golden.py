@@ -74,3 +74,59 @@ def test_verify_under_optimize_flag_matches_golden():
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden("verify-unit_tri_rectangular.json")
+
+
+def launch(argv, stdin=""):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "tetrig", *argv], input=stdin.encode(),
+                          capture_output=True, env=env, timeout=120)
+
+
+LAUNCHES = {  # name: argv, stdin
+    **{f"{command}-{name}": ([command], DOCUMENTS[name])
+       for name in DOCUMENTS for command in ("report", "verify")},
+    "verify-invalid_bad_literal": (["verify", "--input",
+                                    str(FIXTURES / "invalid_bad_literal.json")], ""),
+    **{f"{name}-w{workers}": (["fuzz", *FUZZ_RUNS[name], "--workers", workers], "")
+       for name in FUZZ_RUNS for workers in ("1", "2")},
+    "verify-corrupt": (["verify", "--corrupt", "E.01"], DOCUMENTS["unit_tri_rectangular"]),
+    "usage-error": (["fuzz", "--prime", "101"], ""),
+    "help": (["--help"], ""),
+    "verify-timings": (["verify", "--timings", "--input",
+                        str(FIXTURES / "tri_rectangular_mixed_corner.json")], ""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAUNCHES))
+def test_a_launch_prints_what_main_returns(name, monkeypatch, capsys):
+    # `python -m tetrig` ends without finalization; its stdout bytes, stderr and exit code are
+    # those of `main` in process (1 for verify-corrupt, 2 for a usage error and an invalid
+    # literal), and its --timings phases add `import` before main's
+    argv, stdin = LAUNCHES[name]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(argv)
+    expected = capsys.readouterr()
+    proc = launch(argv, stdin)
+    assert (proc.returncode, proc.stdout) == (code, expected.out.encode())
+    if "--timings" in argv:
+        def phases(err):
+            return [json.loads(line)["phase"] for line in err.splitlines()]
+        assert phases(proc.stderr.decode()) == ["import", *phases(expected.err)]
+    else:
+        assert proc.stderr.decode() == expected.err
+
+
+OUTPUT_LAUNCHES = {  # golden name: argv
+    "report-unit_tri_rectangular.json": ["report", "--input",
+                                         str(FIXTURES / "unit_tri_rectangular.json")],
+    "fuzz-p101-s200-seed42.json": ["fuzz", *FUZZ_RUNS["fuzz-p101-s200-seed42.json"]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_LAUNCHES))
+def test_a_launch_with_output_writes_the_stdout_bytes_to_the_file(name, tmp_path):
+    out = tmp_path / "out.json"
+    proc = launch([*OUTPUT_LAUNCHES[name], "--output", str(out)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+    assert out.read_bytes() == golden(name)

@@ -1,4 +1,4 @@
-"""Paired A/B timing of two trees of tetrig in one process.
+"""Paired A/B timing of two trees of tetrig, in one process or launch by launch.
 
 Loads the `tetrig` package of OLD_SRC and of NEW_SRC side by side, under the names
 `tetrig_old` and `tetrig_new`, pins the process to one CPU, and then, for each of the
@@ -11,21 +11,36 @@ benchmark's three workloads (`bench/run.py`'s corpora from `bench/corpus.py`):
    each tree's median docs/s with its quartiles, and the median and quartiles of the
    per-round ratio new/old, with the rounds the new tree won.
 
+With `--launch` it times one-shot `python -m tetrig` processes instead, which inherit the
+pin, and which an in-process pass cannot see (interpreter start, imports, the end of the
+process): for each workload, `report` or `verify` of each of its first `cli_docs` documents,
+as `bench/run.py`'s one-shot launches run them, and for a fuzz workload one `fuzz` of its
+`fuzz_samples`.  Each round runs every launch from both trees, alternating which goes first;
+every launch must print the same stdout bytes and exit code from both.  It prints each tree's
+median ms per launch and the median and quartiles of the per-round difference new - old,
+with the rounds the new tree won.  The launches run copies of the two packages without their
+`__pycache__`, so that stale bytecode in one tree cannot spare it the compiling that the other
+pays.
+
 Run from the repository root as
 
-    python tools/paired_ab.py OLD_SRC NEW_SRC [--rounds 120] [--seed 1] [--toy]
+    python tools/paired_ab.py OLD_SRC NEW_SRC [--launch] [--rounds N] [--seed 1] [--toy]
 
 OLD_SRC and NEW_SRC each hold a `tetrig` package (e.g. `src` of two checkouts; the same
-tree twice gives the spread of the method itself).  `--toy` takes the benchmark's toy
-corpus sizes.  Nothing is gated on the timings; a byte difference exits non-zero.
+tree twice gives the spread of the method itself).  `--rounds` defaults to 120, or 20 with
+`--launch`.  `--toy` takes the benchmark's toy corpus sizes.  Nothing is gated on the
+timings; a byte or exit-code difference exits non-zero.
 """
 
 import argparse
 import importlib.util
 import json
 import os
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from importlib import import_module
 from pathlib import Path
@@ -79,26 +94,86 @@ def compare(name: str, trees: dict, docs: list, rounds: int) -> None:
           % (*quartiles(ratios), sum(ratio > 1 for ratio in ratios), rounds))
 
 
+def launches(cfg: dict, seed: int) -> list:
+    """(argv, stdin) of a workload's one-shot launches, with `bench/run.py`'s documents, commands
+    and fuzz seed."""
+    rng, docs, _, _ = bench.make_inputs(cfg, seed)
+    runs = [([bench.oneshot_command(i), "--input", "-"], text)
+            for i, (_, text) in enumerate(docs[:cfg["cli_docs"]])]
+    if cfg["prime"] is not None:
+        runs.append((["fuzz", "--prime", str(cfg["prime"]), "--samples", str(cfg["fuzz_samples"]),
+                      "--seed", str(rng.randrange(2**31))]
+                     + (["--random-form"] if cfg["random_form"] else []), ""))
+    return runs
+
+
+def fresh_copy(src: str, into: Path) -> str:
+    """`into`, holding a copy of the `tetrig` package of `src` without its bytecode caches."""
+    shutil.copytree(Path(src, "tetrig"), into / "tetrig",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return str(into)
+
+
+def launch(src: str, argv: list, stdin: str) -> tuple:
+    """One `python -m tetrig ARGV` of the tree `src`: its wall ms, exit code and stdout bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tetrig", *argv], input=stdin.encode(),
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, timeout=120)
+    return (time.perf_counter() - start) * 1000, proc.returncode, proc.stdout
+
+
+def compare_launches(name: str, srcs: dict, runs: list, rounds: int) -> None:
+    ms = {side: [] for side in srcs}  # per round, the mean ms per launch
+    for r in range(rounds):
+        total, printed = dict.fromkeys(srcs, 0.0), {}
+        for argv, stdin in runs:
+            for side in (srcs if r % 2 == 0 else reversed(srcs)):
+                elapsed, *printed[side] = launch(srcs[side], argv, stdin)
+                total[side] += elapsed
+            if printed["old"] != printed["new"]:
+                sys.exit(f"{name}: tetrig {' '.join(argv)} prints different bytes or exit codes "
+                         "in the two trees")
+        for side in srcs:
+            ms[side].append(total[side] / len(runs))
+    diffs = [b - a for a, b in zip(*ms.values())]
+    print(f"{name} ({len(runs)} launches, {rounds} rounds): "
+          + "  ".join(f"{side} %.2f ms" % statistics.median(values) for side, values in ms.items())
+          + "  new - old %.2f [%.2f, %.2f] ms per launch, new faster in %d of %d"
+          % (*quartiles(diffs), sum(diff < 0 for diff in diffs), rounds))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--rounds", type=int, default=120)
+    parser.add_argument("--launch", action="store_true",
+                        help="time one-shot `python -m tetrig` launches, not the in-process pass")
+    parser.add_argument("--rounds", type=int, help="default 120, or 20 with --launch")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--toy", action="store_true", help="the benchmark's toy corpus sizes")
     args = parser.parse_args()
+    if args.rounds is None:
+        args.rounds = 20 if args.launch else 120
     if args.rounds < 2:
         parser.error("--rounds: at least 2, one with each tree first")
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    trees = {"old": load_tree("tetrig_old", args.old_src),
-             "new": load_tree("tetrig_new", args.new_src)}
-    print(f"python {sys.version.split()[0]}, pinned to one CPU, "
-          f"{time.strftime('%Y-%m-%d %H:%M')}")
-    for name, cfg in bench.WORKLOADS.items():
-        cfg = {**cfg, **(bench.TOY if args.toy else {})}
-        _, docs, _, _ = bench.make_inputs(cfg, args.seed)
-        compare(name, trees, docs, args.rounds)
+    srcs = {"old": args.old_src, "new": args.new_src}
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.launch:
+            srcs = {side: fresh_copy(src, Path(tmp, side)) for side, src in srcs.items()}
+        else:
+            trees = {side: load_tree(f"tetrig_{side}", src) for side, src in srcs.items()}
+        print(f"python {sys.version.split()[0]}, pinned to one CPU, "
+              f"{time.strftime('%Y-%m-%d %H:%M')}")
+        for name, cfg in bench.WORKLOADS.items():
+            cfg = {**cfg, **(bench.TOY if args.toy else {})}
+            if args.launch:
+                compare_launches(name, srcs, launches(cfg, args.seed), args.rounds)
+            else:
+                _, docs, _, _ = bench.make_inputs(cfg, args.seed)
+                compare(name, trees, docs, args.rounds)
 
 
 if __name__ == "__main__":
