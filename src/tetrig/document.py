@@ -3,8 +3,8 @@ canonical table, and the printed report and verdicts.
 
 The right corner (`corner`) is imported only for a document with the `tri_rectangular`
 option, and the `FieldElement` library (`affine`, `trig`) only by `InputDocument.tetrahedron`.
-The writers of the library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`,
-`corrupt_entry`) are in `trig`.
+The writers of the library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`)
+are in `trig`; `--corrupt` (`_corrupt`) works on the canonical table only.
 """
 
 from __future__ import annotations

@@ -17,6 +17,12 @@ times a Euclidean one with c, as adj B . B = det B . I gives n B x^T = det B (c 
 dihedral dots, Q(n), the dual solid spread's triple, the solid spread's B-triple and the
 skew quadrance's projection.  Over F_p the canonical table makes one inversion, of the
 product of its nonzero dens (`_residue_table`).
+
+The kernel and the engine run on any commutative ring.  Of the form they read `spec._red`,
+`_ints`, `_adj`, `_int_det` and `_scale`; of the values they need `+ - *` (with ints on
+either side), `== 0` and truth, and `red` must be a ring homomorphism.  Ints are needed only
+as the six quadrance dens, whose lcm `_verify_parts` takes (`_over_common_den`).
+`tests/test_proofs.py` runs both on polynomials over Z, where `red` is the identity.
 """
 
 from __future__ import annotations
@@ -145,11 +151,12 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
     order, from the defining formulas on plain ints: the twelve coordinates of the
     points, three per point, times `scale`.
 
-    Over Q the points are scaled by L (`trig._scaled_coordinates`) and the form by M
-    (`SymmetricForm._ints`); with s = L^2 M each entry's one division takes the
-    scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads unscaled.  Over
-    F_p, L = M = s = 1 and values are reduced mod p as they grow.  No branch on a
-    value: a den is zero (mod p over F_p) exactly where the entry is Undefined.
+    Over Q the points are scaled by L (`document_from_obj`, or `trig._scaled_coordinates`
+    for a library `Tetrahedron`) and the form by M (`SymmetricForm._ints`); with s = L^2 M
+    each entry's one division takes the scale out: Q / s, A / s^2, V / s^3, skew / s,
+    R * s^2, spreads unscaled.  Over F_p, L = M = s = 1 and values are reduced mod p as
+    they grow.  No branch on a value: a den is zero (mod p over F_p) exactly where the
+    entry is Undefined.
     """
     red, det = form.spec._red, form._int_det
     s = scale * scale * form._scale

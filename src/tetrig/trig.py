@@ -359,14 +359,3 @@ def results_to_obj(results: CheckResults) -> dict:
     from .document import _results_obj
     return _results_obj([verdict._fields() for verdict in results.verdicts])
 
-
-def corrupt_entry(report: InvariantReport, key: str) -> None:
-    """Debug aid: add 1 to the defined report entry printed as `key`, e.g. 'E.01' or 'V'."""
-    from .document import _corrupt
-    spec, table = report.tetrahedron.spec, _report_parts(report)
-    n = _corrupt(spec, table, key)
-    (field, entry_key, _), entry = _ENTRIES[n], spec._ratio(*table[n])
-    if entry_key is None:
-        setattr(report, field, entry)
-    else:
-        getattr(report, field)[entry_key] = entry

@@ -643,7 +643,7 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
     targets = (trig.analyze, trig.verify_identities, trig._report_parts,
                trig.tri_rectangular_checks, trig.Verdict, trig.CheckResults,
                trig.InvariantReport, trig.Undefined, trig.report_to_obj,
-               trig.results_to_obj, trig.corrupt_entry)
+               trig.results_to_obj)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("called by report or verify")

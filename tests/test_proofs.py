@@ -1,0 +1,253 @@
+"""The identity web and the paper's right corner as theorems about this code.
+
+The kernel (`tetra._analyze_parts`) and the verdict engine (`tetra._verify_parts`) need of
+their values only `+ - *`, `== 0` and truth, so they run unchanged on polynomials over Z
+with a stand-in spec whose `_red` reduces nothing.  A row's verdict is then `pass` exactly
+when its cross-multiplied difference is the zero polynomial and its dens' product is not:
+an identity of polynomials, never vacuous, which holds mod every p as well.  The rows are
+the engine's own tables, so a row added to them is proved here or fails here.
+
+- The identities and the skew re-projections, on the slice p0 = 0, p1 = (a, 0, 0),
+  p2 = (b, c, 0), p3 = (d, e, f) under the identity form, with the re-projections' t1, t2.
+- The right corner's relations and the identities, on the corner's own frame: the points
+  0, e1, e2, e3 under diag(K1, K2, K3).
+
+README's "What is proved" gives the reductions from these to every input; the last test
+checks the invariance they rest on, at random points.
+"""
+
+import random
+from itertools import chain
+from math import prod
+from operator import add
+from types import SimpleNamespace
+
+import pytest
+
+from tetrig import corner, tetra
+from tetrig.blinalg import DegenerateForm, SymmetricForm
+from tetrig.corner import _RIGHT_CORNER, _corner_parts, _right_corner_parts
+from tetrig.field import FieldSpec
+from tetrig.tetra import (_FUZZ_ROWS, _IDENTITIES, FAIL, PASS, SKEW_PAIRINGS, _analyze_parts,
+                          _report_table, _skew_parts, _verify_parts)
+
+
+class Poly:
+    """A polynomial over Z, as a dict from exponent tuples to nonzero ints: `+ - *` with
+    another of the same variables or with an int on either side, `== 0`, truth, and its
+    value at an integer point by a call."""
+
+    __slots__ = ("terms", "one")
+
+    def __init__(self, terms: dict, one: tuple):
+        self.terms, self.one = terms, one  # one: the exponents of a constant, all 0
+
+    @classmethod
+    def variables(cls, n: int) -> list:
+        one = (0,) * n
+        return [cls({one[:i] + (1,) + one[i + 1:]: 1}, one) for i in range(n)]
+
+    def _terms(self, x) -> dict:
+        return x.terms if isinstance(x, Poly) else {self.one: x} if x else {}
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in self._terms(other).items():
+            c += terms.pop(e, 0)
+            if c:
+                terms[e] = c
+        return Poly(terms, self.one)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({e: -c for e, c in self.terms.items()}, self.one)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        terms = {}
+        for e2, c2 in self._terms(other).items():
+            for e1, c1 in self.terms.items():
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly({e: c for e, c in terms.items() if c}, self.one)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return not (self - other).terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __call__(self, point):
+        return sum(c * prod(map(pow, point, e)) for e, c in self.terms.items())
+
+
+def at(x, point):
+    """The value of a kernel value, a polynomial or an int, at `point`."""
+    return x(point) if isinstance(x, Poly) else x
+
+
+# a spec over the polynomial ring: nothing to reduce, so no row is decided modulo anything
+RING = SimpleNamespace(p=None, _red=lambda x: x)
+Q = FieldSpec.rational()
+a, b, c, d, e, f, t1, t2 = Poly.variables(8)
+SLICE = [0, 0, 0, a, 0, 0, b, c, 0, d, e, f]
+IDENTITY = [(1, 1)] * 3 + [(0, 1)] * 3
+CORNER = [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def generic_parts(spec, coords, s1, s2):
+    """The entries on `coords` under the identity form over `spec`, and the skew quadrances
+    from points moved along the edges by s1, s2, as a fuzz sample passes them."""
+    form = SymmetricForm.from_parts(spec, IDENTITY)
+    moved = [_skew_parts(form, 1, coords, pairing, s1, s2) for pairing in SKEW_PAIRINGS]
+    return _analyze_parts(form, 1, coords), moved
+
+
+def corner_parts(spec, k):
+    """The entries and K1, K2, K3 of the points 0, e1, e2, e3 under diag(k) over `spec`."""
+    form = SymmetricForm.from_parts(spec, [(x, 1) for x in k] + [(0, 1)] * 3)
+    return _analyze_parts(form, 1, CORNER), _corner_parts(form, 1, CORNER)
+
+
+@pytest.fixture(scope="module")
+def generic():
+    return generic_parts(RING, SLICE, t1, t2)
+
+
+def first(rows, identity):
+    return next(row for row in rows if row[0] == identity)
+
+
+def test_every_identity_and_skew_reprojection_is_a_polynomial_identity(generic):
+    parts, moved = generic
+    assert _verify_parts(RING._red, parts, _FUZZ_ROWS, moved) == [PASS] * len(_FUZZ_ROWS)
+
+
+def test_every_right_corner_relation_and_identity_holds_on_the_corner_frame():
+    parts, k = corner_parts(RING, Poly.variables(3))
+    assert {status for *_, status in _right_corner_parts(RING._red, parts, k)} == {PASS}
+    assert _verify_parts(RING._red, parts) == [PASS] * len(_IDENTITIES)
+
+
+def test_the_polynomials_are_the_integer_kernel_at_every_point(generic):
+    # at a random integer point each polynomial is the kernel's int on that point's integers:
+    # what is proved above is what the kernel computes
+    generic_polys = [*generic[0], *generic[1]]
+    corner_polys = [*chain(*corner_parts(RING, Poly.variables(3)))]
+    rnd = random.Random(23)
+    for _ in range(20):
+        point = [rnd.randint(-9, 9) for _ in range(8)]
+        parts, moved = generic_parts(Q, [at(x, point) for x in SLICE], *point[6:])
+        assert [(at(num, point), at(den, point)) for num, den in generic_polys] == parts + moved
+        k = [rnd.choice((-1, 1)) * rnd.randint(1, 9) for _ in range(3)]
+        parts, k_parts = corner_parts(Q, k)
+        assert [(at(num, k), at(den, k)) for num, den in corner_polys] == parts + k_parts
+
+
+def test_planted_false_rows_fail(generic, monkeypatch):
+    parts, moved = generic
+    name, instance, lc, lhs, rc, rhs = first(_IDENTITIES, "solid-spread-triple-ratio")
+    planted = [(name, instance, lc - 1, lhs, rc, rhs)]  # 64 -> 63
+    name, instance, lc, lhs, rc, rhs = first(_IDENTITIES, "dihedral-spread-formula")
+    planted.append((name, instance, lc, lhs[:-1], rc, rhs))  # a factor dropped
+    name, instance, lc, lhs, rc, rhs = first(_IDENTITIES, "alternating-spreads")
+    planted.append((name, instance, lc, rhs[:1] + lhs[1:], rc, lhs[:1] + rhs[1:]))  # swapped
+    assert _verify_parts(RING._red, parts, planted, moved) == [FAIL] * 3
+
+    name, instance, lc, lhs, rc, rhs = first(_RIGHT_CORNER, "closed-form-quadrume")
+    monkeypatch.setattr(corner, "_RIGHT_CORNER", [(name, instance, lc, lhs, rc // 2, rhs)])
+    parts, k = corner_parts(RING, Poly.variables(3))
+    assert _right_corner_parts(RING._red, parts, k) == [(name, instance, FAIL)]  # 4 -> 2
+
+
+def test_a_wrong_kernel_formula_fails_its_rows(monkeypatch):
+    monkeypatch.setattr(tetra, "solid_spread_from_parts",
+                        lambda t, q1, q2, q3, det: (t * t, det * q1 * q2 * q2))
+    parts, k = corner_parts(RING, Poly.variables(3))
+    identities = _verify_parts(RING._red, parts)
+    relations = [status for *_, status in _right_corner_parts(RING._red, parts, k)]
+    assert FAIL in identities and FAIL in relations
+
+
+# ---------------------------------------------------------------------------
+# the invariance the reductions rest on
+# ---------------------------------------------------------------------------
+
+def _mat_mul(x, y):
+    return [[sum(x[i][m] * y[m][j] for m in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _adjugate(x):
+    return [[x[(j + 1) % 3][(i + 1) % 3] * x[(j + 2) % 3][(i + 2) % 3]
+             - x[(j + 1) % 3][(i + 2) % 3] * x[(j + 2) % 3][(i + 1) % 3] for j in range(3)]
+            for i in range(3)]
+
+
+def _det(x):
+    return sum(x0 * row[0] for x0, row in zip(x[0], _adjugate(x)))
+
+
+def _form(spec, x):
+    """The form of the symmetric matrix `x` over `spec`, its entries reduced."""
+    return SymmetricForm.from_parts(spec, [(spec._red(x[i][j]), 1) for i, j in
+                                           ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))])
+
+
+def _transpose(x):
+    return [list(row) for row in zip(*x)]
+
+
+def _random_form(spec, draw):
+    """A random symmetric matrix of `draw`n entries with det nonzero, and its form."""
+    b = [[draw() for _ in range(3)] for _ in range(3)]
+    b = [[b[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+    try:
+        return b, _form(spec, b)
+    except DegenerateForm:
+        return _random_form(spec, draw)
+
+
+def _invertible(rnd, p):
+    """A random invertible M: over F_p any M with det M nonzero mod p; over Q (p None) a
+    unimodular one, L U with L and U^T unitriangular, a row negated half the time."""
+    if p:
+        m = [[rnd.randrange(p) for _ in range(3)] for _ in range(3)]
+        return m if _det(m) % p else _invertible(rnd, p)
+    lower = [[[1 if i == j else rnd.randint(-3, 3) if i > j else 0 for j in range(3)]
+              for i in range(3)] for _ in range(2)]
+    m = _mat_mul(lower[0], _transpose(lower[1]))
+    if rnd.random() < 0.5:
+        m[0] = [-x for x in m[0]]
+    return m
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1, None],
+                         ids=["F_7", "F_101", "F_2147483647", "Q"])
+def test_a_change_of_basis_and_a_translation_keep_every_entry(p):
+    # (P, B) and ((P + t) M^-1, M B M^T) have one report, entry for entry, Undefined entries
+    # included: what takes the proofs above from their slice and frame to every input
+    spec, rnd = FieldSpec(p), random.Random(29)
+    draw = (lambda: rnd.randrange(p)) if p else (lambda: rnd.randint(-9, 9))
+    undefined = 0
+    for _ in range(300):
+        b, form = _random_form(spec, draw)
+        m = _invertible(rnd, p)
+        det = _det(m)  # over Q, +-1: its own inverse
+        inverse = [[x * (pow(det, -1, p) if p else det) for x in row] for row in _adjugate(m)]
+        moved_form = _form(spec, _mat_mul(_mat_mul(m, b), _transpose(m)))
+        coords, t = [draw() for _ in range(12)], [draw() for _ in range(3)]
+        moved = [spec._red(sum((coords[i + r] + t[r]) * inverse[r][j] for r in range(3)))
+                 for i in range(0, 12, 3) for j in range(3)]
+        table = _report_table(form, 1, coords)
+        assert _report_table(moved_form, 1, moved) == table
+        undefined += sum(den == 0 for _, den in table)
+    if p == 7:
+        assert undefined

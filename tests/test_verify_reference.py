@@ -20,9 +20,9 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
 from tetrig.corner import _sum
-from tetrig.document import _PRINTED, ReportOptions, _report_obj, load_document
-from tetrig.tetra import _analyze_parts, _decide, _report_table
-from tetrig.trig import _report_parts, _scaled_coordinates, corrupt_entry, report_to_obj
+from tetrig.document import _PRINTED, ReportOptions, _corrupt, _report_obj, load_document
+from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _decide, _report_table
+from tetrig.trig import _report_parts, _scaled_coordinates, report_to_obj
 from support import Q, rand_form, rand_point, rng
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -137,6 +137,16 @@ def defined_entry_keys(report):
     return keys
 
 
+def corrupted_report(report, key):
+    """`report` with the defined entry printed as `key` bumped by 1, as `verify --corrupt`
+    bumps it (`_corrupt` on the report's table), read back as `analyze` reads a table."""
+    spec, table = report.tetrahedron.spec, _report_parts(report)
+    _corrupt(spec, table, key)
+    return InvariantReport(report.tetrahedron, *_by_field(
+        spec._ratio(num, den) if den else Undefined(reason)
+        for (_, _, reason), (num, den) in zip(_ENTRIES, table)))
+
+
 def copy_report(report):
     fields = (getattr(report, name) for name in InvariantReport.__slots__)
     return InvariantReport(*(dict(v) if isinstance(v, dict) else v for v in fields))
@@ -168,8 +178,7 @@ def test_verify_matches_reference_on_clean_and_corrupted_reports(spec, tall, cou
         assert "fail" not in {status for _, _, status in clean}
         statuses |= {status for _, _, status in clean}
         for key in defined_entry_keys(report):
-            corrupted = copy_report(report)
-            corrupt_entry(corrupted, key)
+            corrupted = corrupted_report(report, key)
             verdicts = kernel_verdicts(corrupted)
             assert verdicts == reference_verdicts(corrupted), key
             statuses |= {status for _, _, status in verdicts}
@@ -330,8 +339,7 @@ def test_right_corner_matches_reference_on_clean_and_corrupted_reports(corners):
         assert clean == reference_right_corner(report)
         assert {status for _, _, status in clean} == {"pass"}
         for key in defined_entry_keys(report):
-            corrupted = copy_report(report)
-            corrupt_entry(corrupted, key)
+            corrupted = corrupted_report(report, key)
             assert right_corner_verdicts(corrupted) == reference_right_corner(corrupted), key
         seen += 1
     assert seen >= 3
