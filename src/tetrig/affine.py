@@ -7,22 +7,29 @@ from .blinalg import Frozen, SymmetricForm, _raw, adj_values, cross_values, shar
 from .field import FieldElement, FieldSpec, MixedFields
 
 
-class Vector3(Frozen):
-    """Displacement vector with three exact components."""
+class _Triple(Frozen):
+    """Three exact components x, y, z over one field; each subclass names them in its own
+    `__slots__`, which `Record` reads."""
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ()
 
-    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
-        shared_spec(x, y, z)
-        super().__init__(x, y, z)
+    def __init__(self, *xyz: FieldElement):
+        super().__init__(*xyz)  # first: a wrong count is a TypeError naming the subclass
+        shared_spec(*xyz)
 
     @classmethod
-    def of(cls, spec: FieldSpec, x, y, z) -> "Vector3":
+    def of(cls, spec: FieldSpec, x, y, z):
         return cls(spec.element(x), spec.element(y), spec.element(z))
 
     @property
     def spec(self) -> FieldSpec:
         return self.x.spec
+
+
+class Vector3(_Triple):
+    """Displacement vector with three exact components."""
+
+    __slots__ = ("x", "y", "z")
 
     @property
     def is_zero(self) -> bool:
@@ -65,8 +72,6 @@ def mat3_det(rows) -> FieldElement:
     return (m00 * (m11 * m22 - m12 * m21)
             - m01 * (m10 * m22 - m12 * m20)
             + m02 * (m10 * m21 - m11 * m20))
-
-
 
 
 def b_dot(v: Vector3, w: Vector3, form: SymmetricForm) -> FieldElement:
@@ -126,22 +131,10 @@ class NullAxis(Exception):
     """Projection axis has quadrance zero, so the projection is undefined."""
 
 
-class Point3(Frozen):
+class Point3(_Triple):
     """Affine position with three exact coordinates."""
 
     __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: FieldElement, y: FieldElement, z: FieldElement):
-        shared_spec(x, y, z)
-        super().__init__(x, y, z)
-
-    @classmethod
-    def of(cls, spec: FieldSpec, x, y, z) -> "Point3":
-        return cls(spec.element(x), spec.element(y), spec.element(z))
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.x.spec
 
     def coordinates(self) -> tuple[FieldElement, FieldElement, FieldElement]:
         return (self.x, self.y, self.z)

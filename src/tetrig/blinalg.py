@@ -101,23 +101,25 @@ def _raw(v: Vector3):
     return (v.x._value, v.y._value, v.z._value)
 
 
-# the form's entries in slot order, then its determinant: the field elements of a form
-_ELEMENTS = ("a1", "a2", "a3", "b1", "b2", "b3", "det")
-
-
 class SymmetricForm:
     """Symmetric 3x3 matrix with nonzero determinant.
 
     Entry layout: a1, a2, a3 on the diagonal; b1 in rows/columns 2-3,
     b2 in 1-3, b3 in 1-2.  The determinant and adjugate are computed once,
-    at construction, by explicit cofactors, on integers; instances are
-    immutable.  The form keeps M B as raw ints (`_ints`) with its adjugate
-    (`_adj`) and determinant (`_int_det`); M (`_scale`) is the lcm of the
-    entry denominators over Q, and over F_p M = 1 and all three are reduced
-    mod p.  The entries and `det` as field elements are built on first use.
+    at construction, by explicit cofactors, on integers.  The form's state is the
+    kernel's ring interface and nothing else: `spec` (with its `_red`), M B as raw ints
+    (`_ints`), its adjugate (`_adj`) and determinant (`_int_det`), and M (`_scale`), the
+    lcm of the entry denominators over Q; over F_p M = 1 and all three are reduced mod p.
+    The entries and `det` as field elements are a read-only view, built from those
+    integers on each read, so it cannot disagree with them.
     """
 
-    __slots__ = (*_ELEMENTS, "spec", "_entry_parts", "_ints", "_adj", "_int_det", "_scale")
+    __slots__ = ("spec", "_ints", "_adj", "_int_det", "_scale")
+
+    # the element view: entry n is M B's entry n over M, and det B = det(M B) / M^3
+    a1, a2, a3, b1, b2, b3 = (property(lambda f, n=n: f.spec._ratio(f._ints[n], f._scale))
+                              for n in range(6))
+    det = property(lambda f: f.spec._ratio(f._int_det, f._scale ** 3))
 
     def __init__(self, a1: FieldElement, a2: FieldElement, a3: FieldElement,
                  b1: FieldElement, b2: FieldElement, b3: FieldElement):
@@ -128,9 +130,9 @@ class SymmetricForm:
     def from_parts(cls, spec: FieldSpec, parts) -> "SymmetricForm":
         """The form whose entries a1, a2, a3, b1, b2, b3 are the elements num/den of the six
         integer pairs `parts`, each as `FieldElement._parts` gives it, over `spec`.  The
-        kernel (`tetra`) reads only `spec._red`, `_ints`, `_adj`, `_int_det` and `_scale`, so
-        `spec` may be any object with a `_red`, and the nums a ring's values over int dens:
-        polynomials over Z in `tests/test_proofs.py`."""
+        kernel (`tetra`) reads only the state, `spec._red`, `_ints`, `_adj`, `_int_det` and
+        `_scale`, so `spec` may be any object with a `_red`, and the nums a ring's values
+        over int dens: polynomials over Z in `tests/test_proofs.py`."""
         form = object.__new__(cls)
         form._build(spec, parts)
         return form
@@ -145,16 +147,7 @@ class SymmetricForm:
         adj, det = ((c1, d3, d2), (d3, c2, d1), (d2, d1, c3)), red(i1 * c1 + j3 * d3 + j2 * d2)
         if det == 0:
             raise DegenerateForm("form matrix has determinant zero")
-        self.spec, self._entry_parts = spec, parts
-        self._ints, self._adj, self._int_det, self._scale = ints, adj, det, m
-
-    def __getattr__(self, name: str) -> FieldElement:
-        # the entries and `det` (det B = det(M B) / M^3), built on first use of one and kept
-        if name not in _ELEMENTS:
-            raise AttributeError(name)
-        for key, pair in zip(_ELEMENTS, (*self._entry_parts, (self._int_det, self._scale ** 3))):
-            setattr(self, key, self.spec._ratio(*pair))
-        return getattr(self, name)
+        self.spec, self._ints, self._adj, self._int_det, self._scale = spec, ints, adj, det, m
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "SymmetricForm":

@@ -202,11 +202,11 @@ class FieldElement:
     def __init__(self, spec: FieldSpec, value: int | Fraction):
         if spec.p is None:
             fraction = _fraction()
-            if not isinstance(value, (int, fraction)):
+            if not isinstance(value, (int, fraction)) or isinstance(value, bool):
                 raise TypeError(f"cannot build a rational element from {type(value).__name__}")
             self._value = fraction(value)
         else:
-            if not isinstance(value, int):
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"cannot build an F_{spec.p} element from {type(value).__name__}")
             self._value = value % spec.p
         self.spec = spec

@@ -129,8 +129,9 @@ def test_degenerate_form_rejected():
 def test_form_built_on_integers_equals_the_form_of_elements(spec):
     # `from_parts` builds the form from its entries' (num, den) pairs, as `report` and
     # `verify` parse them: the same M B, adjugate, determinant and M as the form of the
-    # elements, its entries and det as elements only on first use, and the same error
-    # for a singular form
+    # elements, the same entries and det as a read-only view of those integers, and the
+    # same error for a singular form
+    assert SymmetricForm.__slots__ == ("spec", "_ints", "_adj", "_int_det", "_scale")
     rnd = rng(17)
     singular = [[(1, 1), (2, 1), (0, 1), (0, 1), (0, 1), (0, 1)], [(1, 2)] * 6]
     cases = [[rand_element(spec, rnd)._parts() for _ in range(6)] for _ in range(150)]
@@ -147,12 +148,13 @@ def test_form_built_on_integers_equals_the_form_of_elements(spec):
         by_ints = SymmetricForm.from_parts(spec, parts)
         for name in ("_ints", "_adj", "_int_det", "_scale", "spec"):
             assert getattr(by_ints, name) == getattr(by_elements, name), name
-        for name in ("a1", "b2", "det"):  # unset slots until first use
-            with pytest.raises(AttributeError):
-                getattr(SymmetricForm, name).__get__(by_ints)
         assert by_ints.entries() == by_elements.entries() == tuple(elements)
-        assert by_ints.det == by_elements.det == mat3_det(by_ints.rows())
-        assert SymmetricForm.det.__get__(by_ints) == by_ints.det  # kept once built
+        det = mat3_det(by_ints.rows())
+        for name, element in zip(("a1", "a2", "a3", "b1", "b2", "b3", "det"), (*elements, det)):
+            for form in (by_ints, by_elements):
+                assert getattr(form, name) == element, name
+                with pytest.raises(AttributeError):  # the view has no setter
+                    setattr(form, name, element)
         built += 1
     assert built > 50
     assert SymmetricForm.identity(spec).entries() == (spec.one(),) * 3 + (spec.zero(),) * 3

@@ -60,6 +60,13 @@ def test_report_round_trips_to_identical_elements():
         assert parse_element(out["s"][f"{i};{j}{k}"], spec) == value
 
 
+@pytest.mark.parametrize("name", ["tri_rectangular_f101.json", "tall_literal_q.json"])
+def test_document_to_obj_with_options_is_the_input_document(name):
+    obj = json.loads((FIXTURES / name).read_text())
+    doc = document_from_obj(obj)
+    assert document_to_obj(doc.tetrahedron, doc.options) == obj
+
+
 def test_report_marks_undefined_entries():
     doc = document_from_obj({
         "field": {"kind": "prime", "p": 7},

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import pickle
 import sys
 import threading
@@ -333,6 +334,20 @@ def test_int_coercion_in_arithmetic():
     assert 2 * x == Q.element(3)
     assert x / 3 == parse_element("1/2", Q)
     assert 1 - x == parse_element("-1/2", Q)
+    assert 2 / x == parse_element("4/3", Q)
+    assert 2 / F7.element(3) == F7.element(3)
+
+
+@pytest.mark.parametrize("spec", [Q, F7], ids=["Q", "F_7"])
+@pytest.mark.parametrize("operand", [1.5, True], ids=["float", "bool"])
+def test_operands_other_than_ints_and_elements_are_type_errors(spec, operand):
+    x = spec.element(3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for left, right in ((x, operand), (operand, x)):
+            with pytest.raises(TypeError):
+                op(left, right)
+    with pytest.raises(TypeError):
+        x ** 1.5
 
 
 def test_mixed_fields_rejected():
@@ -347,3 +362,20 @@ def test_element_type_guards():
         FieldElement(F7, Fraction(1, 2))
     with pytest.raises(TypeError):
         FieldElement(Q, "1/2")
+    for spec in (Q, F7):  # a bool is an int, but no operand of arithmetic either
+        for value in (True, False):
+            with pytest.raises(TypeError, match="^cannot build .* from bool$"):
+                FieldElement(spec, value)
+            with pytest.raises(TypeError, match="^cannot build .* from bool$"):
+                spec.element(value)
+
+
+def test_views_belong_to_one_field():
+    with pytest.raises(TypeError, match="rational-field view"):
+        F7.element(3).numerator
+    with pytest.raises(TypeError, match="rational-field view"):
+        F7.element(3).denominator
+    with pytest.raises(TypeError, match="prime-field view"):
+        Q.element(3).residue
+    assert (repr(Q), repr(F7)) == ("FieldSpec(p=None)", "FieldSpec(p=7)")
+    assert (str(parse_element("-3/4", Q)), str(F7.element(-1))) == ("-3/4", "6")

@@ -318,6 +318,8 @@ def test_skew_quadrance_parallel_edges_raise():
                       pt(Q, 1, 1, 0), SymmetricForm.identity(Q))
     with pytest.raises(NotSkewOrDegenerate):
         skew_quadrance(tet, ((0, 1), (2, 3)))
+    with pytest.raises(NotSkewOrDegenerate):
+        skew_quadrance_closed_form(tet, ((0, 1), (2, 3)))
 
 
 def test_skew_quadrance_null_perpendicular_raises():

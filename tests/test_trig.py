@@ -273,6 +273,9 @@ def test_dihedral_spread_null_normal_raises():
     other = Plane(pt(spec, 0, 0, 0), vec(spec, 1, 0, 0), vec(spec, 0, 1, 0))
     with pytest.raises(NullNormal):
         dihedral_spread(plane, other, form)
+    with pytest.raises(NullNormal):  # the same null normal, through the closed form
+        dihedral_spread_common_edge(vec(spec, 0, 0, 1), vec(spec, 1, 2, 0), vec(spec, 1, 0, 0),
+                                    form)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,7 @@ def test_solid_spread_orthonormal_tripod():
     apex = pt(Q, 0, 0, 0)
     lines = TriLines(apex, vec(Q, 1, 0, 0), vec(Q, 0, 1, 0), vec(Q, 0, 0, 1))
     assert solid_spread(lines, SymmetricForm.identity(Q)) == Q.one()
+    assert lines.directions() == (vec(Q, 1, 0, 0), vec(Q, 0, 1, 0), vec(Q, 0, 0, 1))
 
 
 def test_solid_spread_null_direction_raises():

@@ -122,8 +122,8 @@ def test_every_value_type_round_trips(clone):
 
 
 # the types that take their fields through Record.__init__
-RECORD_INIT = ("Line", "Plane", "Triangle", "TriLines", "Tetrahedron", "TriRectParams",
-               "Undefined", "InvariantReport", "CheckResults", "InputDocument")
+RECORD_INIT = ("Point3", "Vector3", "Line", "Plane", "Triangle", "TriLines", "Tetrahedron",
+               "TriRectParams", "Undefined", "InvariantReport", "CheckResults", "InputDocument")
 
 
 @pytest.mark.parametrize("name", RECORD_INIT)
