@@ -3,7 +3,7 @@ projection in affine 3-space, over field elements."""
 
 from __future__ import annotations
 
-from .blinalg import Frozen, SymmetricForm, _raw, adj_values, cross_values, shared_spec
+from .blinalg import Frozen, SymmetricForm, _raw, cross_values, form_values, inner, shared_spec
 from .field import FieldElement, FieldSpec, MixedFields
 
 
@@ -55,23 +55,17 @@ class Vector3(_Triple):
 
 def cross3(v: Vector3, w: Vector3) -> Vector3:
     """Plain Euclidean cross product of two row vectors."""
-    return Vector3(v.y * w.z - v.z * w.y,
-                   v.z * w.x - v.x * w.z,
-                   v.x * w.y - v.y * w.x)
+    return Vector3(*cross_values(v.components(), w.components()))
 
 
 def det3(v1: Vector3, v2: Vector3, v3: Vector3) -> FieldElement:
     """Determinant of the matrix stacking v1, v2, v3 as rows."""
-    c = cross3(v2, v3)
-    return v1.x * c.x + v1.y * c.y + v1.z * c.z
+    return inner(v1.components(), cross_values(v2.components(), v3.components()))
 
 
 def mat3_det(rows) -> FieldElement:
     """Determinant of a 3x3 matrix given as three rows of field elements."""
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    return (m00 * (m11 * m22 - m12 * m21)
-            - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20))
+    return inner(rows[0], cross_values(rows[1], rows[2]))
 
 
 def b_dot(v: Vector3, w: Vector3, form: SymmetricForm) -> FieldElement:
@@ -87,7 +81,7 @@ def b_cross(v: Vector3, w: Vector3, form: SymmetricForm) -> Vector3:
     form._check(v)
     form._check(w)
     ratio, m2 = form.spec._ratio, form._scale ** 2
-    x, y, z = adj_values(form._adj, cross_values(_raw(v), _raw(w)))
+    x, y, z = form_values(form._adj, cross_values(_raw(v), _raw(w)))
     return Vector3(ratio(x, m2), ratio(y, m2), ratio(z, m2))
 
 

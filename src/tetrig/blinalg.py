@@ -5,11 +5,11 @@ The form B pairs vectors through v . w = v B w^T.  Cross-product style
 operations twist the Euclidean cross product by the adjugate of B:
 v x_B w = (v x w) adj B is B-perpendicular to its factors, as adj B . B = det B . I,
 and the classical triple/quadruple product identities hold over any field of
-characteristic not 2.  On plain ints the form's products are composed of four
-primitives: v B (`form_values`), the Euclidean cross product (`cross_values`),
-c adj B (`adj_values`) and the Euclidean inner product (`inner`).  The vector
-library over field elements (`Vector3`, `b_cross`, the triple products) is in
-`affine`, beside `Point3`.
+characteristic not 2.  On plain ints the form's products are composed of three
+primitives: v M for a symmetric M held as three rows (`form_values`), which gives v B and
+c adj B, the Euclidean cross product (`cross_values`) and the Euclidean inner product
+(`inner`).  The vector library over field elements (`Vector3`, `b_cross`, the triple
+products) is in `affine`, beside `Point3`.
 """
 
 from __future__ import annotations
@@ -74,22 +74,17 @@ class Frozen(Record):
     __delattr__ = __setattr__
 
 
-def form_values(b, v):
-    """v B on raw values: b = (a1, a2, a3, b1, b2, b3), v a triple."""
-    a1, a2, a3, b1, b2, b3 = b
+def form_values(m, v):
+    """v M on raw values, for a symmetric M held as three rows (B or adj B), v a triple."""
+    (a, b, c), (_, d, e), (_, _, f) = m
     x, y, z = v
-    return x * a1 + y * b3 + z * b2, x * b3 + y * a2 + z * b1, x * b2 + y * b1 + z * a3
+    return x * a + y * b + z * c, x * b + y * d + z * e, x * c + y * e + z * f
 
 
 def cross_values(v, w):
     """The Euclidean cross product v x w on raw values."""
     (a, b, c), (x, y, z) = v, w
     return b * z - c * y, c * x - a * z, a * y - b * x
-
-
-def adj_values(adj, c):
-    """c adj B on raw values: adj holds the adjugate, which is symmetric, as three rows."""
-    return inner(c, adj[0]), inner(c, adj[1]), inner(c, adj[2])
 
 
 def inner(v, w):
@@ -105,20 +100,22 @@ class SymmetricForm:
     """Symmetric 3x3 matrix with nonzero determinant.
 
     Entry layout: a1, a2, a3 on the diagonal; b1 in rows/columns 2-3,
-    b2 in 1-3, b3 in 1-2.  The determinant and adjugate are computed once,
-    at construction, by explicit cofactors, on integers.  The form's state is the
-    kernel's ring interface and nothing else: `spec` (with its `_red`), M B as raw ints
-    (`_ints`), its adjugate (`_adj`) and determinant (`_int_det`), and M (`_scale`), the
-    lcm of the entry denominators over Q; over F_p M = 1 and all three are reduced mod p.
+    b2 in 1-3, b3 in 1-2.  The determinant and adjugate are computed once, at
+    construction, on integers, from the rows r0, r1, r2: row k of the adjugate is the cross
+    product of rows k + 1 and k + 2 (mod 3), and the determinant is r0 . (r1 x r2).  The
+    form's state is the kernel's ring interface and nothing else: `spec` (with its `_red`),
+    M B as three rows of raw ints (`_ints`), its adjugate as three rows (`_adj`) and its
+    determinant (`_int_det`), and M (`_scale`), the lcm of the entry denominators over Q;
+    over F_p M = 1 and all three are reduced mod p.
     The entries and `det` as field elements are a read-only view, built from those
     integers on each read, so it cannot disagree with them.
     """
 
     __slots__ = ("spec", "_ints", "_adj", "_int_det", "_scale")
 
-    # the element view: entry n is M B's entry n over M, and det B = det(M B) / M^3
-    a1, a2, a3, b1, b2, b3 = (property(lambda f, n=n: f.spec._ratio(f._ints[n], f._scale))
-                              for n in range(6))
+    # the element view: an entry is M B's at its row and column over M; det B = det(M B) / M^3
+    a1, a2, a3, b1, b2, b3 = (property(lambda f, i=i, j=j: f.spec._ratio(f._ints[i][j], f._scale))
+                              for i, j in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)))
     det = property(lambda f: f.spec._ratio(f._int_det, f._scale ** 3))
 
     def __init__(self, a1: FieldElement, a2: FieldElement, a3: FieldElement,
@@ -138,16 +135,14 @@ class SymmetricForm:
         return form
 
     def _build(self, spec: FieldSpec, parts) -> None:
-        m, ints = _over_common_den(parts)  # m = 1 over F_p
-        i1, i2, i3, j1, j2, j3 = ints = tuple(ints)
-        # the adjugate, symmetric as B is: its diagonal c, and d in the layout of b1, b2, b3
+        m, (i1, i2, i3, j1, j2, j3) = _over_common_den(parts)  # m = 1 over F_p
+        r0, r1, r2 = rows = (i1, j3, j2), (j3, i2, j1), (j2, j1, i3)
         red = spec._red
-        c1, c2, c3, d1, d2, d3 = map(red, (i2 * i3 - j1 * j1, i1 * i3 - j2 * j2, i1 * i2 - j3 * j3,
-                                           j2 * j3 - i1 * j1, j1 * j3 - i2 * j2, j1 * j2 - i3 * j3))
-        adj, det = ((c1, d3, d2), (d3, c2, d1), (d2, d1, c3)), red(i1 * c1 + j3 * d3 + j2 * d2)
+        adj = tuple(tuple(map(red, cross_values(u, w))) for u, w in ((r1, r2), (r2, r0), (r0, r1)))
+        det = red(inner(r0, adj[0]))
         if det == 0:
             raise DegenerateForm("form matrix has determinant zero")
-        self.spec, self._ints, self._adj, self._int_det, self._scale = spec, ints, adj, det, m
+        self.spec, self._ints, self._adj, self._int_det, self._scale = spec, rows, adj, det, m
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "SymmetricForm":
@@ -159,9 +154,7 @@ class SymmetricForm:
         return cls(d1, d2, d3, zero, zero, zero)
 
     def rows(self):
-        return ((self.a1, self.b3, self.b2),
-                (self.b3, self.a2, self.b1),
-                (self.b2, self.b1, self.a3))
+        return tuple(tuple(self.spec._ratio(x, self._scale) for x in row) for row in self._ints)
 
     def adjugate_rows(self):
         return tuple(tuple(self.spec._ratio(x, self._scale ** 2) for x in row) for row in self._adj)

@@ -94,7 +94,8 @@ def document_from_obj(obj) -> InputDocument:
         parts += [_parts_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
     # the kernel works on these integers (over F_p, residues): bound them as literals are
     scale, coords = _over_common_den(parts)
-    for path, ints in {"form": (form._scale, *form._ints), "points": (scale, *coords)}.items():
+    for path, ints in {"form": (form._scale, *sum(form._ints, ())),
+                       "points": (scale, *coords)}.items():
         if max(max(ints), -min(ints)) >= _LITERAL_BOUND:
             raise InputError(f"{path}: an integer over the common denominator has over "
                              f"{MAX_LITERAL_DIGITS} digits")
@@ -177,9 +178,9 @@ def run_report(doc: InputDocument, run=_untimed) -> dict:
     return out
 
 
-def _corrupt(spec: FieldSpec, table: list, key: str) -> int:
+def _corrupt(spec: FieldSpec, table: list, key: str) -> None:
     """Adds 1 to the defined entry of the canonical `table` printed as `key`, e.g. 'E.01'
-    or 'V': (n, d) becomes (n + d, d), reduced mod p over F_p.  Returns its index."""
+    or 'V': (n, d) becomes (n + d, d), reduced mod p over F_p."""
     n = _ENTRY_KEYS.get(key)
     if n is None:
         raise InputError(f"--corrupt {key}: unknown entry")
@@ -187,7 +188,6 @@ def _corrupt(spec: FieldSpec, table: list, key: str) -> int:
     if den == 0:
         raise InputError(f"--corrupt {key}: entry is undefined")
     table[n] = spec._red(num + den), den
-    return n
 
 
 def run_verify(doc: InputDocument, corrupt: str | None = None,

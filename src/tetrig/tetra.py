@@ -19,9 +19,10 @@ skew quadrance's projection.  Over F_p the canonical table makes one inversion, 
 product of its nonzero dens (`_residue_table`).
 
 The kernel and the engine run on any commutative ring.  Of the form they read `spec._red`,
-`_ints`, `_adj`, `_int_det` and `_scale`; of the values they need `+ - *` (with ints on
-either side), `== 0` and truth, and `red` must be a ring homomorphism.  Ints are needed only
-as the six quadrance dens, whose lcm `_verify_parts` takes (`_over_common_den`).
+`_ints` and `_adj` (M B and its adjugate, three rows each), `_int_det` and `_scale`; of the
+values they need `+ - *` (with ints on either side), `== 0` and truth, and `red` must be a
+ring homomorphism.  Ints are needed only as the six quadrance dens, whose lcm
+`_verify_parts` takes (`_over_common_den`).
 `tests/test_proofs.py` runs both on polynomials over Z, where `red` is the identity.
 """
 
@@ -31,7 +32,7 @@ from itertools import combinations
 from math import gcd, prod
 
 from . import _resolver
-from .blinalg import SymmetricForm, adj_values, cross_values, form_values, inner
+from .blinalg import SymmetricForm, cross_values, form_values, inner
 from .field import _over_common_den
 
 
@@ -117,7 +118,7 @@ def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: i
     c = cross_values(v1, v2)
     w = [x + t2 * y - t1 * z for x, y, z in zip(_edge(coords, i, k), v2, v1)]
     nw = red(form._int_det * inner(c, w))
-    return nw * nw, red(form._int_det * inner(c, adj_values(form._adj, c))) * s
+    return nw * nw, red(form._int_det * inner(c, form_values(form._adj, c))) * s
 
 
 # a report's fields (`trig.InvariantReport`) in print order: keys (None: one entry), section,
@@ -173,7 +174,7 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
     # where a face quadrea does.  A normal built at another vertex of the face differs only
     # in sign, which the squares in every spread cancel.
     c = {(i, j, k): cross_values(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
-    n = {f: adj_values(form._adj, cf) for f, cf in c.items()}
+    n = {f: form_values(form._adj, cf) for f, cf in c.items()}
     qn = {f: red(det * inner(c[f], n[f])) for f in FACES}
     # the B-triple of the edges at vertex i, e_ij . (e_ik x_B e_il) = det B (c . e_ij) with
     # c of the face i k l, the face opposite j; each e_ij as `edge` holds it, up to sign

@@ -1,11 +1,14 @@
 """Bilinear products: frozen examples plus randomized identity checks."""
 
+import math
+
 import pytest
 
 from tetrig import (DegenerateForm, FieldSpec, MixedFields, SymmetricForm,
                     Vector3, b_cross, b_dot, cross3, det3, mat3_det, quad_scalar,
                     quad_vector, quadrance_vec, scalar_triple,
                     triple_of_crosses, vector_triple)
+from tetrig.blinalg import form_values
 from support import Q, rand_element, rand_form, rand_vector, rng
 
 F7 = FieldSpec.prime(7)
@@ -24,6 +27,14 @@ def diag123(spec):
     return SymmetricForm.diagonal(spec.element(1), spec.element(2), spec.element(3))
 
 
+def cofactor_det(rows):
+    """Determinant of a 3x3 matrix by cofactor expansion along its first row."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
+    return (m00 * (m11 * m22 - m12 * m21)
+            - m01 * (m10 * m22 - m12 * m20)
+            + m02 * (m10 * m21 - m11 * m20))
+
+
 def det_mb_oracle(v1, v2, v3, form):
     """Cofactor determinant of the stacked rows multiplied by the form matrix."""
     brows = form.rows()
@@ -32,10 +43,7 @@ def det_mb_oracle(v1, v2, v3, form):
         c = v.components()
         rows.append(tuple(c[0] * brows[0][j] + c[1] * brows[1][j] + c[2] * brows[2][j]
                           for j in range(3)))
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = rows
-    return (m00 * (m11 * m22 - m12 * m21)
-            - m01 * (m10 * m22 - m12 * m20)
-            + m02 * (m10 * m21 - m11 * m20))
+    return cofactor_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +157,8 @@ def test_form_built_on_integers_equals_the_form_of_elements(spec):
         for name in ("_ints", "_adj", "_int_det", "_scale", "spec"):
             assert getattr(by_ints, name) == getattr(by_elements, name), name
         assert by_ints.entries() == by_elements.entries() == tuple(elements)
-        det = mat3_det(by_ints.rows())
+        det = cofactor_det(by_ints.rows())
+        assert mat3_det(by_ints.rows()) == det
         for name, element in zip(("a1", "a2", "a3", "b1", "b2", "b3", "det"), (*elements, det)):
             for form in (by_ints, by_elements):
                 assert getattr(form, name) == element, name
@@ -160,6 +169,33 @@ def test_form_built_on_integers_equals_the_form_of_elements(spec):
     assert SymmetricForm.identity(spec).entries() == (spec.one(),) * 3 + (spec.zero(),) * 3
     with pytest.raises(AttributeError):
         SymmetricForm.identity(spec).nonesuch
+
+
+@pytest.mark.parametrize("spec", [Q, FieldSpec.prime(3), F7, FieldSpec.prime(2**31 - 1)],
+                         ids=["Q", "F_3", "F_7", "F_2147483647"])
+def test_form_holds_m_b_and_its_adjugate_as_rows(spec):
+    # M B and adj(M B) are three rows each, so the one row product `form_values` gives both
+    # v (M B) and c adj(M B), and their composite is det(M B) v; the state equals a cofactor
+    # expansion of the entries over their common denominator, written out here
+    rnd = rng(23)
+    red = spec._red
+    for n in range(60):
+        form = rand_form(spec, rnd)
+        if n % 2:  # the constructor that `report` and `verify` use
+            form = SymmetricForm.from_parts(spec, [e._parts() for e in form.entries()])
+        parts = [e._parts() for e in form.entries()]
+        m = math.lcm(*(den for _, den in parts))
+        i1, i2, i3, j1, j2, j3 = (num * (m // den) for num, den in parts)
+        rows = ((i1, j3, j2), (j3, i2, j1), (j2, j1, i3))
+        adj = ((red(i2 * i3 - j1 * j1), red(j1 * j2 - i3 * j3), red(j1 * j3 - i2 * j2)),
+               (red(j1 * j2 - i3 * j3), red(i1 * i3 - j2 * j2), red(j2 * j3 - i1 * j1)),
+               (red(j1 * j3 - i2 * j2), red(j2 * j3 - i1 * j1), red(i1 * i2 - j3 * j3)))
+        assert (form._ints, form._adj, form._scale) == (rows, adj, m)
+        assert form._int_det == red(cofactor_det(rows)) != 0
+        for _ in range(5):
+            v = [rnd.randint(-50, 50) for _ in range(3)]
+            back = form_values(form._adj, form_values(form._ints, v))
+            assert [red(x) for x in back] == [red(form._int_det * x) for x in v]
 
 
 def test_mixed_field_vectors_rejected():

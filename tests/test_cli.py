@@ -581,7 +581,7 @@ def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
     # the kernel's skew part against, and the library's FieldElement route agree on
     # every defined instance; two broken integer routes fail on most of them
     from tetrig import tetra
-    from tetrig.blinalg import adj_values
+    from tetrig.blinalg import form_values
     from tetrig.tetra import _decide, _skew_parts
     red, instances = FieldSpec.prime(p)._red, _skew_instances(p, 150)
 
@@ -593,7 +593,7 @@ def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
     assert statuses(_skew_parts) == [PASS] * len(instances)
     assert statuses(no_den).count(FAIL) > len(instances) // 2
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the plain cross product, not B's
-    monkeypatch.setattr(tetra, "adj_values", lambda adj, c: adj_values(unit, c))
+    monkeypatch.setattr(tetra, "form_values", lambda adj, c: form_values(unit, c))
     assert statuses(_skew_parts).count(FAIL) > len(instances) // 2
 
 
