@@ -13,9 +13,9 @@ _EXPORTS = {
                "cross3", "det3", "mat3_det", "quad_scalar", "quad_vector", "quadrance_vec",
                "scalar_triple", "triple_of_crosses", "vector_triple"),
     "blinalg": ("DegenerateForm", "SymmetricForm"),
-    "field": ("DivisionByZero", "FieldElement", "FieldError", "FieldSpec", "InvalidFieldSpec",
-              "LiteralTooLong", "MalformedLiteral", "MixedFields", "ZeroDenominator", "invert",
-              "parse_element", "render"),
+    "element": ("FieldElement", "invert", "parse_element", "render"),
+    "field": ("DivisionByZero", "FieldError", "FieldSpec", "InvalidFieldSpec", "LiteralTooLong",
+              "MalformedLiteral", "MixedFields", "ZeroDenominator"),
     "tetra": ("EDGES", "FACES", "IDENTITY_NAMES", "SKEW_PAIRINGS", "DegenerateParams",
               "NotTriRectangular", "archimedes"),
     "trig": ("CheckResults", "InvariantReport", "NotSkewOrDegenerate", "NullCommonPerpendicular",

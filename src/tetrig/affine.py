@@ -4,7 +4,8 @@ projection in affine 3-space, over field elements."""
 from __future__ import annotations
 
 from .blinalg import Frozen, SymmetricForm, _raw, cross_values, form_values, inner, shared_spec
-from .field import FieldElement, FieldSpec, MixedFields
+from .element import FieldElement
+from .field import FieldSpec, MixedFields
 
 
 class _Triple(Frozen):

@@ -9,13 +9,14 @@ characteristic not 2.  On plain ints the form's products are composed of three
 primitives: v M for a symmetric M held as three rows (`form_values`), which gives v B and
 c adj B, the Euclidean cross product (`cross_values`) and the Euclidean inner product
 (`inner`).  The vector library over field elements (`Vector3`, `b_cross`, the triple
-products) is in `affine`, beside `Point3`.
+products) is in `affine`, beside `Point3`; the form's element view (`a1` ... `b3`, `det`,
+`rows`, `entries`) loads the element library, `element`, on first use.
 """
 
 from __future__ import annotations
 
 from . import _resolver
-from .field import FieldElement, FieldSpec, MixedFields, _over_common_den
+from .field import FieldSpec, MixedFields, _over_common_den
 
 
 class DegenerateForm(Exception):

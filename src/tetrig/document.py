@@ -2,7 +2,8 @@
 canonical table, and the printed report and verdicts.
 
 The right corner (`corner`) is imported only for a document with the `tri_rectangular`
-option, and the `FieldElement` library (`affine`, `trig`) only by `InputDocument.tetrahedron`.
+option, and the `FieldElement` library (`element`, with `affine` and `trig` on it) only by
+`InputDocument.tetrahedron`: no command builds a field element.
 The writers of the library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`)
 are in `trig`; `--corrupt` (`_corrupt`) works on the canonical table only.
 """

@@ -1,29 +1,19 @@
-"""Exact field arithmetic over Q and over odd prime fields F_p.
+"""The coefficient fields, Q and the odd prime fields F_p, and element literals read as
+integer pairs (`_literal_parts`): what every launch runs.
 
-Every scalar quantity in this package is a FieldElement: a reduced
-arbitrary-precision fraction when the field is Q, or a canonical residue
-in [0, p) when the field is F_p.  Characteristic 2 is excluded because
-polarisation divides by 2.
-
-FieldSpec is interned: there is one instance per modulus (None for Q) in a
-process, so a modulus is checked for primality once, and specs compare by
-identity.  Two elements lie in the same field exactly when their specs are
-the same object.
-
-The public constructor `FieldElement(spec, value)` validates its input.
-Arithmetic results skip that: `FieldSpec._wrap` takes a raw value computed
-from the canonical values of the same field by +, -, * and exact division,
-reduces it once mod p over F_p, and keeps the Fraction as it is over Q.
-Other modules of this package evaluate fused formulas on the raw `_value`s
-of their operands, or on plain ints, and build the result the same way;
-`FieldSpec._ratio` does so with the one division of a num/den pair.  The
-way back is `FieldElement._parts`, an element as an integer pair (num, den),
-and `FieldSpec._red`, which reduces a raw integer mod p (over Q: unchanged).
+Characteristic 2 is excluded because polarisation divides by 2.  FieldSpec is interned:
+there is one instance per modulus (None for Q) in a process, so a modulus is checked for
+primality once, and specs compare by identity.  Two elements lie in the same field exactly
+when their specs are the same object.  `report`, `verify` and `fuzz` work on integers from
+literal to verdict and build no element (but for the form of a fuzz failure record); the
+element library, `element`, loads with the first element that a FieldSpec method builds.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+
+from . import _resolver
 
 
 class FieldError(Exception):
@@ -80,17 +70,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-Fraction = None  # `fractions.Fraction` once `_fraction` has imported it
+_element = None  # the module `element` once `_library` has imported it
 
 
-def _fraction():
-    """The class of Q's elements, `fractions.Fraction`: its module, with the `decimal` and
-    `numbers` it imports, loads with the first element of Q built, not before, so a launch
-    that builds none (`report` and `verify` work on integers) loads none of the three."""
-    global Fraction
-    if Fraction is None:
-        from fractions import Fraction
-    return Fraction
+def _library():
+    """The element library, the module `element`: it loads with the first element built,
+    by a FieldSpec method below, not before, so a launch, which builds none, never compiles it."""
+    global _element
+    if _element is None:
+        from . import element as _element
+    return _element
 
 
 class FieldSpec:
@@ -146,40 +135,22 @@ class FieldSpec:
         return self.p is None
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
+        return _library().FieldElement(self, 0)
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
+        return _library().FieldElement(self, 1)
 
     def element(self, value: int | Fraction) -> "FieldElement":
-        return FieldElement(self, value)
+        return _library().FieldElement(self, value)
 
     def random_element(self, rng, max_numerator: int = 100,
                        max_denominator: int = 100) -> "FieldElement":
         """Uniform residue over F_p; bounded random fraction over Q."""
-        if self.p is not None:
-            return FieldElement(self, rng.randrange(self.p))
-        return FieldElement(self, _fraction()(rng.randint(-max_numerator, max_numerator),
-                                              rng.randint(1, max_denominator)))
-
-    def _wrap(self, value: int | Fraction) -> "FieldElement":
-        """Element from a raw value built from canonical values of this field.
-
-        Reduces once mod p over F_p; over Q the value is already a reduced
-        Fraction.  No type checks: this is for arithmetic results only.
-        """
-        element = object.__new__(FieldElement)
-        element.spec = self
-        p = self.p
-        element._value = value if p is None else value % p
-        return element
+        return _library()._random_element(self, rng, max_numerator, max_denominator)
 
     def _ratio(self, num, den) -> "FieldElement":
         """Element num/den from raw values, den nonzero in this field: one division."""
-        p = self.p
-        if p is None:
-            return self._wrap(_fraction()(num, den))
-        return self._wrap(num if den == 1 else num * pow(den, -1, p))
+        return _library()._ratio(self, num, den)
 
     def __repr__(self) -> str:
         return f"FieldSpec(p={self.p!r})"
@@ -194,153 +165,9 @@ MAX_LITERAL_DIGITS = 4300
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 
-class FieldElement:
-    """Immutable element of Q or F_p, always held in canonical form."""
-
-    __slots__ = ("spec", "_value")
-
-    def __init__(self, spec: FieldSpec, value: int | Fraction):
-        if spec.p is None:
-            fraction = _fraction()
-            if not isinstance(value, (int, fraction)) or isinstance(value, bool):
-                raise TypeError(f"cannot build a rational element from {type(value).__name__}")
-            self._value = fraction(value)
-        else:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"cannot build an F_{spec.p} element from {type(value).__name__}")
-            self._value = value % spec.p
-        self.spec = spec
-
-    # -- views ------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self._value == 0
-
-    @property
-    def numerator(self) -> int:
-        if self.spec.p is not None:
-            raise TypeError("numerator is a rational-field view")
-        return self._value.numerator
-
-    @property
-    def denominator(self) -> int:
-        if self.spec.p is not None:
-            raise TypeError("denominator is a rational-field view")
-        return self._value.denominator
-
-    def _parts(self) -> tuple[int, int]:
-        """(num, den) with den > 0: the reduced fraction over Q, (residue, 1) over F_p."""
-        v = self._value
-        return v.numerator, v.denominator
-
-    @property
-    def residue(self) -> int:
-        if self.spec.p is None:
-            raise TypeError("residue is a prime-field view")
-        return self._value
-
-    def literal(self) -> str:
-        # Fraction prints "n" or "n/d" with positive denominator, which is
-        # exactly the interchange grammar; residues print in decimal.
-        v = self._value
-        if self.spec.p is None and max(abs(v.numerator), v.denominator) >= _LITERAL_BOUND:
-            raise LiteralTooLong(f"value has over {MAX_LITERAL_DIGITS} digits")
-        return str(v)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        """Raw value of a same-field element or an int operand; None for other types."""
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec:
-                raise MixedFields(f"cannot combine {self.spec} and {other.spec} elements")
-            return other._value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return other
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec._wrap(self._value + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec._wrap(self._value - o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec._wrap(o - self._value)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.spec._wrap(self._value * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._divide(self._value, o)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._divide(o, self._value)
-
-    def _divide(self, num, den):
-        p = self.spec.p
-        if (den if p is None else den % p) == 0:
-            raise DivisionByZero("the zero element has no inverse")
-        return self.spec._ratio(num, den)
-
-    def __neg__(self):
-        return self.spec._wrap(-self._value)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        if self.spec.p is not None:
-            return self.spec._wrap(pow(self._value, exponent, self.spec.p))
-        return self.spec._wrap(self._value ** exponent)
-
-    def inverse(self) -> "FieldElement":
-        return self._divide(1, self._value)
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.spec is other.spec and self._value == other._value
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self._value))
-
-    def __str__(self) -> str:
-        return self.literal()
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.literal()}, {self.spec})"
-
-
 def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
     """An element literal read as (num, den): in lowest terms with den > 0 over Q,
-    (residue, 1) over F_p; the grammar is `parse_element`'s."""
+    (residue, 1) over F_p; the grammar is `element.parse_element`'s."""
     digits = text.removeprefix("-").split("/", spec.p is None)  # a '/' splits over Q only
     if not (text.isascii() and all(map(str.isdigit, digits))):  # '²'.isdigit() holds
         kind = "a rational" if spec.p is None else "an integer"
@@ -363,15 +190,5 @@ def _over_common_den(parts) -> tuple[int, list[int]]:
     return scale, [num * (scale // den) for num, den in parts]
 
 
-def parse_element(text: str, spec: FieldSpec) -> FieldElement:
-    """Parse an element literal: `[-]?digits(/digits)?` over Q, `[-]?digits` over F_p."""
-    return spec._ratio(*_literal_parts(text, spec))
-
-
-def render(x: FieldElement) -> str:
-    """Canonical literal; parse_element(render(x), x.spec) == x."""
-    return x.literal()
-
-
-def invert(x: FieldElement) -> FieldElement:
-    return x.inverse()
+# read by `bench/run.py` here; ROADMAP item 1's benchmark retarget deletes it
+__getattr__ = _resolver(globals(), {"element": ("FieldElement",)})

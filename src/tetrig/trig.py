@@ -15,7 +15,8 @@ from .affine import (Line, Plane, Point3, Vector3, b_cross, b_project, displacem
                      plane_normal, scalar_triple, translate)
 from .blinalg import Frozen, Record, SymmetricForm, shared_spec
 from .corner import _corner_factors, _corner_parts, _right_corner_parts
-from .field import FieldElement, MixedFields, _over_common_den
+from .element import FieldElement
+from .field import MixedFields, _over_common_den
 from .tetra import (_ENTRIES, _FIELDS, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
                     _identity_verdicts, _report_table, _skew_denominator, archimedes,
                     solid_spread_from_parts, spread_from_parts)

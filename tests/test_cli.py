@@ -1,5 +1,6 @@
 """CLI surface: interchange format, exit codes, fuzz reproducibility."""
 
+import ast
 import concurrent.futures
 import io
 import json
@@ -682,11 +683,22 @@ def _launch_modules(code: str) -> tuple[list, list]:
     return printed, modules.split()
 
 
+def _setup_snippets() -> list:
+    """The code of `bench/run.py`'s set-up launch (`setup_code`), which builds the form of a
+    workload's first document, for its Q workload and its F_101 one."""
+    code = ("import run\nprint([run.setup_code(*run.make_inputs(run.WORKLOADS[w], 1)[2:]) "
+            "for w in ('report-q', 'fuzz-f101')])")
+    run = subprocess.run([sys.executable, "-c", code], cwd=SRC.parent / "bench",
+                         capture_output=True, text=True, check=True)
+    return ast.literal_eval(run.stdout)
+
+
 def test_commands_load_only_the_integer_kernel():
     # each launch imports the kernel, the CLI and its command's module only, never the
-    # FieldElement library (`affine`, `trig`): report and verify `document`, with `corner`
-    # for a right corner only, and fuzz `fuzz`; none imports `fractions`, `decimal` or
-    # `numbers`, over Q either, as the form and the points are parsed to integers
+    # FieldElement library (`element`, `affine`, `trig`): report and verify `document`, with
+    # `corner` for a right corner only, and fuzz `fuzz`; none imports `fractions`, `decimal`
+    # or `numbers`, over Q either, as the form and the points are parsed to integers, and none
+    # reads `FieldElement` from `field`, which would bind it there
     q_plain, fp_corner = (str(FIXTURES / name) for name in ("tall_literal_q.json",
                                                              "tri_rectangular_f101.json"))
     kernel = ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field", "tetrig.tetra"]
@@ -701,13 +713,20 @@ def test_commands_load_only_the_integer_kernel():
         (["fuzz", "--prime", "7", "--samples", "30", "--random-form"], 0,
          [*kernel, "tetrig.fuzz"])]
     for argv, code, modules in launches:
-        launch = ("import contextlib, io, sys\nfrom tetrig.cli import main\n"
+        launch = ("import contextlib, io, sys, tetrig.field\nfrom tetrig.cli import main\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  f"    code = main({argv!r})\nprint(code)")
-        assert _launch_modules(launch) == ([str(code)], sorted(modules)), argv
+                  f"    code = main({argv!r})\n"
+                  "print(code, 'FieldElement' in vars(tetrig.field))")
+        assert _launch_modules(launch) == ([f"{code} False"], sorted(modules)), argv
     # importing the CLI loads no command module
     assert _launch_modules("import tetrig.cli") == (
         [], ["tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.field"])
+    # the benchmark's set-up launch parses the form's literals to elements: the one launch
+    # here that loads the library
+    for setup in _setup_snippets():
+        printed, modules = _launch_modules(setup)
+        assert (printed, [m for m in modules if m[:6] == "tetrig"]) == ([], [
+            "tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.element", "tetrig.field"]), setup
 
 
 def test_report_and_verify_read_the_points_once(monkeypatch):
@@ -715,7 +734,7 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
     # literals' integers, with no field element; per document, one kernel call on the
     # coordinates that parsing scaled, and no field element built after parsing, the
     # right corner's K1, K2, K3 included
-    from tetrig import corner, document, field, tetra, trig
+    from tetrig import corner, document, element, tetra, trig
     calls = Counter()
 
     def counted(name, fn):
@@ -726,9 +745,9 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
     for module in (document, corner, tetra, trig):
         for name, home in (("_analyze_parts", tetra), ("_scaled_coordinates", trig)):
             monkeypatch.setattr(module, name, counted(name, getattr(home, name)), raising=False)
-    element = field.FieldElement
-    monkeypatch.setattr(element, "__init__", counted("element", element.__init__))
-    monkeypatch.setattr(field.FieldSpec, "_wrap", counted("element", field.FieldSpec._wrap))
+    init = element.FieldElement.__init__
+    monkeypatch.setattr(element.FieldElement, "__init__", counted("element", init))
+    monkeypatch.setattr(element, "_wrap", counted("element", element._wrap))
     for name, text in _fixture_documents().items():
         for options in ({"checks": True}, {"checks": True, "tri_rectangular": True}):
             obj = json.loads(text)

@@ -2,15 +2,19 @@
 corner, `report` on a Q fixture without it (the launch most Q documents pay) and `fuzz`, the
 tetrig modules that `python -m tetrig` imports and the AST nodes of their source, which the
 interpreter compiles at each launch when it writes no bytecode (PYTHONDONTWRITEBYTECODE),
-and the other modules that the launch imports beyond a bare `python -c pass`: the standard
-library's share of the start-up (`runpy` and its imports come with `-m`).
+with the milliseconds that compiling those sources takes (the median of 20 rounds of
+`compile()` in this process, no launch), and the other modules that the launch imports beyond
+a bare `python -c pass`: the standard library's share of the start-up (`runpy` and its imports
+come with `-m`).
 Run as `python tools/launch_cost.py SRC`, SRC holding the `tetrig` package (e.g. `src`).
 """
 
 import ast
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 FIXTURES = Path(__file__).resolve().parents[1] / "tests/fixtures"
@@ -31,10 +35,25 @@ def imported(src: Path, args: list) -> list:
             if line.startswith("import time:") and not line.endswith("imported package")]
 
 
-def ast_nodes(src: Path, module: str) -> int:
+def source(src: Path, module: str) -> Path:
     path = src.joinpath(*module.split("."))
-    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
-    return sum(1 for _ in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    return path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+
+
+def ast_nodes(path: Path) -> int:
+    return sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
+
+
+def compile_ms(paths: list, rounds: int = 20) -> float:
+    """The median wall milliseconds of compiling the sources at `paths`, over `rounds`."""
+    sources = [(path.read_bytes(), str(path)) for path in paths]
+    times = []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for text, path in sources:
+            compile(text, path, "exec", dont_inherit=True)
+        times.append((time.perf_counter() - start) * 1000)
+    return statistics.median(times)
 
 
 if __name__ == "__main__":
@@ -44,6 +63,7 @@ if __name__ == "__main__":
         names = imported(src, ["-m", "tetrig", *argv])
         modules = [name for name in names if name.split(".")[0] == "tetrig"] + ["tetrig.__main__"]
         stdlib = [name for name in names if name not in bare and name.split(".")[0] != "tetrig"]
-        total = sum(ast_nodes(src, module) for module in modules)
-        print(f"{command}: {total} AST nodes in {len(modules)} modules: {', '.join(modules)}")
+        paths = [source(src, module) for module in modules]
+        print(f"{command}: {sum(map(ast_nodes, paths))} AST nodes, compiled in "
+              f"{compile_ms(paths):.1f} ms, in {len(modules)} modules: {', '.join(modules)}")
         print(f"  {len(stdlib)} more modules than `python -c pass`: {', '.join(stdlib)}")

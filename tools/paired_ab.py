@@ -18,9 +18,11 @@ as `bench/run.py`'s one-shot launches run them, and for a fuzz workload one `fuz
 `fuzz_samples`.  Each round runs every launch from both trees, alternating which goes first;
 every launch must print the same stdout bytes and exit code from both.  It prints each tree's
 median ms per launch and the median and quartiles of the per-round difference new - old,
-with the rounds the new tree won.  The launches run copies of the two packages without their
-`__pycache__`, so that stale bytecode in one tree cannot spare it the compiling that the other
-pays.
+with the rounds the new tree won; then the same for the workload's set-up launch, `bench/run.py`'s
+`python -c` of `setup_code`, which builds the workload's form from its literals, on a line of
+its own.  The launches run copies of the two packages without their `__pycache__`, and with
+PYTHONDONTWRITEBYTECODE=1, so that each compiles its modules from source, as the benchmark's
+launches do, and bytecode that one launch writes cannot spare a later one that compiling.
 
 Run from the repository root as
 
@@ -94,17 +96,17 @@ def compare(name: str, trees: dict, docs: list, rounds: int) -> None:
           % (*quartiles(ratios), sum(ratio > 1 for ratio in ratios), rounds))
 
 
-def launches(cfg: dict, seed: int) -> list:
-    """(argv, stdin) of a workload's one-shot launches, with `bench/run.py`'s documents, commands
-    and fuzz seed."""
-    rng, docs, _, _ = bench.make_inputs(cfg, seed)
-    runs = [([bench.oneshot_command(i), "--input", "-"], text)
+def launches(cfg: dict, seed: int) -> tuple:
+    """The interpreter arguments and stdin of a workload's one-shot launches, with `bench/run.py`'s
+    documents, commands and fuzz seed, and those of its set-up launch."""
+    rng, docs, spec_expr, form_literals = bench.make_inputs(cfg, seed)
+    runs = [(["-m", "tetrig", bench.oneshot_command(i), "--input", "-"], text)
             for i, (_, text) in enumerate(docs[:cfg["cli_docs"]])]
     if cfg["prime"] is not None:
-        runs.append((["fuzz", "--prime", str(cfg["prime"]), "--samples", str(cfg["fuzz_samples"]),
-                      "--seed", str(rng.randrange(2**31))]
+        runs.append((["-m", "tetrig", "fuzz", "--prime", str(cfg["prime"]),
+                      "--samples", str(cfg["fuzz_samples"]), "--seed", str(rng.randrange(2**31))]
                      + (["--random-form"] if cfg["random_form"] else []), ""))
-    return runs
+    return runs, [(["-c", bench.setup_code(spec_expr, form_literals)], "")]
 
 
 def fresh_copy(src: str, into: Path) -> str:
@@ -114,11 +116,12 @@ def fresh_copy(src: str, into: Path) -> str:
     return str(into)
 
 
-def launch(src: str, argv: list, stdin: str) -> tuple:
-    """One `python -m tetrig ARGV` of the tree `src`: its wall ms, exit code and stdout bytes."""
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+def launch(src: str, args: list, stdin: str) -> tuple:
+    """One `python ARGS` of the tree `src`, writing no bytecode: its wall ms, exit code and
+    stdout bytes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "tetrig", *argv], input=stdin.encode(),
+    proc = subprocess.run([sys.executable, *args], input=stdin.encode(),
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, timeout=120)
     return (time.perf_counter() - start) * 1000, proc.returncode, proc.stdout
 
@@ -127,12 +130,12 @@ def compare_launches(name: str, srcs: dict, runs: list, rounds: int) -> None:
     ms = {side: [] for side in srcs}  # per round, the mean ms per launch
     for r in range(rounds):
         total, printed = dict.fromkeys(srcs, 0.0), {}
-        for argv, stdin in runs:
+        for args, stdin in runs:
             for side in (srcs if r % 2 == 0 else reversed(srcs)):
-                elapsed, *printed[side] = launch(srcs[side], argv, stdin)
+                elapsed, *printed[side] = launch(srcs[side], args, stdin)
                 total[side] += elapsed
             if printed["old"] != printed["new"]:
-                sys.exit(f"{name}: tetrig {' '.join(argv)} prints different bytes or exit codes "
+                sys.exit(f"{name}: python {' '.join(args)} prints different bytes or exit codes "
                          "in the two trees")
         for side in srcs:
             ms[side].append(total[side] / len(runs))
@@ -166,11 +169,14 @@ def main() -> None:
         else:
             trees = {side: load_tree(f"tetrig_{side}", src) for side, src in srcs.items()}
         print(f"python {sys.version.split()[0]}, pinned to one CPU, "
-              f"{time.strftime('%Y-%m-%d %H:%M')}")
+              + ("launches writing no bytecode (PYTHONDONTWRITEBYTECODE=1), " if args.launch
+                 else "") + time.strftime('%Y-%m-%d %H:%M'))
         for name, cfg in bench.WORKLOADS.items():
             cfg = {**cfg, **(bench.TOY if args.toy else {})}
             if args.launch:
-                compare_launches(name, srcs, launches(cfg, args.seed), args.rounds)
+                runs, setup = launches(cfg, args.seed)
+                compare_launches(name, srcs, runs, args.rounds)
+                compare_launches(f"{name} set-up", srcs, setup, args.rounds)
             else:
                 _, docs, _, _ = bench.make_inputs(cfg, args.seed)
                 compare(name, trees, docs, args.rounds)
