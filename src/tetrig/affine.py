@@ -3,9 +3,9 @@ projection in affine 3-space, over field elements."""
 
 from __future__ import annotations
 
-from .blinalg import Frozen, SymmetricForm, _raw, cross_values, form_values, inner, shared_spec
+from .blinalg import Frozen, SymmetricForm, cross_values, form_values, inner, shared_spec
 from .element import FieldElement
-from .field import FieldSpec, MixedFields
+from .field import FieldSpec, MixedFields, _over_common_den
 
 
 class _Triple(Frozen):
@@ -25,6 +25,10 @@ class _Triple(Frozen):
     @property
     def spec(self) -> FieldSpec:
         return self.x.spec
+
+    def _scaled(self) -> tuple[int, list[int]]:
+        """L, the lcm of the component denominators (1 over F_p), and the components times L."""
+        return _over_common_den([self.x._parts(), self.y._parts(), self.z._parts()])
 
 
 class Vector3(_Triple):
@@ -78,12 +82,12 @@ def quadrance_vec(v: Vector3, form: SymmetricForm) -> FieldElement:
 
 
 def b_cross(v: Vector3, w: Vector3, form: SymmetricForm) -> Vector3:
-    """(v x w) adj B, evaluated on raw values with one division per component."""
+    """(v x w) adj B on v and w scaled by Lv and Lw, each component divided once: by M^2 Lv Lw."""
     form._check(v)
     form._check(w)
-    ratio, m2 = form.spec._ratio, form._scale ** 2
-    x, y, z = form_values(form._adj, cross_values(_raw(v), _raw(w)))
-    return Vector3(ratio(x, m2), ratio(y, m2), ratio(z, m2))
+    (lv, v), (lw, w) = v._scaled(), w._scaled()
+    ratio, den = form.spec._ratio, form._scale ** 2 * lv * lw
+    return Vector3(*(ratio(x, den) for x in form_values(form._adj, cross_values(v, w))))
 
 
 def scalar_triple(v1: Vector3, v2: Vector3, v3: Vector3, form: SymmetricForm) -> FieldElement:

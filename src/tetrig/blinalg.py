@@ -1,16 +1,17 @@
 """Non-degenerate symmetric forms, the value-record base classes, and the form's products
-on raw values.
+on integers.
 
-The form B pairs vectors through v . w = v B w^T.  Cross-product style
-operations twist the Euclidean cross product by the adjugate of B:
-v x_B w = (v x w) adj B is B-perpendicular to its factors, as adj B . B = det B . I,
-and the classical triple/quadruple product identities hold over any field of
-characteristic not 2.  On plain ints the form's products are composed of three
-primitives: v M for a symmetric M held as three rows (`form_values`), which gives v B and
-c adj B, the Euclidean cross product (`cross_values`) and the Euclidean inner product
-(`inner`).  The vector library over field elements (`Vector3`, `b_cross`, the triple
-products) is in `affine`, beside `Point3`; the form's element view (`a1` ... `b3`, `det`,
-`rows`, `entries`) loads the element library, `element`, on first use.
+The form B pairs vectors through v . w = v B w^T.  Cross-product style operations twist the
+Euclidean cross product by the adjugate of B: v x_B w = (v x w) adj B is B-perpendicular to
+its factors, as adj B . B = det B . I, and the classical triple/quadruple product identities
+hold over any field of characteristic not 2.  On plain ints the form's products are composed
+of three primitives: v M for a symmetric M held as three rows (`form_values`), which gives
+v B and c adj B, the Euclidean cross product (`cross_values`) and the Euclidean inner product
+(`inner`).  The library's products, `SymmetricForm.dot` and `affine.b_cross`, reach them as
+the kernel does: each vector scaled by L, the lcm of its denominators (1 over F_p), and one
+division per result.  The vector library over field elements (`Vector3`, `b_cross`, the
+triple products) is in `affine`, beside `Point3`; the form's element view (`a1` ... `b3`,
+`det`, `rows`, `entries`) loads the element library, `element`, on first use.
 """
 
 from __future__ import annotations
@@ -93,10 +94,6 @@ def inner(v, w):
     return v[0] * w[0] + v[1] * w[1] + v[2] * w[2]
 
 
-def _raw(v: Vector3):
-    return (v.x._value, v.y._value, v.z._value)
-
-
 class SymmetricForm:
     """Symmetric 3x3 matrix with nonzero determinant.
 
@@ -168,10 +165,11 @@ class SymmetricForm:
             raise MixedFields("vector and form drawn from different fields")
 
     def dot(self, v: Vector3, w: Vector3) -> FieldElement:
-        """v B w^T, evaluated on raw values and reduced once."""
+        """v B w^T on v and w scaled by Lv and Lw (`_Triple._scaled`), divided once: by M Lv Lw."""
         self._check(v)
         self._check(w)
-        return self.spec._ratio(inner(form_values(self._ints, _raw(v)), _raw(w)), self._scale)
+        (lv, v), (lw, w) = v._scaled(), w._scaled()
+        return self.spec._ratio(inner(form_values(self._ints, v), w), self._scale * lv * lw)
 
     def quadrance(self, v: Vector3) -> FieldElement:
         return self.dot(v, v)

@@ -157,13 +157,11 @@ class FieldElement:
         return _wrap(self.spec, -self._value)
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self.spec.p is not None:
-            return _wrap(self.spec, pow(self._value, exponent, self.spec.p))
-        return _wrap(self.spec, self._value ** exponent)
+        return _wrap(self.spec, pow(self._value, exponent, self.spec.p))  # p is None over Q
 
     def inverse(self) -> FieldElement:
         return self._divide(1, self._value)

@@ -153,11 +153,11 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
     points, three per point, times `scale`.
 
     Over Q the points are scaled by L (`document_from_obj`, or `trig._scaled_coordinates`
-    for a library `Tetrahedron`) and the form by M (`SymmetricForm._ints`); with s = L^2 M
-    each entry's one division takes the scale out: Q / s, A / s^2, V / s^3, skew / s,
-    R * s^2, spreads unscaled.  Over F_p, L = M = s = 1 and values are reduced mod p as
-    they grow.  No branch on a value: a den is zero (mod p over F_p) exactly where the
-    entry is Undefined.
+    for a library `Tetrahedron`, as `SymmetricForm.dot` and `affine.b_cross` scale each
+    vector) and the form by M (`SymmetricForm._ints`); with s = L^2 M each entry's one
+    division takes the scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads
+    unscaled.  Over F_p, L = M = s = 1 and values are reduced mod p as they grow.  No branch
+    on a value: a den is zero (mod p over F_p) exactly where the entry is Undefined.
     """
     red, det = form.spec._red, form._int_det
     s = scale * scale * form._scale

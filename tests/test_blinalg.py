@@ -1,6 +1,7 @@
 """Bilinear products: frozen examples plus randomized identity checks."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -196,6 +197,53 @@ def test_form_holds_m_b_and_its_adjugate_as_rows(spec):
             v = [rnd.randint(-50, 50) for _ in range(3)]
             back = form_values(form._adj, form_values(form._ints, v))
             assert [red(x) for x in back] == [red(form._int_det * x) for x in v]
+
+
+# vectors with zero components in every field and, over Q, with unequal denominators both
+# within one vector and between vectors
+FIXED_VECTORS = [(0, 0, 0), (0, 1, 0), (2, 0, -1), (1, 5, 7)]
+FIXED_Q_VECTORS = [(0, Fraction(1, 2), 0), (Fraction(3, 4), 0, Fraction(-5, 6)),
+                   (Fraction(1, 3), Fraction(2, 9), 7), (Fraction(-8, 5), Fraction(5, 8), 1)]
+
+
+def matrix_dot(v, w, rows):
+    """v B w^T as the sum over i and j of v_i B_ij w_j, in element arithmetic."""
+    v, w = v.components(), w.components()
+    return sum((v[i] * rows[i][j] * w[j] for i in range(3) for j in range(3)), v[0].spec.zero())
+
+
+def matrix_cross(v, w, adj):
+    """(v x w) adj B: the Euclidean cross product written out, times the adjugate's rows."""
+    (a, b, c), (x, y, z) = v.components(), w.components()
+    e = (b * z - c * y, c * x - a * z, a * y - b * x)
+    return Vector3(*(sum((e[i] * adj[i][j] for i in range(3)), v.spec.zero()) for j in range(3)))
+
+
+@pytest.mark.parametrize("spec", [Q, FieldSpec.prime(3), F7, FieldSpec.prime(2**31 - 1)],
+                         ids=["Q", "F_3", "F_7", "F_2147483647"])
+def test_dot_and_b_cross_equal_their_matrix_definitions(spec):
+    # the products' integer route against the matrix definitions over the form's rows
+    rnd = rng(29)
+    fixed = FIXED_VECTORS + (FIXED_Q_VECTORS if spec is Q else [])
+    scales, lcm_pairs = set(), set()
+    for _ in range(25):
+        form = rand_form(spec, rnd)
+        scales.add(form._scale)
+        rows, adj = form.rows(), form.adjugate_rows()
+        vectors = [Vector3.of(spec, *xyz) for xyz in fixed]
+        vectors += [rand_vector(spec, rnd) for _ in range(4)]
+        for v in vectors:
+            for w in vectors:
+                assert form.dot(v, w) == matrix_dot(v, w, rows)
+                assert b_cross(v, w, form) == matrix_cross(v, w, adj)
+                if spec is Q:
+                    lcm_pairs.add(tuple(math.lcm(*(e.denominator for e in u.components()))
+                                        for u in (v, w)))
+    if spec is Q:  # the entries' denominators differ (M > 1), and so do the vectors'
+        assert max(scales) > 1
+        assert any(lv != lw for lv, lw in lcm_pairs)
+    else:
+        assert scales == {1}
 
 
 def test_mixed_field_vectors_rejected():

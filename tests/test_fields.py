@@ -347,7 +347,7 @@ def test_operands_other_than_ints_and_elements_are_type_errors(spec, operand):
             with pytest.raises(TypeError):
                 op(left, right)
     with pytest.raises(TypeError):
-        x ** 1.5
+        x ** operand
 
 
 def test_mixed_fields_rejected():

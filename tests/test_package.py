@@ -138,3 +138,12 @@ def test_every_name_the_benchmark_reads_resolves():
     for module, names in BENCH_READS.items():
         for name in names:
             assert getattr(import_module(f"tetrig.{module}"), name) is not None, (module, name)
+
+
+def test_only_the_element_library_reads_an_elements_value():
+    # every other module reaches an element's value through `_parts` or builds one through
+    # `FieldSpec._ratio`, so no module but `element` knows how Q or F_p holds it
+    readers = {path.name for path in (SRC / "tetrig").glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "_value"}
+    assert readers == {"element.py"}
