@@ -165,10 +165,11 @@ class SymmetricForm:
             raise MixedFields("vector and form drawn from different fields")
 
     def dot(self, v: Vector3, w: Vector3) -> FieldElement:
-        """v B w^T on v and w scaled by Lv and Lw (`_Triple._scaled`), divided once: by M Lv Lw."""
+        """v B w^T on v and w scaled by Lv and Lw (`_Triple._scaled`, once when w is v, as in
+        `quadrance`), divided once: by M Lv Lw."""
         self._check(v)
         self._check(w)
-        (lv, v), (lw, w) = v._scaled(), w._scaled()
+        (lv, v), (lw, w) = (scaled := v._scaled()), scaled if w is v else w._scaled()
         return self.spec._ratio(inner(form_values(self._ints, v), w), self._scale * lv * lw)
 
     def quadrance(self, v: Vector3) -> FieldElement:

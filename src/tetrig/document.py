@@ -14,8 +14,8 @@ import json
 
 from .blinalg import DegenerateForm, Record, SymmetricForm
 from .cli import _FORM_KEYS, InputError, _field_spec_obj, _untimed
-from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, _literal_parts,
-                    _over_common_den)
+from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, LiteralTooLong,
+                    _literal, _literal_parts, _over_common_den)
 from .tetra import (_FIELDS, FAIL, INAPPLICABLE, PASS, DegenerateParams, NotTriRectangular,
                     _identity_verdicts, _report_table)
 
@@ -139,9 +139,10 @@ def _report_obj(spec: FieldSpec, table, options: ReportOptions) -> dict:
     for (section, name, path, reason), (num, den) in zip(_PRINTED, table):
         if section == "skew" and not options.skew:
             continue
-        if den and max(num, -num, den) >= _LITERAL_BOUND:
-            raise InputError(f"report entry {path}: value has over {MAX_LITERAL_DIGITS} digits")
-        entry = str(num) if den == 1 else f"{num}/{den}" if den else {"undefined": reason}
+        try:
+            entry = _literal(num, den) if den else {"undefined": reason}
+        except LiteralTooLong as exc:
+            raise InputError(f"report entry {path}: {exc}") from exc
         if name is None:
             out[section] = entry
         else:

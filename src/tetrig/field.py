@@ -1,5 +1,6 @@
-"""The coefficient fields, Q and the odd prime fields F_p, and element literals read as
-integer pairs (`_literal_parts`): what every launch runs.
+"""The coefficient fields, Q and the odd prime fields F_p, and element literals read and
+written as canonical integer pairs (`_literal_parts`, `_literal`): what every launch runs.
+A canonical pair (num, den) is in lowest terms with den > 0 over Q, and (residue, 1) over F_p.
 
 Characteristic 2 is excluded because polarisation divides by 2.  FieldSpec is interned:
 there is one instance per modulus (None for Q) in a process, so a modulus is checked for
@@ -140,16 +141,19 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return _library().FieldElement(self, 1)
 
-    def element(self, value: int | Fraction) -> "FieldElement":
+    def element(self, value) -> "FieldElement":
         return _library().FieldElement(self, value)
 
     def random_element(self, rng, max_numerator: int = 100,
                        max_denominator: int = 100) -> "FieldElement":
         """Uniform residue over F_p; bounded random fraction over Q."""
-        return _library()._random_element(self, rng, max_numerator, max_denominator)
+        if self.p is not None:
+            return self._ratio(rng.randrange(self.p), 1)
+        return self._ratio(rng.randint(-max_numerator, max_numerator),
+                           rng.randint(1, max_denominator))
 
     def _ratio(self, num, den) -> "FieldElement":
-        """Element num/den from raw values, den nonzero in this field: one division."""
+        """Element num/den from raw ints, den nonzero in this field: `element._ratio`."""
         return _library()._ratio(self, num, den)
 
     def __repr__(self) -> str:
@@ -182,6 +186,13 @@ def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
         raise ZeroDenominator(f"{text!r} has denominator zero")
     g = gcd(num, den)
     return num // g, den // g
+
+
+def _literal(num: int, den: int) -> str:
+    """The literal of a canonical pair (num, den), `n` or `n/d`: `_literal_parts`'s inverse."""
+    if max(num, -num, den) >= _LITERAL_BOUND:
+        raise LiteralTooLong(f"value has over {MAX_LITERAL_DIGITS} digits")
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _over_common_den(parts) -> tuple[int, list[int]]:

@@ -745,9 +745,8 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
     for module in (document, corner, tetra, trig):
         for name, home in (("_analyze_parts", tetra), ("_scaled_coordinates", trig)):
             monkeypatch.setattr(module, name, counted(name, getattr(home, name)), raising=False)
-    init = element.FieldElement.__init__
-    monkeypatch.setattr(element.FieldElement, "__init__", counted("element", init))
-    monkeypatch.setattr(element, "_wrap", counted("element", element._wrap))
+    # every element, arithmetic result or not, is built by `_ratio`
+    monkeypatch.setattr(element, "_ratio", counted("element", element._ratio))
     for name, text in _fixture_documents().items():
         for options in ({"checks": True}, {"checks": True, "tri_rectangular": True}):
             obj = json.loads(text)

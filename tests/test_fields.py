@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tetrig import (DivisionByZero, FieldElement, FieldSpec, InvalidFieldSpec,
                     LiteralTooLong, MalformedLiteral, MixedFields, ZeroDenominator,
@@ -379,3 +380,73 @@ def test_views_belong_to_one_field():
         Q.element(3).residue
     assert (repr(Q), repr(F7)) == ("FieldSpec(p=None)", "FieldSpec(p=7)")
     assert (str(parse_element("-3/4", Q)), str(F7.element(-1))) == ("-3/4", "6")
+
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: `fractions.Fraction` over Q, ints mod p over F_p
+# ---------------------------------------------------------------------------
+
+REFERENCE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# small, word-sized and roughly 4,000-digit integers, of either sign
+INTS = st.integers(-9, 9) | st.integers(-10**12, 10**12) | st.integers(-10**4000, 10**4000)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def _agrees(element, value) -> None:
+    """`element` of Q is the Fraction or int `value`: the same numerator and positive
+    denominator, and the literal `str(Fraction)`, or LiteralTooLong over the digit bound."""
+    value = Fraction(value)
+    assert (element.numerator, element.denominator) == (value.numerator, value.denominator)
+    if max(abs(value.numerator), value.denominator) < 10 ** MAX_LITERAL_DIGITS:
+        assert element.literal() == str(value)
+    else:
+        with pytest.raises(LiteralTooLong):
+            element.literal()
+
+
+@REFERENCE
+@given(st.builds(Fraction, INTS, INTS.filter(bool)), st.builds(Fraction, INTS, INTS.filter(bool))
+       | st.just(Fraction(0)), INTS, st.integers(-3, 3))
+@example(Fraction(3, 4), Fraction(-5, 6), -7, -2).via("a negative divisor: the sign moves up")
+def test_rational_arithmetic_is_fractions(x, y, n, exponent):
+    ex, ey = Q.element(x), Q.element(y)
+    _agrees(ex, x)
+    for op in BINARY:
+        for (left, right), (a, b) in (((ex, ey), (x, y)), ((ex, n), (x, n)), ((n, ex), (n, x))):
+            if op is operator.truediv and b == 0:
+                with pytest.raises(DivisionByZero):
+                    op(left, right)
+            else:
+                _agrees(op(left, right), op(a, b))
+    _agrees(-ex, -x)
+    if x == 0 and exponent < 0:
+        with pytest.raises(DivisionByZero):
+            ex ** exponent
+    else:
+        _agrees(ex ** exponent, x ** exponent)
+
+
+@REFERENCE
+@given(st.sampled_from([3, 7, 2**31 - 1]), INTS, INTS, st.integers(-3, 3))
+@example(7, 14, -3, -1).via("a zero residue from a nonzero int")
+def test_prime_field_arithmetic_is_ints_mod_p(p, a, b, exponent):
+    spec = FieldSpec.prime(p)
+    ea, eb = spec.element(a), spec.element(b)
+
+    def reference(op, x, y):
+        return x * pow(y, -1, p) % p if op is operator.truediv else op(x, y) % p
+    for op in BINARY:
+        for (left, right), (x, y) in (((ea, eb), (a, b)), ((ea, b), (a, b)), ((a, eb), (a, b))):
+            if op is operator.truediv and y % p == 0:
+                with pytest.raises(DivisionByZero):
+                    op(left, right)
+            else:
+                result = op(left, right)
+                assert result.residue == reference(op, x, y)
+                assert result.literal() == str(result.residue)
+    assert (-ea).residue == -a % p
+    if a % p == 0 and exponent < 0:
+        with pytest.raises(DivisionByZero):
+            ea ** exponent
+    else:
+        assert (ea ** exponent).residue == pow(a, exponent, p)

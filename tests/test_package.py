@@ -56,14 +56,24 @@ def _fresh(code: str):
     return eval(run.stdout)
 
 
-def _loaded_after(code: str) -> list:
-    """The tetrig modules in `sys.modules` after a fresh interpreter runs `code`."""
-    return _fresh(f"{code}\nimport sys\nprint(sorted(m for m in sys.modules if m[:6] == 'tetrig'))")
+def _loaded_after(code: str, packages=("tetrig",)) -> list:
+    """The modules of `packages` in `sys.modules` after a fresh interpreter runs `code`."""
+    return _fresh(f"{code}\nimport sys\nprint(sorted(m for m in sys.modules "
+                  f"if m.split('.')[0] in {packages!r}))")
 
 
 def test_importing_the_package_loads_none_of_its_modules():
     assert _loaded_after("import tetrig") == ["tetrig"]
     assert _loaded_after("from tetrig import FieldSpec") == ["tetrig", "tetrig.field"]
+
+
+def test_elements_of_q_load_no_fractions():
+    # an element of Q is its canonical int pair: building, dividing and printing elements
+    # imports neither `fractions` nor the `decimal` and `numbers` that it pulls in
+    code = ("from tetrig import FieldSpec, parse_element\nq = FieldSpec.rational()\n"
+            "x = parse_element('-3/4', q) / q.element(6) - 1\nassert str(x) == '-9/8'")
+    assert _loaded_after(code, ("tetrig", "fractions", "decimal", "numbers")) == [
+        "tetrig", "tetrig.element", "tetrig.field"]
 
 
 def test_every_exported_name_resolves_to_its_module_object():
