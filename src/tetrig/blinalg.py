@@ -111,9 +111,10 @@ class SymmetricForm:
 
     __slots__ = ("spec", "_ints", "_adj", "_int_det", "_scale")
 
-    # the element view: an entry is M B's at its row and column over M; det B = det(M B) / M^3
+    # the element view: an entry is M B's at its cell over M; det B = det(M B) / M^3
+    _CELLS = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))  # (row, column) of a1, ..., b3
     a1, a2, a3, b1, b2, b3 = (property(lambda f, i=i, j=j: f.spec._ratio(f._ints[i][j], f._scale))
-                              for i, j in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1)))
+                              for i, j in _CELLS)
     det = property(lambda f: f.spec._ratio(f._int_det, f._scale ** 3))
 
     def __init__(self, a1: FieldElement, a2: FieldElement, a3: FieldElement,

@@ -6,9 +6,9 @@ field membership survive the round trip.  Output is byte-stable for
 identical input.  Exit codes: 0 success, 1 identity failure, 2 invalid
 input or configuration.
 
-This module is the command line only.  `main` imports the code of the command it runs:
-`document` for `report` and `verify`, `fuzz` for `fuzz`; neither is loaded by the other's
-launch, nor by importing this module.
+This module is the command line only; the document format is `document`'s.  `main` imports
+the command it runs: `document` for `report` and `verify`, `fuzz` for `fuzz`, which imports
+`document` only to write a failure record.  Importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ import sys
 from time import perf_counter, process_time
 
 from . import _resolver
-# bound here for `bench/run.py`, which reads `parse_element` through the hook at the end
+# bound here for `bench/run.py`'s set-up, which reads `parse_element` through the hook at the end
 from .blinalg import SymmetricForm
 from .field import FieldSpec
-
-_FORM_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 class InputError(Exception):
@@ -35,20 +33,6 @@ def _untimed(phase: str, fn, *args):
     """Default `run` of run_report, run_verify and run_fuzz, which call each phase
     as run(phase, fn, *args); `main` passes one that also times it."""
     return fn(*args)
-
-
-def _field_spec_obj(spec: FieldSpec) -> dict:
-    return {"kind": "rational"} if spec.is_rational else {"kind": "prime", "p": spec.p}
-
-
-def _document_obj(form: SymmetricForm, points: list) -> dict:
-    """Replayable input document of `form` and four points given as rows of literals: what
-    `report` and `verify` read, and what a fuzz failure record holds."""
-    return {
-        "field": _field_spec_obj(form.spec),
-        "form": {key: entry.literal() for key, entry in zip(_FORM_KEYS, form.entries())},
-        "points": points,
-    }
 
 
 # -- entry point -------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""`report` and `verify`: an input document parsed to the integers the kernel works on, its
+"""The interchange document and `report` and `verify`: a document read into the integers the
+kernel works on (`document_from_obj`) and written back from them (`_document_obj`), its
 canonical table, and the printed report and verdicts.
 
 The right corner (`corner`) is imported only for a document with the `tri_rectangular`
 option, and the `FieldElement` library (`element`, with `affine` and `trig` on it) only by
-`InputDocument.tetrahedron`: no command builds a field element.
-The writers of the library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`)
-are in `trig`; `--corrupt` (`_corrupt`) works on the canonical table only.
+`InputDocument.tetrahedron`: no command builds a field element.  `trig`'s writers of the
+library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`) read them as integers
+and call the writers here; `--corrupt` (`_corrupt`) works on the canonical table only.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import json
 
 from .blinalg import DegenerateForm, Record, SymmetricForm
-from .cli import _FORM_KEYS, InputError, _field_spec_obj, _untimed
+from .cli import InputError, _untimed
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, LiteralTooLong,
-                    _literal, _literal_parts, _over_common_den)
+                    _canonical, _literal, _literal_parts, _over_common_den)
 from .tetra import (_FIELDS, FAIL, INAPPLICABLE, PASS, DegenerateParams, NotTriRectangular,
                     _identity_verdicts, _report_table)
 
@@ -41,6 +42,28 @@ class InputDocument(Record):
 
 
 # -- input documents -------------------------------------------------------
+
+_FORM_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3")
+
+
+def _field_spec_obj(spec: FieldSpec) -> dict:
+    return {"kind": "rational"} if spec.is_rational else {"kind": "prime", "p": spec.p}
+
+
+def _document_obj(form: SymmetricForm, scale: int, coords, options=None) -> dict:
+    """The document that `document_from_obj` reads into `form`, the twelve coordinates `coords`
+    over `scale` (three per point) and `options` (a `ReportOptions`) if given: each literal is
+    written from its canonical pair.  A fuzz failure record holds it, for `verify` to replay."""
+    spec = form.spec
+    pairs = [*((form._ints[i][j], form._scale) for i, j in form._CELLS),
+             *((c, scale) for c in coords)]
+    literals = [_literal(*_canonical(spec, num, den)) for num, den in pairs]
+    obj = {"field": _field_spec_obj(spec), "form": dict(zip(_FORM_KEYS, literals)),
+           "points": [literals[i:i + 3] for i in range(6, 18, 3)]}
+    if options is not None:
+        obj["options"] = dict(zip(ReportOptions.__slots__, options._fields()))
+    return obj
+
 
 def _field_spec_from_obj(obj, path: str) -> FieldSpec:
     if not isinstance(obj, dict) or "kind" not in obj:

@@ -4,29 +4,20 @@ arithmetic, and `parse_element`, `render` and `invert`.
 An element holds its canonical pair (num, den), as `field` reads and writes literals, and
 `_parts` returns it.  `_ratio` is the one constructor that reduces: every arithmetic result,
 and every element that other modules build from fused formulas on raw ints (through
-`FieldSpec._ratio`), is a num/den that it brings to that pair.  The commands work on integers
-and build no element (but for the form of a fuzz failure record), so this module loads with
-the first element that a `FieldSpec` method builds, or with `affine` and `trig`.
+`FieldSpec._ratio`), is a num/den that it brings to that pair (`field._canonical`).  The
+commands build no element, so this module loads with the first element that a `FieldSpec`
+method builds, or with `affine` and `trig`.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .field import DivisionByZero, FieldSpec, MixedFields, _literal, _literal_parts
+from .field import DivisionByZero, FieldSpec, MixedFields, _canonical, _literal, _literal_parts
 
 
 def _ratio(spec: FieldSpec, num: int, den: int) -> FieldElement:
-    """Element num/den of `spec` from raw ints, den nonzero in that field: over Q one signed
-    gcd, over F_p num * den^-1 mod p, with no inverse when den == 1."""
-    p = spec.p
-    if p is None:
-        g = gcd(num, den) if den > 0 else -gcd(num, den)
-        value = num // g, den // g
-    else:
-        value = (num if den == 1 else num * pow(den, -1, p)) % p, 1
+    """Element num/den of `spec` from raw ints, den nonzero in that field (`_canonical`)."""
     element = object.__new__(FieldElement)
-    element.spec, element._value = spec, value
+    element.spec, element._value = spec, _canonical(spec, num, den)
     return element
 
 

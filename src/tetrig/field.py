@@ -6,8 +6,8 @@ Characteristic 2 is excluded because polarisation divides by 2.  FieldSpec is in
 there is one instance per modulus (None for Q) in a process, so a modulus is checked for
 primality once, and specs compare by identity.  Two elements lie in the same field exactly
 when their specs are the same object.  `report`, `verify` and `fuzz` work on integers from
-literal to verdict and build no element (but for the form of a fuzz failure record); the
-element library, `element`, loads with the first element that a FieldSpec method builds.
+literal to verdict and build no element; the element library, `element`, loads with the
+first element that a FieldSpec method builds.
 """
 
 from __future__ import annotations
@@ -169,9 +169,19 @@ MAX_LITERAL_DIGITS = 4300
 _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 
+def _canonical(spec: FieldSpec, num: int, den: int) -> tuple[int, int]:
+    """The canonical pair of num/den, den nonzero in the field: one signed gcd over Q, and
+    num * den^-1 mod p over F_p, with no inverse when den == 1."""
+    p = spec.p
+    if p is None:
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return num // g, den // g
+    return (num if den == 1 else num * pow(den, -1, p)) % p, 1
+
+
 def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
-    """An element literal read as (num, den): in lowest terms with den > 0 over Q,
-    (residue, 1) over F_p; the grammar is `element.parse_element`'s."""
+    """An element literal read as its canonical pair (num, den); the grammar is
+    `element.parse_element`'s."""
     digits = text.removeprefix("-").split("/", spec.p is None)  # a '/' splits over Q only
     if not (text.isascii() and all(map(str.isdigit, digits))):  # '²'.isdigit() holds
         kind = "a rational" if spec.p is None else "an integer"
@@ -179,13 +189,10 @@ def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
     if max(map(len, digits)) > MAX_LITERAL_DIGITS:
         raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
     num, _, den = text.partition("/")
-    if not den:
-        return spec._red(int(num)), 1
-    num, den = int(num), int(den)
+    num, den = int(num), int(den or 1)
     if den == 0:
         raise ZeroDenominator(f"{text!r} has denominator zero")
-    g = gcd(num, den)
-    return num // g, den // g
+    return _canonical(spec, num, den)
 
 
 def _literal(num: int, den: int) -> str:

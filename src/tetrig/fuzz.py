@@ -2,7 +2,7 @@
 tetrahedra over F_p, sample by sample on the integer kernel, in process or in a pool.
 
 A sample's draw is twelve residues, which the kernel takes as they are: a sample builds no
-`Point3`, `Tetrahedron` or report.
+`Point3`, `Tetrahedron` or report, and its failure record is written from those integers.
 """
 
 from __future__ import annotations
@@ -14,11 +14,16 @@ from functools import cache, partial
 from importlib import import_module
 
 from .blinalg import DegenerateForm, Record, SymmetricForm
-from .cli import InputError, _document_obj, _untimed
+from .cli import InputError, _untimed
 from .field import FieldError, FieldSpec
-from .tetra import (_FUZZ_ROWS, _INDEX, FAIL, INAPPLICABLE, PASS, _analyze_parts, _skew_parts,
-                    _verify_parts)
+from .tetra import (_EXTRA, _IDENTITIES, _INDEX, FAIL, INAPPLICABLE, PASS, _analyze_parts,
+                    _skew_parts, _verify_parts, pairing_name)
 
+# a sample's rows: the identities, then each skew entry against its extra factor, the skew
+# quadrance from points moved along the edges (`moved` in `_run_sample`)
+_FUZZ_ROWS = _IDENTITIES + tuple(
+    ("skew-quadrance-projection", pairing_name(pairing), 1, [_EXTRA + n], 1, [index])
+    for n, (pairing, index) in enumerate(_INDEX["skew_quadrances"].items()))
 FUZZ_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _FUZZ_ROWS))
 # the identity form of each field, built once: a form is immutable and a FieldSpec interned
 _identity_form = cache(SymmetricForm.identity)
@@ -36,11 +41,6 @@ class FuzzConfig(Record):
 def _sample_tetrahedron(rng: random.Random, p: int) -> list[int]:
     """One draw: the twelve residues mod p of a tetrahedron's points, three per point."""
     return [rng.randrange(p) for _ in range(12)]
-
-
-def _draw_obj(form: SymmetricForm, coords: list[int]) -> dict:
-    """`document_to_obj` of a draw, written from its residues, which print as their literals."""
-    return _document_obj(form, [[str(r) for r in coords[i:i + 3]] for i in range(0, 12, 3)])
 
 
 def _run_sample(cfg: FuzzConfig, index: int):
@@ -76,13 +76,15 @@ def _run_sample(cfg: FuzzConfig, index: int):
         statuses = _verify_parts(red, parts, _FUZZ_ROWS, moved)
     except (FieldError, RuntimeError) as exc:
         # an internal fault: record the sample with the draw it was on, tally no verdict, go on
-        return counts, [{"sample": index, "input": _draw_obj(form, coords),
-                         "error": {"exception": type(exc).__name__, "message": str(exc)}}]
-    counts.update((row[0], status) for row, status in zip(_FUZZ_ROWS, statuses))
-    failed = [{"identity": row[0], "instance": row[1]}
-              for row, status in zip(_FUZZ_ROWS, statuses) if status == FAIL]
-    return counts, ([{"sample": index, "input": _draw_obj(form, coords), "failed": failed}]
-                    if failed else [])
+        record = {"error": {"exception": type(exc).__name__, "message": str(exc)}}
+    else:
+        counts.update((row[0], status) for row, status in zip(_FUZZ_ROWS, statuses))
+        record = {"failed": [{"identity": row[0], "instance": row[1]}
+                             for row, status in zip(_FUZZ_ROWS, statuses) if status == FAIL]}
+        if not record["failed"]:
+            return counts, []
+    from .document import _document_obj  # the draw, written from the integers it was checked on
+    return counts, [{"sample": index, "input": _document_obj(form, 1, coords), **record}]
 
 
 # fewest samples worth a pool process: below 2 * MIN_SAMPLES_PER_PROCESS a fuzz run maps in

@@ -288,11 +288,6 @@ _IDENTITIES = tuple(_identity_rows())
 IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _IDENTITIES))
 # the index of the first of a caller's extra factors in `_verify_parts`
 _EXTRA = len(_ENTRIES) + 1 + len(SKEW_PAIRINGS)
-# a fuzz sample's rows: the identities, then each skew entry against its extra factor, the
-# skew quadrance from points moved along the edges (`_skew_parts` at the drawn t1, t2)
-_FUZZ_ROWS = _IDENTITIES + tuple(
-    ("skew-quadrance-projection", pairing_name(pairing), 1, [_EXTRA + n], 1, [index])
-    for n, (pairing, index) in enumerate(_INDEX["skew_quadrances"].items()))
 
 
 def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE) -> list:

@@ -4,7 +4,7 @@ the whole tetrahedron's report, identity verdicts, skew quadrances and right cor
 All quantities are exact elements of the coefficient field.  Spread-type quantities divide
 by quadrances, which can vanish over a finite field even for nonzero vectors; those cases
 raise instead of returning a sentinel.  A report reads `tetra`'s integer table back as field
-elements, with its Undefined entries; the CLI never loads this module.
+elements, with its Undefined entries, and `document` writes it; the CLI never loads this module.
 """
 
 from __future__ import annotations
@@ -342,12 +342,8 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
 
 def document_to_obj(tet: Tetrahedron, options=None) -> dict:
     """Replayable input document for a tetrahedron, with `options` (a `ReportOptions`) if given."""
-    from .cli import _document_obj
-    from .document import ReportOptions
-    obj = _document_obj(tet.form, [[c.literal() for c in p.coordinates()] for p in tet.points])
-    if options is not None:
-        obj["options"] = dict(zip(ReportOptions.__slots__, options._fields()))
-    return obj
+    from .document import _document_obj
+    return _document_obj(tet.form, *_scaled_coordinates(tet.points), options)
 
 
 def report_to_obj(report: InvariantReport, options) -> dict:

@@ -440,6 +440,36 @@ def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
     assert code == 1
 
 
+def test_failure_records_replay_in_verify(monkeypatch):
+    # with one consistent fault in the kernel, E.01 one more than it is, verify on each
+    # failure record's input fails exactly the record's identities: the skew projection is
+    # left out, as verify has no moved points
+    from tetrig import fuzz, tetra
+    kernel, e01 = tetra._analyze_parts, tetra._INDEX["dihedral_spreads"][0, 1]
+
+    def faulty(*args):
+        parts = kernel(*args)
+        num, den = parts[e01]
+        parts[e01] = num + den, den
+        return parts
+    for module in (tetra, fuzz):
+        monkeypatch.setattr(module, "_analyze_parts", faulty)
+    records = []
+    for cfg in (FuzzConfig(prime=101, samples=30, seed=3),
+                FuzzConfig(prime=7, samples=30, seed=3, random_form=True),
+                FuzzConfig(prime=2**31 - 1, samples=30, seed=3, random_form=True)):
+        summary, code = run_fuzz(cfg)
+        assert code == 1
+        records += summary["failures"]
+    assert len(records) > 60
+    for record in records:
+        out, code = run_verify(document_from_obj(record["input"]))
+        assert code == 1
+        assert [{"identity": v["identity"], "instance": v["instance"]}
+                for v in out["verdicts"] if v["status"] == FAIL] == [
+            row for row in record["failed"] if row["identity"] != "skew-quadrance-projection"]
+
+
 def _fault_in_sample(monkeypatch, fuzz, index, target, fault):
     """Make `fuzz.<target>` raise `fault` at its first call in fuzz sample `index`,
     with no pool; returns each sample's draws, by index, as the run makes them."""
@@ -729,6 +759,33 @@ def test_commands_load_only_the_integer_kernel():
             "tetrig", "tetrig.blinalg", "tetrig.cli", "tetrig.element", "tetrig.field"]), setup
 
 
+def test_fuzz_failure_record_loads_no_element_library(monkeypatch):
+    # a fuzz launch with a fault in every sample prints each sample's failure record,
+    # written from the draw's integers by `document`, and loads no `element`, `affine` or
+    # `trig`; the records are those of the same fault in process
+    fault = ("from tetrig import fuzz\n"
+             "def faulty(*args):\n    raise RuntimeError('injected')\n"
+             "fuzz._verify_parts = faulty\n")
+    launch = (f"{fault}import contextlib, io, json, tetrig.field\nfrom tetrig.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "    code = main(['fuzz', '--prime', '101', '--samples', '2', '--seed', '8'])\n"
+              "print(code, 'FieldElement' in vars(tetrig.field))\n"
+              "print(json.dumps(json.loads(out.getvalue())['failures']))")
+    (printed, failures), modules = _launch_modules(launch)
+    assert (printed, modules) == ("1 False", ["tetrig", "tetrig.blinalg", "tetrig.cli",
+                                              "tetrig.document", "tetrig.field", "tetrig.fuzz",
+                                              "tetrig.tetra"])
+    from tetrig import fuzz
+
+    def faulty(*args):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(fuzz, "_verify_parts", faulty)
+    summary, _ = run_fuzz(FuzzConfig(prime=101, samples=2, seed=8))
+    assert json.loads(failures) == summary["failures"]
+    assert [record["error"] for record in summary["failures"]] == [
+        {"exception": "RuntimeError", "message": "injected"}] * 2
+
+
 def test_report_and_verify_read_the_points_once(monkeypatch):
     # parsing scales the points without `_scaled_coordinates` and builds the form on the
     # literals' integers, with no field element; per document, one kernel call on the
@@ -827,7 +884,8 @@ def test_every_verdict_is_decided_in_verify_parts(monkeypatch):
     # relation and skew projection in `_verify_parts`: once per document for the
     # identities and once for the right corner, and once per fuzz sample
     from tetrig.corner import _RIGHT_CORNER
-    from tetrig.tetra import _FUZZ_ROWS, _IDENTITIES
+    from tetrig.fuzz import _FUZZ_ROWS
+    from tetrig.tetra import _IDENTITIES
     callers, calls = _tracked_verdicts(monkeypatch)
     for name in ("unit_tri_rectangular", "tri_rectangular_mixed_corner", "tri_rectangular_f101"):
         doc = _right_corner_doc(name)
@@ -849,7 +907,8 @@ def test_row_factors_index_what_their_callers_supply(monkeypatch):
     # the right corner and the fuzz projection rows index those and every extra factor
     # that their callers pass, and no other
     from tetrig.corner import _RIGHT_CORNER
-    from tetrig.tetra import _EXTRA, _FUZZ_ROWS, _IDENTITIES
+    from tetrig.fuzz import _FUZZ_ROWS
+    from tetrig.tetra import _EXTRA, _IDENTITIES
     _, calls = _tracked_verdicts(monkeypatch)
     run_verify(_right_corner_doc("unit_tri_rectangular"))
     run_fuzz(FuzzConfig(prime=101, samples=1, seed=5))

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from tetrig import FieldSpec, Point3, SymmetricForm, parse_element
 from tetrig.cli import InputError, main
-from tetrig.document import load_document
+from tetrig.document import _document_obj, document_from_obj, load_document
 from tetrig.field import MalformedLiteral, ZeroDenominator, _literal_parts
 from tetrig.trig import _scaled_coordinates
 
@@ -194,11 +194,18 @@ def _value(text, p):
     return Fraction(int(num), int(den or 1)) if p is None else int(text) % p
 
 
+def _spelling(text, p):
+    """A literal's canonical spelling, by `Fraction` over Q and `int` over F_p."""
+    return str(Fraction(text)) if p is None else str(int(text) % p)
+
+
 @SETTINGS
 @given(st.data(), st.sampled_from([None, 3, 7, 101, 2**31 - 1]))
 def test_valid_document_loads_to_its_literals(data, p):
     # the form and the scaled points that parsing keeps are those of the literals read
-    # one by one with `parse_element`, and the literals' (num, den) are their values'
+    # one by one with `parse_element`, and the literals' (num, den) are their values'; the
+    # writer is the reader's inverse: it spells each literal canonically, and what it writes
+    # reads back to the same integers
     lit = literals(p)
     form_literals = [data.draw(lit) for _ in FORM_KEYS]
     a1, a2, a3, b1, b2, b3 = (_value(text, p) for text in form_literals)
@@ -222,3 +229,10 @@ def test_valid_document_loads_to_its_literals(data, p):
         value = _value(text, p)
         assert _literal_parts(text, spec) == ((value.numerator, value.denominator)
                                               if p is None else (value, 1))
+    written = _document_obj(doc.form, *doc.coordinates)
+    assert written == {
+        "field": field, "form": dict(zip(FORM_KEYS, (_spelling(t, p) for t in form_literals))),
+        "points": [[_spelling(text, p) for text in triple] for triple in points]}
+    again = document_from_obj(written)
+    assert (again.form._ints, again.form._scale, again.coordinates) == (
+        doc.form._ints, doc.form._scale, doc.coordinates)

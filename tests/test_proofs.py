@@ -28,8 +28,9 @@ from tetrig import corner, tetra
 from tetrig.blinalg import DegenerateForm, SymmetricForm
 from tetrig.corner import _RIGHT_CORNER, _corner_parts, _right_corner_parts
 from tetrig.field import FieldSpec
-from tetrig.tetra import (_FUZZ_ROWS, _IDENTITIES, FAIL, PASS, SKEW_PAIRINGS, _analyze_parts,
-                          _report_table, _skew_parts, _verify_parts)
+from tetrig.fuzz import _FUZZ_ROWS
+from tetrig.tetra import (_IDENTITIES, FAIL, PASS, SKEW_PAIRINGS, _analyze_parts, _report_table,
+                          _skew_parts, _verify_parts)
 
 
 class Poly:
