@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from .blinalg import Frozen, SymmetricForm, cross_values, form_values, inner, shared_spec
 from .element import FieldElement
-from .field import FieldSpec, MixedFields, _over_common_den
+from .field import FieldSpec, _over_common_den
 
 
 class _Triple(Frozen):
@@ -83,10 +83,9 @@ def quadrance_vec(v: Vector3, form: SymmetricForm) -> FieldElement:
 
 def b_cross(v: Vector3, w: Vector3, form: SymmetricForm) -> Vector3:
     """(v x w) adj B on v and w scaled by Lv and Lw, each component divided once: by M^2 Lv Lw."""
-    form._check(v)
-    form._check(w)
+    spec = shared_spec(form, v, w)
     (lv, v), (lw, w) = v._scaled(), w._scaled()
-    ratio, den = form.spec._ratio, form._scale ** 2 * lv * lw
+    ratio, den = spec._ratio, form._scale ** 2 * lv * lw
     return Vector3(*(ratio(x, den) for x in form_values(form._adj, cross_values(v, w))))
 
 
@@ -152,8 +151,7 @@ class Line(Frozen):
     __slots__ = ("base", "direction")
 
     def __init__(self, base: Point3, direction: Vector3):
-        if base.spec != direction.spec:
-            raise MixedFields("line base and direction drawn from different fields")
+        shared_spec(base, direction)
         if direction.is_zero:
             raise ValueError("line direction must be nonzero")
         super().__init__(base, direction)
@@ -163,8 +161,7 @@ class Plane(Frozen):
     __slots__ = ("base", "span1", "span2")
 
     def __init__(self, base: Point3, span1: Vector3, span2: Vector3):
-        if not (base.spec == span1.spec == span2.spec):
-            raise MixedFields("plane base and spans drawn from different fields")
+        shared_spec(base, span1, span2)
         if cross3(span1, span2).is_zero:
             raise DegeneratePlane("spanning vectors are linearly dependent")
         super().__init__(base, span1, span2)

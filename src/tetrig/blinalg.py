@@ -24,11 +24,13 @@ class DegenerateForm(Exception):
     """Symmetric matrix with determinant zero."""
 
 
-def shared_spec(*elements: FieldElement) -> FieldSpec:
-    spec = elements[0].spec
-    for e in elements[1:]:
-        if e.spec is not spec:
-            raise MixedFields("components drawn from different fields")
+def shared_spec(*values) -> FieldSpec:
+    """The one field of `values`, anything with a `spec` (elements, vectors, points, forms):
+    every operand's field is checked here, and `MixedFields` names two that differ."""
+    spec = values[0].spec
+    for value in values[1:]:
+        if value.spec is not spec:
+            raise MixedFields(f"operands drawn from different fields: {spec} and {value.spec}")
     return spec
 
 
@@ -161,17 +163,12 @@ class SymmetricForm:
     def entries(self) -> tuple[FieldElement, ...]:
         return (self.a1, self.a2, self.a3, self.b1, self.b2, self.b3)
 
-    def _check(self, v: Vector3) -> None:
-        if v.spec is not self.spec:
-            raise MixedFields("vector and form drawn from different fields")
-
     def dot(self, v: Vector3, w: Vector3) -> FieldElement:
         """v B w^T on v and w scaled by Lv and Lw (`_Triple._scaled`, once when w is v, as in
         `quadrance`), divided once: by M Lv Lw."""
-        self._check(v)
-        self._check(w)
+        spec = shared_spec(self, v, w)
         (lv, v), (lw, w) = (scaled := v._scaled()), scaled if w is v else w._scaled()
-        return self.spec._ratio(inner(form_values(self._ints, v), w), self._scale * lv * lw)
+        return spec._ratio(inner(form_values(self._ints, v), w), self._scale * lv * lw)
 
     def quadrance(self, v: Vector3) -> FieldElement:
         return self.dot(v, v)

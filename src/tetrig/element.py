@@ -2,11 +2,12 @@
 arithmetic, and `parse_element`, `render` and `invert`.
 
 An element holds its canonical pair (num, den), as `field` reads and writes literals, and
-`_parts` returns it.  `_ratio` is the one constructor that reduces: every arithmetic result,
-and every element that other modules build from fused formulas on raw ints (through
-`FieldSpec._ratio`), is a num/den that it brings to that pair (`field._canonical`).  The
-commands build no element, so this module loads with the first element that a `FieldSpec`
-method builds, or with `affine` and `trig`.
+`_parts` returns it.  `_element` builds every element from its canonical pair, and `_ratio`
+reduces a num/den to that pair first (`field._canonical`): every arithmetic result but a
+power, and every element that other modules build from fused formulas on raw ints (through
+`FieldSpec._ratio`).  A parsed literal, a kernel table entry (`trig.analyze`) and a power are
+canonical already.  The commands build no element, so this module loads with the first
+element that a `FieldSpec` method builds, or with `affine` and `trig`.
 """
 
 from __future__ import annotations
@@ -14,11 +15,16 @@ from __future__ import annotations
 from .field import DivisionByZero, FieldSpec, MixedFields, _canonical, _literal, _literal_parts
 
 
+def _element(spec: FieldSpec, pair: tuple[int, int]) -> FieldElement:
+    """The element of `spec` whose canonical pair is `pair`, which is not reduced again."""
+    element = object.__new__(FieldElement)
+    element.spec, element._value = spec, pair
+    return element
+
+
 def _ratio(spec: FieldSpec, num: int, den: int) -> FieldElement:
     """Element num/den of `spec` from raw ints, den nonzero in that field (`_canonical`)."""
-    element = object.__new__(FieldElement)
-    element.spec, element._value = spec, _canonical(spec, num, den)
-    return element
+    return _element(spec, _canonical(spec, num, den))
 
 
 class FieldElement:
@@ -137,8 +143,8 @@ class FieldElement:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         p = self.spec.p  # None over Q, where pow is plain
-        num, den = self._value
-        return _ratio(self.spec, pow(num, exponent, p), pow(den, exponent, p))
+        num, den = self._value  # coprime, so their powers are: the pair stays canonical
+        return _element(self.spec, (pow(num, exponent, p), pow(den, exponent, p)))
 
     def inverse(self) -> FieldElement:
         return self._divide((1, 1), self._value)
@@ -162,7 +168,7 @@ class FieldElement:
 
 def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     """Parse an element literal: `[-]?digits(/digits)?` over Q, `[-]?digits` over F_p."""
-    return _ratio(spec, *_literal_parts(text, spec))
+    return _element(spec, _literal_parts(text, spec))
 
 
 def render(x: FieldElement) -> str:

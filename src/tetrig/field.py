@@ -171,7 +171,8 @@ _LITERAL_BOUND = 10 ** MAX_LITERAL_DIGITS
 
 def _canonical(spec: FieldSpec, num: int, den: int) -> tuple[int, int]:
     """The canonical pair of num/den, den nonzero in the field: one signed gcd over Q, and
-    num * den^-1 mod p over F_p, with no inverse when den == 1."""
+    num * den^-1 mod p over F_p, with no inverse when den == 1.  The one reduction of a pair:
+    of the literals read and written, of `element._ratio` and of `tetra._report_table` over Q."""
     p = spec.p
     if p is None:
         g = gcd(num, den) if den > 0 else -gcd(num, den)

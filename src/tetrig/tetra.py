@@ -29,11 +29,11 @@ ring homomorphism.  Ints are needed only as the six quadrance dens, whose lcm
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from . import _resolver
 from .blinalg import SymmetricForm, cross_values, form_values, inner
-from .field import _over_common_den
+from .field import _canonical, _over_common_den
 
 
 class NotTriRectangular(Exception):
@@ -203,14 +203,13 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
 
 
 def _report_table(form: SymmetricForm, scale: int, coords) -> list:
-    """The canonical table of a report: each entry of `_analyze_parts` reduced once, to
-    (num, den) in lowest terms with den > 0 over Q, to (residue, 1) over F_p, and to (1, 0)
-    where it is Undefined, its den zero (mod p).  Equal to `_report_parts(analyze(tet))`."""
-    p, parts = form.spec.p, _analyze_parts(form, scale, coords)
-    if p:  # F_p
-        return _residue_table(p, parts)
-    gcds = ((num, den, gcd(num, den) if den > 0 else -gcd(num, den)) for num, den in parts)
-    return [(num // g, den // g) if den else (1, 0) for num, den, g in gcds]
+    """The canonical table of a report: each entry of `_analyze_parts` reduced once, by
+    `field._canonical` over Q and `_residue_table` over F_p, and (1, 0) where it is Undefined,
+    its den zero (mod p).  Equal to `_report_parts(analyze(tet))`."""
+    spec, parts = form.spec, _analyze_parts(form, scale, coords)
+    if spec.p:  # F_p
+        return _residue_table(spec.p, parts)
+    return [_canonical(spec, num, den) if den else (1, 0) for num, den in parts]
 
 
 def _residue_table(p: int, parts) -> list:

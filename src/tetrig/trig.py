@@ -15,8 +15,8 @@ from .affine import (Line, Plane, Point3, Vector3, b_cross, b_project, displacem
                      plane_normal, scalar_triple, translate)
 from .blinalg import Frozen, Record, SymmetricForm, shared_spec
 from .corner import _corner_factors, _corner_parts, _right_corner_parts
-from .element import FieldElement
-from .field import MixedFields, _over_common_den
+from .element import FieldElement, _element
+from .field import _over_common_den
 from .tetra import (_ENTRIES, _FIELDS, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
                     _identity_verdicts, _report_table, _skew_denominator, archimedes,
                     solid_spread_from_parts, spread_from_parts)
@@ -52,7 +52,7 @@ class Triangle(Frozen):
     __slots__ = ("a1", "a2", "a3")
 
     def __init__(self, a1: Point3, a2: Point3, a3: Point3):
-        shared_spec(a1.x, a2.x, a3.x)
+        shared_spec(a1, a2, a3)
         super().__init__(a1, a2, a3)
 
 
@@ -62,7 +62,7 @@ class TriLines(Frozen):
     __slots__ = ("apex", "d1", "d2", "d3")
 
     def __init__(self, apex: Point3, d1: Vector3, d2: Vector3, d3: Vector3):
-        shared_spec(apex.x, d1.x, d2.x, d3.x)
+        shared_spec(apex, d1, d2, d3)
         if d1.is_zero or d2.is_zero or d3.is_zero:
             raise ValueError("line directions must be nonzero")
         super().__init__(apex, d1, d2, d3)
@@ -172,9 +172,7 @@ class Tetrahedron(Frozen):
     __slots__ = ("a0", "a1", "a2", "a3", "form")
 
     def __init__(self, a0: Point3, a1: Point3, a2: Point3, a3: Point3, form: SymmetricForm):
-        shared_spec(a0.x, a1.x, a2.x, a3.x)
-        if a0.spec != form.spec:
-            raise MixedFields("points and form drawn from different fields")
+        shared_spec(a0, a1, a2, a3, form)
         super().__init__(a0, a1, a2, a3, form)
 
     @property
@@ -274,12 +272,12 @@ def _scaled_coordinates(points) -> tuple[int, list[int]]:
 
 
 def analyze(tet: Tetrahedron) -> InvariantReport:
-    """The full invariant report: each entry of `_report_table` as num / den, or
-    Undefined, with the reason its field's denominator names, where den is 0."""
+    """The full invariant report: each entry of `_report_table`, a canonical pair, as its
+    element, or Undefined, with the reason its field's denominator names, where den is 0."""
     spec, table = tet.spec, _report_table(tet.form, *_scaled_coordinates(tet.points))
     return InvariantReport(tet, *_by_field(
-        spec._ratio(num, den) if den else Undefined(reason)
-        for (_, _, reason), (num, den) in zip(_ENTRIES, table)))
+        _element(spec, pair) if pair[1] else Undefined(reason)
+        for (_, _, reason), pair in zip(_ENTRIES, table)))
 
 
 def _report_parts(report: InvariantReport) -> list:

@@ -802,8 +802,9 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
     for module in (document, corner, tetra, trig):
         for name, home in (("_analyze_parts", tetra), ("_scaled_coordinates", trig)):
             monkeypatch.setattr(module, name, counted(name, getattr(home, name)), raising=False)
-    # every element, arithmetic result or not, is built by `_ratio`
-    monkeypatch.setattr(element, "_ratio", counted("element", element._ratio))
+    # every element, `_ratio`'s included, is built by `_element`, which `trig` also imports
+    for module in (element, trig):
+        monkeypatch.setattr(module, "_element", counted("element", element._element))
     for name, text in _fixture_documents().items():
         for options in ({"checks": True}, {"checks": True, "tri_rectangular": True}):
             obj = json.loads(text)

@@ -50,6 +50,34 @@ def test_parse_reduces_by_gcd():
     assert render(e) == "3/2"
 
 
+def test_each_value_is_reduced_once(monkeypatch):
+    # `field._canonical` is the one reduction of a pair: a literal is reduced as it is read
+    # and not again, a power of a canonical pair is not reduced, and `analyze` reduces each
+    # entry of the kernel's table once and builds its elements from the reduced pairs
+    from pathlib import Path
+    from tetrig import analyze, field, tetra
+    from tetrig.document import load_document
+    from tetrig.tetra import _ENTRIES
+    from tetrig.trig import _report_parts
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return math.gcd(a, b)
+    for module in (field, tetra):
+        monkeypatch.setattr(module, "gcd", counted, raising=False)
+    x = parse_element("6/4", Q)
+    assert len(calls) == 1 and x._parts() == (3, 2)
+    calls.clear()
+    assert (x ** 5)._parts() == (243, 32) and calls == []
+    fixture = Path(__file__).parent / "fixtures" / "tall_literal_q.json"
+    tet = load_document(fixture.read_text()).tetrahedron
+    calls.clear()
+    report = analyze(tet)
+    assert len(calls) == len(_ENTRIES) == 41
+    assert all(den for _, den in _report_parts(report))  # no entry is Undefined
+
+
 def test_parse_reduces_mod_p():
     assert parse_element("-3", F7).residue == -3 % 7 == 4
 

@@ -11,6 +11,8 @@ the engine's own tables, so a row added to them is proved here or fails here.
   p2 = (b, c, 0), p3 = (d, e, f) under the identity form, with the re-projections' t1, t2.
 - The right corner's relations and the identities, on the corner's own frame: the points
   0, e1, e2, e3 under diag(K1, K2, K3).
+- The paper's vector products, fully generic: `blinalg`'s primitives on B's six entries and
+  four vectors, 18 variables, with no reduction.
 
 README's "What is proved" gives the reductions from these to every input; the last test
 checks the invariance they rest on, at random points.
@@ -25,7 +27,7 @@ from types import SimpleNamespace
 import pytest
 
 from tetrig import corner, tetra
-from tetrig.blinalg import DegenerateForm, SymmetricForm
+from tetrig.blinalg import DegenerateForm, SymmetricForm, cross_values, form_values, inner
 from tetrig.corner import _RIGHT_CORNER, _corner_parts, _right_corner_parts
 from tetrig.field import FieldSpec
 from tetrig.fuzz import _FUZZ_ROWS
@@ -176,6 +178,110 @@ def test_a_wrong_kernel_formula_fails_its_rows(monkeypatch):
     identities = _verify_parts(RING._red, parts)
     relations = [status for *_, status in _right_corner_parts(RING._red, parts, k)]
     assert FAIL in identities and FAIL in relations
+
+
+# ---------------------------------------------------------------------------
+# the paper's vector products
+# ---------------------------------------------------------------------------
+
+def minus(v, w):
+    return tuple(x - y for x, y in zip(v, w))
+
+
+def times(k, v):
+    return tuple(k * x for x in v)
+
+
+class Products:
+    """The form's products with B's six entries and four vectors u, v, w, x as variables,
+    from the primitives that `SymmetricForm.dot` and `affine.b_cross` scale and divide."""
+
+    def __init__(self):
+        variables = Poly.variables(18)
+        self.form = SymmetricForm.from_parts(RING, [(y, 1) for y in variables[:6]])
+        self.det = self.form._int_det
+        self.vectors = [tuple(variables[i:i + 3]) for i in range(6, 18, 3)]
+
+    def dot(self, v, w):  # v B w^T
+        return inner(form_values(self.form._ints, v), w)
+
+    def cross(self, v, w):  # v x_B w = (v x w) adj B
+        return form_values(self.form._adj, cross_values(v, w))
+
+    def triple(self, u, v, w):  # u . (v x_B w)
+        return self.dot(u, self.cross(v, w))
+
+
+@pytest.fixture(scope="module")
+def products():
+    return Products()
+
+
+def vector_product_relations(b: Products) -> dict:
+    """The paper's ten vector product relations, each as (lhs, rhs), two tuples of values."""
+    det, dot, cross, triple, (u, v, w, x) = b.det, b.dot, b.cross, b.triple, b.vectors
+    t = triple(u, v, w)
+    return {
+        "adj B . B = det B . I": (
+            tuple(y for row in b.form._adj for y in form_values(b.form._ints, row)),
+            tuple(det if i == j else 0 for i in range(3) for j in range(3))),
+        "cyclic triple": ((t, t), (triple(v, w, u), triple(w, u, v))),
+        "triple = det B . det": ((t,), (det * inner(u, cross_values(v, w)),)),
+        "B-perpendicular cross": ((dot(u, cross(u, v)), dot(v, cross(u, v))), (0, 0)),
+        "vector triple": (cross(u, cross(v, w)),
+                          times(det, minus(times(dot(u, w), v), times(dot(u, v), w)))),
+        "Binet-Cauchy": ((dot(cross(u, v), cross(w, x)),),
+                         (det * (dot(u, w) * dot(v, x) - dot(u, x) * dot(v, w)),)),
+        "quadruple vector, first": (cross(cross(u, v), cross(w, x)), times(det, minus(
+            times(triple(u, v, x), w), times(triple(u, v, w), x)))),
+        "quadruple vector, second": (cross(cross(u, v), cross(w, x)), times(det, minus(
+            times(triple(u, w, x), v), times(triple(v, w, x), u)))),
+        "triple of crosses": ((triple(cross(v, w), cross(w, u), cross(u, v)),), (det * t * t,)),
+        "Jacobi": (tuple(map(sum, zip(cross(u, cross(v, w)), cross(v, cross(w, u)),
+                                      cross(w, cross(u, v))))), (0, 0, 0)),
+    }
+
+
+def holds(lhs, rhs) -> bool:
+    """Whether two tuples of values are equal entry for entry, as polynomials."""
+    return len(lhs) == len(rhs) and all(x - y == 0 for x, y in zip(lhs, rhs))
+
+
+def test_the_vector_products_are_polynomial_identities(products):
+    relations = vector_product_relations(products)
+    assert len(relations) == 10
+    assert [name for name, sides in relations.items() if not holds(*sides)] == []
+
+
+def test_planted_false_vector_product_relations_fail(products):
+    relations, det = vector_product_relations(products), products.det
+    u, v, w, _ = products.vectors
+    triple_lhs, triple_rhs = relations["triple of crosses"]
+    vector_lhs, vector_rhs = relations["vector triple"]
+    binet_lhs, binet_rhs = relations["Binet-Cauchy"]
+    planted = [(triple_lhs, times(det, triple_rhs)),  # det B t^2 -> det B^2 t^2
+               (vector_lhs, times(-1, vector_rhs)),  # sign flipped
+               (times(det, binet_lhs), binet_rhs),  # a det B factor too many
+               ((products.dot(w, products.cross(u, v)),), (0,))]  # perpendicular to a third
+    assert [holds(*sides) for sides in planted] == [False] * 4
+
+
+def test_the_product_polynomials_are_the_library_products(products):
+    # at random integer points `dot` and `cross` are `SymmetricForm.dot` and `b_cross` over Q:
+    # what is proved above is what the library computes
+    from tetrig import Vector3, b_cross
+    (u, v, *_), rnd, checked = products.vectors, random.Random(31), 0
+    for _ in range(20):
+        point = [rnd.randint(-9, 9) for _ in range(18)]
+        try:
+            form = SymmetricForm.from_parts(Q, [(y, 1) for y in point[:6]])
+        except DegenerateForm:
+            continue
+        x, y = Vector3.of(Q, *point[6:9]), Vector3.of(Q, *point[9:12])
+        assert form.dot(x, y) == Q.element(at(products.dot(u, v), point))
+        assert b_cross(x, y, form) == Vector3.of(Q, *(at(c, point) for c in products.cross(u, v)))
+        checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------

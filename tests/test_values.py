@@ -9,7 +9,7 @@ import pytest
 
 from tetrig import (DegenerateParams, DegeneratePlane, FieldSpec, Line, MixedFields, Plane,
                     Point3, SymmetricForm, Tetrahedron, Triangle, TriLines, TriRectParams,
-                    Undefined, Vector3, Verdict, analyze, verify_identities)
+                    Undefined, Vector3, Verdict, analyze, b_cross, verify_identities)
 from tetrig.document import ReportOptions, load_document
 from tetrig.fuzz import FuzzConfig
 from support import Q
@@ -90,15 +90,26 @@ def test_repr_names_the_fields():
 
 def test_constructor_checks_still_raise():
     p, v = Point3.of, Vector3.of
-    with pytest.raises(MixedFields):
+
+    def mixed():  # the one field check, `shared_spec`, names both fields
+        return pytest.raises(MixedFields, match=r"\bQ\b.*\bF_7\b|\bF_7\b.*\bQ\b")
+    with mixed():
         Point3(Q.element(1), F7.element(1), Q.element(1))
-    with pytest.raises(MixedFields):
+    with mixed():
         Line(p(Q, 0, 0, 0), v(F7, 1, 0, 0))
-    with pytest.raises(MixedFields):
+    with mixed():
         Plane(p(Q, 0, 0, 0), v(Q, 1, 0, 0), v(F7, 0, 1, 0))
-    with pytest.raises(MixedFields):
+    with mixed():
         Tetrahedron(p(Q, 0, 0, 0), p(Q, 1, 0, 0), p(Q, 0, 1, 0), p(Q, 0, 0, 1),
                     SymmetricForm.identity(F7))
+    with mixed():
+        Triangle(p(Q, 0, 0, 0), p(F7, 1, 0, 0), p(Q, 0, 1, 0))
+    with mixed():
+        TriLines(p(Q, 0, 0, 0), v(Q, 1, 0, 0), v(Q, 0, 1, 0), v(F7, 0, 0, 1))
+    with mixed():
+        b_cross(v(Q, 1, 0, 0), v(Q, 0, 1, 0), SymmetricForm.identity(F7))
+    with mixed():
+        SymmetricForm.identity(Q).dot(v(Q, 1, 0, 0), v(F7, 0, 1, 0))
     with pytest.raises(DegeneratePlane):
         Plane(p(Q, 0, 0, 0), v(Q, 1, 2, 3), v(Q, 2, 4, 6))
     with pytest.raises(ValueError, match="nonzero"):
