@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .blinalg import SymmetricForm, form_values, inner
+from .blinalg import SymmetricForm
 from .tetra import (_EXTRA, _INDEX, _REST_OF_EDGE, EDGES, FACE_SPREAD_KEYS, FACES, FAIL,
-                    DegenerateParams, NotTriRectangular, _edge, _identity_verdicts)
+                    DegenerateParams, NotTriRectangular, _gram, _identity_verdicts)
 
 
 def _sum(*terms):
@@ -85,14 +85,12 @@ def _corner_factors(red, k) -> list:
 
 
 def _corner_parts(form: SymmetricForm, scale: int, coords) -> list:
-    """K1, K2, K3, the quadrances of the edges at vertex 0, as (num, den) pairs on the scaled
-    integers of `_analyze_parts`; NotTriRectangular unless those edges are B-perpendicular."""
-    red, edges = form.spec._red, [_edge(coords, 0, j) for j in (1, 2, 3)]
-    images = [form_values(form._ints, v) for v in edges]  # v B once per edge
-    if any(red(inner(images[m], edges[n])) for m, n in combinations(range(3), 2)):
+    """K1, K2, K3, the quadrances of the edges at vertex 0, G's diagonal, as (num, den) pairs
+    on the scaled integers of `_analyze_parts`; NotTriRectangular unless G is diagonal."""
+    *k, g23, g13, g12 = _gram(form, coords)
+    if g23 or g13 or g12:
         raise NotTriRectangular("corner edge vectors are not mutually B-perpendicular")
-    s = scale * scale * form._scale  # each dot on the scaled ints is s times the dot
-    return [(red(inner(vb, v)), s) for vb, v in zip(images, edges)]
+    return [(x, scale * scale * form._scale) for x in k]  # each is s = L^2 M times K_i
 
 
 def _right_corner_parts(red, parts, k) -> list:

@@ -2,12 +2,13 @@
 arithmetic, and `parse_element`, `render` and `invert`.
 
 An element holds its canonical pair (num, den), as `field` reads and writes literals, and
-`_parts` returns it.  `_element` builds every element from its canonical pair, and `_ratio`
+`_parts` returns it.  `_element` builds an element from its canonical pair, and `_ratio`
 reduces a num/den to that pair first (`field._canonical`): every arithmetic result but a
-power, and every element that other modules build from fused formulas on raw ints (through
-`FieldSpec._ratio`).  A parsed literal, a kernel table entry (`trig.analyze`) and a power are
-canonical already.  The commands build no element, so this module loads with the first
-element that a `FieldSpec` method builds, or with `affine` and `trig`.
+power and a negation, and every element that other modules build from fused formulas on raw
+ints (through `FieldSpec._ratio`).  A parsed literal, a kernel table entry (`trig.analyze`), a
+power and a negation are canonical already, and the constructor reduces its value itself.
+The commands build no element, so this module loads with the first element that a
+`FieldSpec` method builds, or with `affine` and `trig`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class FieldElement:
             kind = "a rational" if spec.p is None else f"an F_{spec.p}"
             raise TypeError(f"cannot build {kind} element from {type(value).__name__}")
         # an int is its own numerator over denominator 1
-        self.spec, self._value = spec, _ratio(spec, value.numerator, value.denominator)._value
+        self.spec, self._value = spec, _canonical(spec, value.numerator, value.denominator)
 
     # -- views ------------------------------------------------------------
 
@@ -133,9 +134,9 @@ class FieldElement:
             raise DivisionByZero("the zero element has no inverse")
         return _ratio(self.spec, a * d, b * c)
 
-    def __neg__(self):
-        num, den = self._value
-        return _ratio(self.spec, -num, den)
+    def __neg__(self):  # -num/den is in lowest terms: no gcd over Q, no inverse over F_p
+        (num, den), p = self._value, self.spec.p
+        return _element(self.spec, (-num % p, 1) if p else (-num, den))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or isinstance(exponent, bool):

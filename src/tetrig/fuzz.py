@@ -13,11 +13,11 @@ from collections import Counter
 from functools import cache, partial
 from importlib import import_module
 
-from .blinalg import DegenerateForm, Record, SymmetricForm
+from .blinalg import DegenerateForm, Record, SymmetricForm, cross_values, form_values, inner
 from .cli import InputError, _untimed
 from .field import FieldError, FieldSpec
 from .tetra import (_EXTRA, _IDENTITIES, _INDEX, FAIL, INAPPLICABLE, PASS, _analyze_parts,
-                    _skew_parts, _verify_parts, pairing_name)
+                    _edge, _verify_parts, pairing_name)
 
 # a sample's rows: the identities, then each skew entry against its extra factor, the skew
 # quadrance from points moved along the edges (`moved` in `_run_sample`)
@@ -43,12 +43,26 @@ def _sample_tetrahedron(rng: random.Random, p: int) -> list[int]:
     return [rng.randrange(p) for _ in range(12)]
 
 
+def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int, t2: int):
+    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)) projected on the points,
+    scaled as in `_analyze_parts`: the gap w from a + t1 v1 to c + t2 v2 (v1 = ab, v2 = cd) has
+    (n . w)^2 / Q(n) on n = v1 x_B v2 = c adj B, c = v1 x v2, whatever t1 and t2, and with
+    n . w = det B (c . w) and Q(n) = det B (c . n); the kernel's skew reads G alone."""
+    red = form.spec._red
+    (i, j), (k, l) = pairing
+    v1, v2 = _edge(coords, i, j), _edge(coords, k, l)
+    c = cross_values(v1, v2)
+    w = [x + t2 * y - t1 * z for x, y, z in zip(_edge(coords, i, k), v2, v1)]
+    nw = red(form._int_det * inner(c, w))
+    return nw * nw, red(form._int_det * inner(c, form_values(form._adj, c))) * s
+
+
 def _run_sample(cfg: FuzzConfig, index: int):
     """One sample: a Counter of its verdicts by (identity, status) and of its rejections
     by "singular_forms" and "degenerate_tetrahedra", and a list of its failure record, if
     any.  Each draw's residues go through the kernel, whose V numerator decides degeneracy, and
     the accepted draw's (num, den) parts are checked as they are, each defined skew part
-    against the kernel's skew formula, `_skew_parts`, at points moved along the edges."""
+    against `_skew_parts`, its projection at points moved along the edges."""
     # per-sample stream derived from (seed, index): the summary cannot
     # depend on how samples are scheduled across workers
     rng = random.Random((cfg.seed << 32) + index)

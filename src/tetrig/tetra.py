@@ -10,29 +10,31 @@ edge (face and solid spreads), a null face normal (dihedral and dual solid sprea
 quadrea (R) or the zero skew denominator.  Q, A and V are always defined.  `trig` reads
 these tables back as field elements (`analyze`, `verify_identities`, ...).
 
-Each quantity that entries share is computed once, from `blinalg`'s integer primitives: the
-image e B of each edge; each face's normal n = c adj B, the twisted product of two of its
-edges, with c their Euclidean cross product; and every B-product with a normal as det B
-times a Euclidean one with c, as adj B . B = det B . I gives n B x^T = det B (c . x): the
-dihedral dots, Q(n), the dual solid spread's triple, the solid spread's B-triple and the
-skew quadrance's projection.  Over F_p the canonical table makes one inversion, of the
-product of its nonzero dens (`_residue_table`).
+Every entry is a function of G = E B E^T, the Gram matrix of the edges e_01, e_02, e_03 (the
+rows of E), and the kernel reads nothing else of the points or the form (`_gram`).  At vertex
+i the Gram matrix H of the edges from i, e_im . e_in = g_mn - g_im - g_in + g_ii, gives the
+quadrances, the face spreads and, by det H, the solid spread.  By Binet-Cauchy its cofactors
+are the products of the normals of the faces at i over det B: they give the dihedral spreads
+and, by their determinant, the dual solid spread.  det G gives V and the skew quadrances.
+det B cancels from every spread and appears in no den, so a flat tetrahedron (det G = 0)
+keeps its defined spreads.  Over F_p the canonical table makes one inversion, of the product
+of its nonzero dens (`_residue_table`).
 
-The kernel and the engine run on any commutative ring.  Of the form they read `spec._red`,
-`_ints` and `_adj` (M B and its adjugate, three rows each), `_int_det` and `_scale`; of the
-values they need `+ - *` (with ints on either side), `== 0` and truth, and `red` must be a
-ring homomorphism.  Ints are needed only as the six quadrance dens, whose lcm
-`_verify_parts` takes (`_over_common_den`).
-`tests/test_proofs.py` runs both on polynomials over Z, where `red` is the identity.
+The kernel and the engine run on any commutative ring.  Of the form the kernel reads
+`spec._red`, `_ints` (M B as three rows) and `_scale`; of the values they need `+ - *` (with
+ints on either side), `== 0` and truth, and `red` must be a ring homomorphism.  Ints are
+needed only as the six quadrance dens, whose lcm `_verify_parts` takes (`_over_common_den`).
+`tests/test_proofs.py` runs both on polynomials over Z, where `red` is the identity, and on
+a G of six variables proves every identity for every input.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, starmap
 from math import prod
 
 from . import _resolver
-from .blinalg import SymmetricForm, cross_values, form_values, inner
+from .blinalg import SymmetricForm, form_values, inner
 from .field import _canonical, _over_common_den
 
 
@@ -86,10 +88,10 @@ def spread_from_parts(d, q1, q2):
     return qq - d * d, qq
 
 
-def solid_spread_from_parts(t, q1, q2, q3, det):
-    """(numerator, denominator) of the solid spread t^2/(det B q1 q2 q3) of three
-    directions with scalar triple t and nonzero quadrances q1, q2, q3."""
-    return t * t, det * q1 * q2 * q3
+def solid_spread_from_parts(gram_det, q1, q2, q3):
+    """(numerator, denominator) of the solid spread det(G)/(q1 q2 q3) of three directions with
+    Gram matrix G and nonzero quadrances q1, q2, q3; field elements or raw ints."""
+    return gram_det, q1 * q2 * q3
 
 
 def _skew_denominator(q: dict, pairing):
@@ -106,19 +108,13 @@ def _edge(coords, i: int, j: int) -> tuple[int, int, int]:
     return coords[b] - coords[a], coords[b + 1] - coords[a + 1], coords[b + 2] - coords[a + 2]
 
 
-def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int = 0, t2: int = 0):
-    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)), scaled as in
-    `_analyze_parts`: the gap w from a + t1 v1 to c + t2 v2 (v1 = ab, v2 = cd) projected
-    onto n = v1 x_B v2 has quadrance (n . w)^2 / Q(n), whatever t1 and t2, as n is
-    B-perpendicular to both edges; with c = v1 x v2, n = c adj B, so n . w = det B (c . w)
-    and Q(n) = det B (c . n) = det B * den / 4 for the closed form's den."""
-    red = form.spec._red
-    (i, j), (k, l) = pairing
-    v1, v2 = _edge(coords, i, j), _edge(coords, k, l)
-    c = cross_values(v1, v2)
-    w = [x + t2 * y - t1 * z for x, y, z in zip(_edge(coords, i, k), v2, v1)]
-    nw = red(form._int_det * inner(c, w))
-    return nw * nw, red(form._int_det * inner(c, form_values(form._adj, c))) * s
+def _gram(form: SymmetricForm, coords) -> tuple:
+    """The entries g11, g22, g33, g23, g13, g12 (a form's a1, ..., b3) of G = E (M B) E^T,
+    E the edges from point 0 to points 1, 2, 3 of twelve coordinates, reduced by `red`."""
+    e1, e2, e3 = edges = [_edge(coords, 0, j) for j in (1, 2, 3)]
+    b1, b2, b3 = [form_values(form._ints, v) for v in edges]  # e B, once per edge
+    return tuple(map(form.spec._red, (inner(b1, e1), inner(b2, e2), inner(b3, e3),
+                                      inner(b2, e3), inner(b1, e3), inner(b1, e2))))
 
 
 # a report's fields (`trig.InvariantReport`) in print order: keys (None: one entry), section,
@@ -149,57 +145,48 @@ _INDEX = dict(zip((field for field, *_ in _FIELDS), _by_field(range(len(_ENTRIES
 
 def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
     """Every entry of the invariant report as an integer pair (num, den), in `_ENTRIES`
-    order, from the defining formulas on plain ints: the twelve coordinates of the
-    points, three per point, times `scale`.
+    order, from its defining formula on G (`_gram`) of the twelve coordinates of the points,
+    three per point, times `scale`.
 
     Over Q the points are scaled by L (`document_from_obj`, or `trig._scaled_coordinates`
     for a library `Tetrahedron`, as `SymmetricForm.dot` and `affine.b_cross` scale each
-    vector) and the form by M (`SymmetricForm._ints`); with s = L^2 M each entry's one
-    division takes the scale out: Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads
-    unscaled.  Over F_p, L = M = s = 1 and values are reduced mod p as they grow.  No branch
-    on a value: a den is zero (mod p over F_p) exactly where the entry is Undefined.
+    vector) and the form by M (`SymmetricForm._ints`), so G is s = L^2 M times the Gram
+    matrix; each entry's one division takes the scale out: Q / s, A / s^2, V / s^3, skew / s,
+    R * s^2, spreads unscaled.  Over F_p, L = M = s = 1 and values are reduced mod p as they
+    grow.  No branch on a value: a den is zero (mod p) exactly where the entry is Undefined.
     """
-    red, det = form.spec._red, form._int_det
-    s = scale * scale * form._scale
-
-    # each edge vector, its image e B and its quadrance, once per edge (q keyed both ways round)
-    edge = {e: _edge(coords, *e) for e in EDGES}
-    image = {e: form_values(form._ints, v) for e, v in edge.items()}
-    q = {e: red(inner(image[e], v)) for e, v in edge.items()}
-    q.update({(j, i): x for (i, j), x in q.items()})
-    a = {(i, j, k): red(archimedes(q[j, k], q[i, k], q[i, j])) for (i, j, k) in FACES}
-
-    # One normal per face (i, j, k): c = e_ij x e_ik and n = c adj B, with the quadrance
-    # Q(n) = det B (c . n) = det B * A / 4, so the normal spreads' denominators vanish exactly
-    # where a face quadrea does.  A normal built at another vertex of the face differs only
-    # in sign, which the squares in every spread cancel.
-    c = {(i, j, k): cross_values(edge[i, j], edge[i, k]) for (i, j, k) in FACES}
-    n = {f: form_values(form._adj, cf) for f, cf in c.items()}
-    qn = {f: red(det * inner(c[f], n[f])) for f in FACES}
-    # the B-triple of the edges at vertex i, e_ij . (e_ik x_B e_il) = det B (c . e_ij) with
-    # c of the face i k l, the face opposite j; each e_ij as `edge` holds it, up to sign
-    t = [red(det * inner(c[_REST_OF_VERTEX[j]], edge[edge_key(i, j)]))
-         for i, (j, _, _) in _REST_OF_VERTEX.items()]
-    vol_num = 4 * t[0] * t[0]  # V = 4 t^2 / det B from the edges at vertex 0
-
-    return [
-        *((q[e], s) for e in EDGES),
-        *((a[f], s * s) for f in FACES),
-        (vol_num, s * s * s * det),
-        # e_ij . e_ik up to sign, from the edges as `edge` and `image` hold them
-        *(spread_from_parts(red(inner(image[edge_key(i, j)], edge[edge_key(i, k)])),
-                            q[i, j], q[i, k]) for (i, j, k) in FACE_SPREAD_KEYS),
-        *(spread_from_parts(red(det * inner(c[f1], n[f2])), qn[f1], qn[f2])
-          for f1, f2 in _FACES_ON.values()),
-        *(solid_spread_from_parts(t[i], *(q[i, m] for m in rest), det)
-          for i, rest in _REST_OF_VERTEX.items()),
-        # the solid spread of the normals of the three faces at the vertex
-        *(solid_spread_from_parts(red(det * inner(n[f1], cross_values(n[f2], n[f3]))),
-                                  qn[f1], qn[f2], qn[f3], det)
-          for f1, f2, f3 in _FACES_AT.values()),
-        (16 * vol_num * vol_num * s * s, det * det * prod(a.values())),
-        *(_skew_parts(form, s, coords, pairing) for pairing in SKEW_PAIRINGS),
-    ]
+    red, s = form.spec._red, scale * scale * form._scale
+    g11, g22, g33, g23, g13, g12 = _gram(form, coords)
+    q12, q13, q23 = red(g11 - 2 * g12 + g22), red(g11 - 2 * g13 + g33), red(g22 - 2 * g23 + g33)
+    q = dict(zip(EDGES, (g11, g22, g33, q12, q13, q23)))
+    # at each vertex i the Gram matrix of its edges to the rest j < k < l, e_im . e_in =
+    # g_mn - g_im - g_in + g_ii (G's row 0 zero): Q_ij, Q_ik, Q_il, e_ik.e_il, e_ij.e_il, e_ij.e_ik
+    grams = ((g11, g22, g33, g23, g13, g12),
+             (g11, q12, q13, g11 - g12 - g13 + g23, g11 - g13, g11 - g12),
+             (g22, q12, q23, g22 - g12 - g23 + g13, g22 - g23, g22 - g12),
+             (g33, q13, q23, g33 - g13 - g23 + g12, g33 - g23, g33 - g13))
+    face, dihedral, dets, dual = [], [], [], []
+    for i, (x, y, w, z1, z2, z3) in enumerate(grams):
+        # the cofactors of [[x, z3, z2], [z3, y, z1], [z2, z1, w]]; det B times one is the product
+        # of the normals of the faces at i opposite its row's and its column's edge
+        cx, cy, cw = red(y * w - z1 * z1), red(x * w - z2 * z2), red(x * y - z3 * z3)
+        c1, c2, c3 = red(z2 * z3 - x * z1), red(z1 * z3 - y * z2), red(z1 * z2 - w * z3)
+        face += (z3, x, y), (z2, x, w), (z1, y, w)
+        # the dihedral spread on the edge from i to the rest m, of the normals of the faces
+        # opposite the other two, for the edges to a later vertex (m >= i), in `EDGES` order
+        dihedral += ((c1, cy, cw), (c2, cx, cw), (c3, cx, cy))[i:]
+        dets.append((red(x * cx + z3 * c3 + z2 * c2), x, y, w))
+        dual.append((red(cx * (cy * cw - c1 * c1) + c3 * (c1 * c2 - c3 * cw)
+                         + c2 * (c3 * c1 - cy * c2)), cx, cy, cw))
+    quadrea = [red(archimedes(q[j, k], q[i, k], q[i, j])) for (i, j, k) in FACES]
+    vol_num = 4 * dets[0][0]  # V = 4 det G
+    # e_ab . e_cd for the pairings (ab, cd) 01;23, 02;13 and 03;12, from e_0j . e_0k = g_jk
+    skew = [(dets[0][0], (q[p1] * q[p2] - dot * dot) * s)
+            for (p1, p2), dot in zip(SKEW_PAIRINGS, (g13 - g12, g23 - g12, g23 - g13))]
+    return [*((x, s) for x in q.values()), *((x, s * s) for x in quadrea), (vol_num, s * s * s),
+            *starmap(spread_from_parts, face + dihedral),
+            *starmap(solid_spread_from_parts, dets + dual),
+            (16 * vol_num * vol_num * s * s, prod(quadrea)), *skew]
 
 
 def _report_table(form: SymmetricForm, scale: int, coords) -> list:

@@ -151,8 +151,8 @@ def solid_spread(lines: TriLines, form: SymmetricForm) -> FieldElement:
     q3 = form.quadrance(lines.d3)
     if q1.is_zero or q2.is_zero or q3.is_zero:
         raise NullDirection("solid spread undefined: a direction has quadrance zero")
-    return truediv(*solid_spread_from_parts(scalar_triple(lines.d1, lines.d2, lines.d3, form),
-                                            q1, q2, q3, form.det))
+    t = scalar_triple(lines.d1, lines.d2, lines.d3, form)  # t^2 / det B: the Gram determinant
+    return truediv(*solid_spread_from_parts(t * t / form.det, q1, q2, q3))
 
 
 def dual_solid_spread(lines: TriLines, form: SymmetricForm) -> FieldElement:

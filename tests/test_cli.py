@@ -584,7 +584,8 @@ def _skew_instances(p, count):
     `trig.skew_quadrance`."""
     import random
     from tetrig.blinalg import DegenerateForm
-    from tetrig.tetra import SKEW_PAIRINGS, _skew_parts
+    from tetrig.fuzz import _skew_parts
+    from tetrig.tetra import SKEW_PAIRINGS
     from tetrig.trig import NotSkewOrDegenerate, NullCommonPerpendicular, skew_quadrance
     rng, spec, out = random.Random(p), FieldSpec.prime(p), []
     while len(out) < count:
@@ -608,12 +609,13 @@ def _skew_instances(p, count):
 
 @pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
 def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
-    # the kernel's integer skew formula at moved points, which a fuzz sample checks
-    # the kernel's skew part against, and the library's FieldElement route agree on
+    # the integer skew projection at moved points, which a fuzz sample checks the
+    # kernel's skew part against, and the library's FieldElement route agree on
     # every defined instance; two broken integer routes fail on most of them
-    from tetrig import tetra
+    from tetrig import fuzz
     from tetrig.blinalg import form_values
-    from tetrig.tetra import _decide, _skew_parts
+    from tetrig.fuzz import _skew_parts
+    from tetrig.tetra import _decide
     red, instances = FieldSpec.prime(p)._red, _skew_instances(p, 150)
 
     def statuses(route):
@@ -624,8 +626,37 @@ def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
     assert statuses(_skew_parts) == [PASS] * len(instances)
     assert statuses(no_den).count(FAIL) > len(instances) // 2
     unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the plain cross product, not B's
-    monkeypatch.setattr(tetra, "form_values", lambda adj, c: form_values(unit, c))
+    monkeypatch.setattr(fuzz, "form_values", lambda adj, c: form_values(unit, c))
     assert statuses(_skew_parts).count(FAIL) > len(instances) // 2
+
+
+def test_skew_projection_rows_catch_a_wrong_adjugate(monkeypatch):
+    # fuzz's re-projection rows compare the kernel's skew quadrance, read from G = E B E^T
+    # alone, with the projection on the points through adj B: with adj B's first entry one
+    # off in every random form they fail on most samples, the other rows on none, and with
+    # the clean forms no row fails
+    from tetrig import fuzz
+
+    class Planted:  # a random-form sample builds its form by `from_parts` alone
+        @staticmethod
+        def from_parts(spec, parts):
+            form = SymmetricForm.from_parts(spec, parts)
+            (first, *row), *rows = form._adj
+            form._adj = ((first + 1, *row), *rows)
+            return form
+
+    def failed(cfg):
+        summary, _ = run_fuzz(cfg)
+        return {name: row["checked"] - row["passed"] - row["inapplicable"]
+                for name, row in summary["identities"].items()}, summary["identities"]
+    cfg = FuzzConfig(prime=101, samples=100, seed=9, random_form=True)
+    clean, identities = failed(cfg)
+    assert set(clean.values()) == {0}
+    monkeypatch.setattr(fuzz, "SymmetricForm", Planted)
+    planted, _ = failed(cfg)
+    checked = identities["skew-quadrance-projection"]["checked"]
+    assert planted.pop("skew-quadrance-projection") > checked // 2
+    assert set(planted.values()) == {0}
 
 
 def test_fuzz_sample_builds_no_report(monkeypatch):

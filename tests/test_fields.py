@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from tetrig import (DivisionByZero, FieldElement, FieldSpec, InvalidFieldSpec,
                     LiteralTooLong, MalformedLiteral, MixedFields, ZeroDenominator,
                     invert, parse_element, render)
-from tetrig.field import MAX_LITERAL_DIGITS, MAX_MODULUS, _is_prime
+from tetrig.element import _ratio
+from tetrig.field import MAX_LITERAL_DIGITS, MAX_MODULUS, _canonical, _is_prime
 from support import Q, rng
 
 F7 = FieldSpec.prime(7)
@@ -452,6 +453,23 @@ def test_rational_arithmetic_is_fractions(x, y, n, exponent):
             ex ** exponent
     else:
         _agrees(ex ** exponent, x ** exponent)
+
+
+@REFERENCE
+@given(st.sampled_from([None, 3, 7, 2**31 - 1]), INTS, INTS.filter(bool))
+@example(None, 0, -4).via("zero over a negative den")
+@example(7, 0, 1).via("the zero residue negated")
+def test_negation_is_the_reduced_negated_pair(p, num, den):
+    # `-x` builds its pair with no gcd over Q and no inverse over F_p; it is the element that
+    # reducing (-num, den) gives, canonical pair and all
+    spec = FieldSpec(p)
+    if p and den % p == 0:
+        den = 1
+    x = _ratio(spec, num, den)
+    negated = -x
+    assert negated == _ratio(spec, -x._parts()[0], x._parts()[1])
+    assert negated._parts() == _canonical(spec, -num, den)
+    assert -negated == x
 
 
 @REFERENCE

@@ -7,6 +7,8 @@ when its cross-multiplied difference is the zero polynomial and its dens' produc
 an identity of polynomials, never vacuous, which holds mod every p as well.  The rows are
 the engine's own tables, so a row added to them is proved here or fails here.
 
+- The identities on a Gram matrix G of six variables: the kernel reads only G of the points
+  and the form, so this is every input; and (s G, s) gives the entries of (G, 1).
 - The identities and the skew re-projections, on the slice p0 = 0, p1 = (a, 0, 0),
   p2 = (b, c, 0), p3 = (d, e, f) under the identity form, with the re-projections' t1, t2.
 - The right corner's relations and the identities, on the corner's own frame: the points
@@ -14,8 +16,9 @@ the engine's own tables, so a row added to them is proved here or fails here.
 - The paper's vector products, fully generic: `blinalg`'s primitives on B's six entries and
   four vectors, 18 variables, with no reduction.
 
-README's "What is proved" gives the reductions from these to every input; the last test
-checks the invariance they rest on, at random points.
+README's "What is proved" gives the argument from these to every input; a test checks at
+random points that the kernel's parts are those of G, and the last test that a change of
+basis and a translation keep every entry.
 """
 
 import random
@@ -30,9 +33,9 @@ from tetrig import corner, tetra
 from tetrig.blinalg import DegenerateForm, SymmetricForm, cross_values, form_values, inner
 from tetrig.corner import _RIGHT_CORNER, _corner_parts, _right_corner_parts
 from tetrig.field import FieldSpec
-from tetrig.fuzz import _FUZZ_ROWS
+from tetrig.fuzz import _FUZZ_ROWS, _skew_parts
 from tetrig.tetra import (_IDENTITIES, FAIL, PASS, SKEW_PAIRINGS, _analyze_parts, _report_table,
-                          _skew_parts, _verify_parts)
+                          _verify_parts)
 
 
 class Poly:
@@ -114,6 +117,20 @@ def generic_parts(spec, coords, s1, s2):
     return _analyze_parts(form, 1, coords), moved
 
 
+def gram_parts(spec, g):
+    """The entries of the points 0, e1, e2, e3 under the form of the six values `g` (a1, a2,
+    a3, b1, b2, b3) over `spec`: on those points G = E B E^T is B."""
+    return _analyze_parts(SymmetricForm.from_parts(spec, [(x, 1) for x in g]), 1, CORNER)
+
+
+def gram_stand_in(spec, g, scale):
+    """Of a form only what the kernel reads: `spec`, `_ints`, the symmetric matrix of the six
+    values `g` (a1, a2, a3, b1, b2, b3) as rows, which need not be invertible, and `_scale`."""
+    a1, a2, a3, b1, b2, b3 = g
+    return SimpleNamespace(spec=spec, _ints=((a1, b3, b2), (b3, a2, b1), (b2, b1, a3)),
+                           _scale=scale)
+
+
 def corner_parts(spec, k):
     """The entries and K1, K2, K3 of the points 0, e1, e2, e3 under diag(k) over `spec`."""
     form = SymmetricForm.from_parts(spec, [(x, 1) for x in k] + [(0, 1)] * 3)
@@ -134,6 +151,48 @@ def test_every_identity_and_skew_reprojection_is_a_polynomial_identity(generic):
     assert _verify_parts(RING._red, parts, _FUZZ_ROWS, moved) == [PASS] * len(_FUZZ_ROWS)
 
 
+def test_every_identity_is_a_polynomial_identity_in_the_gram_matrix():
+    # the kernel reads G = E (M B) E^T of the points and the form, and nothing else of them
+    # (the test below), so on the points 0, e1, e2, e3, where G is B, a form of six
+    # variables is every input: each row is an identity of rational functions of G
+    parts = gram_parts(RING, Poly.variables(6))
+    assert _verify_parts(RING._red, parts) == [PASS] * len(_IDENTITIES)
+
+
+def test_a_scaled_gram_matrix_has_the_same_entries():
+    # over Q the kernel takes G scaled by s = L^2 M (`_analyze_parts`); (s G, s) and (G, 1)
+    # give each entry one value, as polynomials in G's six entries and s
+    *g, s = Poly.variables(7)
+    plain = _analyze_parts(gram_stand_in(RING, g, 1), 1, CORNER)
+    scaled = _analyze_parts(gram_stand_in(RING, [s * x for x in g], s), 1, CORNER)
+    assert [n1 * d2 - n2 * d1 for (n1, d1), (n2, d2) in zip(plain, scaled)] == [0] * len(plain)
+
+
+@pytest.mark.parametrize("p", [7, 101, None], ids=["F_7", "F_101", "Q"])
+def test_the_kernel_reads_only_the_gram_matrix(p):
+    # the kernel's parts of any points, form and scale are its parts of G = E (M B) E^T
+    # and s = scale^2 M, read from a stand-in with no more than `_ints` and `_scale`, on the
+    # points 0, e1, e2, e3: flat draws (det G = 0) and Undefined entries included
+    spec, rnd = FieldSpec(p), random.Random(37)
+    draw = (lambda: rnd.randrange(p)) if p else (lambda: rnd.randint(-9, 9))
+    flat = 0
+    for _ in range(100):
+        _, form = _random_form(spec, draw)
+        scale = 1 if p else rnd.randint(1, 4)
+        coords = [draw() for _ in range(12)]
+        if rnd.random() < 0.3:  # the fourth point in the plane of the other three
+            x, y = draw(), draw()
+            coords[9:] = [u + x * (v - u) + y * (w - u)
+                          for u, v, w in zip(coords[:3], coords[3:6], coords[6:9])]
+        edges = [[coords[3 * j + n] - coords[n] for n in range(3)] for j in (1, 2, 3)]
+        g = [spec._red(inner(form_values(form._ints, edges[j]), edges[k]))
+             for j, k in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))]
+        stand_in = gram_stand_in(spec, g, scale * scale * form._scale)
+        assert _analyze_parts(stand_in, 1, CORNER) == _analyze_parts(form, scale, coords)
+        flat += spec._red(_det(stand_in._ints)) == 0
+    assert flat
+
+
 def test_every_right_corner_relation_and_identity_holds_on_the_corner_frame():
     parts, k = corner_parts(RING, Poly.variables(3))
     assert {status for *_, status in _right_corner_parts(RING._red, parts, k)} == {PASS}
@@ -145,6 +204,7 @@ def test_the_polynomials_are_the_integer_kernel_at_every_point(generic):
     # what is proved above is what the kernel computes
     generic_polys = [*generic[0], *generic[1]]
     corner_polys = [*chain(*corner_parts(RING, Poly.variables(3)))]
+    gram_polys = gram_parts(RING, Poly.variables(6))
     rnd = random.Random(23)
     for _ in range(20):
         point = [rnd.randint(-9, 9) for _ in range(8)]
@@ -153,6 +213,9 @@ def test_the_polynomials_are_the_integer_kernel_at_every_point(generic):
         k = [rnd.choice((-1, 1)) * rnd.randint(1, 9) for _ in range(3)]
         parts, k_parts = corner_parts(Q, k)
         assert [(at(num, k), at(den, k)) for num, den in corner_polys] == parts + k_parts
+        g, _ = _random_form(Q, lambda: rnd.randint(-9, 9))
+        g = [g[i][j] for i, j in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))]
+        assert [(at(num, g), at(den, g)) for num, den in gram_polys] == gram_parts(Q, g)
 
 
 def test_planted_false_rows_fail(generic, monkeypatch):
@@ -173,7 +236,7 @@ def test_planted_false_rows_fail(generic, monkeypatch):
 
 def test_a_wrong_kernel_formula_fails_its_rows(monkeypatch):
     monkeypatch.setattr(tetra, "solid_spread_from_parts",
-                        lambda t, q1, q2, q3, det: (t * t, det * q1 * q2 * q2))
+                        lambda gram_det, q1, q2, q3: (gram_det, q1 * q2 * q2))
     parts, k = corner_parts(RING, Poly.variables(3))
     identities = _verify_parts(RING._red, parts)
     relations = [status for *_, status in _right_corner_parts(RING._red, parts, k)]

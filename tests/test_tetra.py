@@ -5,8 +5,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams,
+from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateForm, DegenerateParams,
                     DegeneratePlane, FieldSpec, NotSkewOrDegenerate,
                     NotTriRectangular, NullCommonPerpendicular, NullCross,
                     NullDirection, NullNormal, NullPivot, Point3, SymmetricForm,
@@ -19,6 +20,7 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams,
                     tri_rectangular_frame, verify_identities)
 from tetrig.document import load_document
 from tetrig.trig import corner_params
+from point_kernel import point_table
 from support import Q, rand_element, rand_form, rand_point, rng
 
 F7 = FieldSpec.prime(7)
@@ -513,3 +515,37 @@ def test_one_inversion_per_table_equals_one_per_entry(p):
         assert table == per_entry(_analyze_parts(form, 1, coords))
         with_undefined += (1, 0) in table
     assert with_undefined > 0
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A form, a scale and twelve coordinates over Q or F_p, p in {3, 5, 7, 101, 2^31 - 1}:
+    integer coordinates and form entries over small dens over Q, residues over F_p; a third
+    of the draws flat, the fourth point in the plane of the other three."""
+    p = draw(st.sampled_from([None, 3, 5, 7, 101, 2**31 - 1]))
+    value = st.integers(-9, 9) if p is None else st.integers(0, p - 1)
+    den = st.integers(1, 6) if p is None else st.just(1)
+    spec = FieldSpec(p)
+    try:
+        form = SymmetricForm.from_parts(spec, draw(st.lists(st.tuples(value, den),
+                                                            min_size=6, max_size=6)))
+    except DegenerateForm:
+        assume(False)
+    coords = draw(st.lists(value, min_size=12, max_size=12))
+    if draw(st.integers(0, 2)) == 0:
+        x, y = draw(value), draw(value)
+        coords[9:] = [spec._red(u + x * (v - u) + y * (w - u))
+                      for u, v, w in zip(coords[:3], coords[3:6], coords[6:9])]
+    return form, draw(st.integers(1, 4)) if p is None else 1, coords
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(kernel_inputs())
+@example((SymmetricForm.identity(F7), 1, [0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0]))
+@example((SymmetricForm.identity(Q), 2, [0, 0, 0, 1, 2, 3, 1, 2, 3, 4, 5, 6]))
+def test_gram_kernel_equals_the_point_kernel(inputs):
+    # the Gram kernel and the point kernel (`tests/point_kernel.py`), which share only the
+    # spread and Archimedes formulas past the edge vectors, give one canonical table, entry
+    # for entry, Undefined entries and flat tetrahedra included
+    from tetrig.tetra import _report_table
+    assert _report_table(*inputs) == point_table(*inputs)

@@ -5,7 +5,9 @@ which parses a workload's form to elements), the tetrig modules that the launch 
 `tetrig.__main__` for `python -m tetrig`) and the AST nodes of their source, which the
 interpreter compiles at each launch when it writes no bytecode (PYTHONDONTWRITEBYTECODE), and
 the other modules that the launch imports beyond a bare `python -c pass`: the standard
-library's share of the start-up (`runpy` and its imports come with `-m`).
+library's share of the start-up (`runpy` and its imports come with `-m`).  Each module is
+printed with its own node count, beside the launch's total, so that a budget can be checked
+module by module.
 The AST node count is the figure to quote when comparing two trees: it depends on the source
 alone, where a compile time measured in one process drifts with the host's load by more than a
 start-up change moves it.  The timing A/B of two trees' launches is `tools/paired_ab.py --launch`.
@@ -60,7 +62,7 @@ if __name__ == "__main__":
         modules = [name for name in names if name.split(".")[0] == "tetrig"]
         modules += ["tetrig.__main__"] * (args[0] == "-m")  # run by runpy, not imported
         stdlib = [name for name in names if name not in bare and name.split(".")[0] != "tetrig"]
-        paths = [source(src, module) for module in modules]
-        print(f"{command}: {sum(map(ast_nodes, paths))} AST nodes in {len(modules)} modules: "
-              f"{', '.join(modules)}")
+        nodes = [ast_nodes(source(src, module)) for module in modules]
+        print(f"{command}: {sum(nodes)} AST nodes in {len(modules)} modules: "
+              + ", ".join(f"{module} {n}" for module, n in zip(modules, nodes)))
         print(f"  {len(stdlib)} more modules than `python -c pass`: {', '.join(stdlib)}")
