@@ -127,10 +127,11 @@ class SymmetricForm:
     @classmethod
     def from_parts(cls, spec: FieldSpec, parts) -> "SymmetricForm":
         """The form whose entries a1, a2, a3, b1, b2, b3 are the elements num/den of the six
-        integer pairs `parts`, each as `FieldElement._parts` gives it, over `spec`.  The
-        kernel (`tetra`) reads only the state, `spec._red`, `_ints`, `_adj`, `_int_det` and
-        `_scale`, so `spec` may be any object with a `_red`, and the nums a ring's values
-        over int dens: polynomials over Z in `tests/test_proofs.py`."""
+        integer pairs `parts`, each as `FieldElement._parts` gives it, over `spec`.
+        `tetra._gram` and `fuzz._skew_parts` read only the state, `spec._red`, `_ints`, `_adj`,
+        `_int_det` and `_scale`, and the kernel none of it, so `spec` may be any object with a
+        `_red`, and the nums a ring's values over int dens: polynomials over Z in
+        `tests/test_proofs.py`."""
         form = object.__new__(cls)
         form._build(spec, parts)
         return form

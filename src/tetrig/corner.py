@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .blinalg import SymmetricForm
 from .tetra import (_EXTRA, _INDEX, _REST_OF_EDGE, EDGES, FACE_SPREAD_KEYS, FACES, FAIL,
-                    DegenerateParams, NotTriRectangular, _gram, _identity_verdicts)
+                    DegenerateParams, NotTriRectangular, _identity_verdicts)
 
 
 def _sum(*terms):
@@ -84,13 +83,13 @@ def _corner_factors(red, k) -> list:
     return [*k, *sums, cs]
 
 
-def _corner_parts(form: SymmetricForm, scale: int, coords) -> list:
-    """K1, K2, K3, the quadrances of the edges at vertex 0, G's diagonal, as (num, den) pairs
-    on the scaled integers of `_analyze_parts`; NotTriRectangular unless G is diagonal."""
-    *k, g23, g13, g12 = _gram(form, coords)
+def _corner_parts(s, gram) -> list:
+    """K1, K2, K3, the quadrances of the edges at vertex 0, as (num, den) pairs: G's diagonal
+    over s, of the (s, G) from `tetra._gram`; NotTriRectangular unless G is diagonal."""
+    *k, g23, g13, g12 = gram
     if g23 or g13 or g12:
         raise NotTriRectangular("corner edge vectors are not mutually B-perpendicular")
-    return [(x, scale * scale * form._scale) for x in k]  # each is s = L^2 M times K_i
+    return [(x, s) for x in k]
 
 
 def _right_corner_parts(red, parts, k) -> list:

@@ -18,7 +18,7 @@ from .cli import InputError, _untimed
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, LiteralTooLong,
                     _canonical, _literal, _literal_parts, _over_common_den)
 from .tetra import (_FIELDS, FAIL, INAPPLICABLE, PASS, DegenerateParams, NotTriRectangular,
-                    _identity_verdicts, _report_table)
+                    _gram, _identity_verdicts, _report_table)
 
 
 class ReportOptions(Record):
@@ -181,25 +181,25 @@ def _results_obj(verdicts: list) -> dict:
             "summary": {status: statuses.count(status) for status in (PASS, FAIL, INAPPLICABLE)}}
 
 
-def _right_corner(doc: InputDocument, table) -> list:
+def _right_corner(spec: FieldSpec, gram, table) -> list:
     from .corner import _corner_parts, _right_corner_parts
     try:
-        return _right_corner_parts(doc.form.spec._red, table,
-                                   _corner_parts(doc.form, *doc.coordinates))
+        return _right_corner_parts(spec._red, table, _corner_parts(*gram))
     except (NotTriRectangular, DegenerateParams) as exc:
         raise InputError(f"tri_rectangular: {exc}") from exc
 
 
 def run_report(doc: InputDocument, run=_untimed) -> dict:
     spec = doc.form.spec
-    table = run("analyze", _report_table, doc.form, *doc.coordinates)
+    gram = run("analyze", _gram, doc.form, *doc.coordinates)
+    table = run("analyze", _report_table, spec, *gram)
     out = run("serialise", _report_obj, spec, table, doc.options)
     if doc.options.checks:
         out["identities"] = run("serialise", _results_obj,
                                 run("verify", _identity_verdicts, spec._red, table))
     if doc.options.tri_rectangular:
         out["tri_rectangular"] = run("serialise", _results_obj,
-                                     run("right corner", _right_corner, doc, table))
+                                     run("right corner", _right_corner, spec, gram, table))
     return out
 
 
@@ -218,12 +218,13 @@ def _corrupt(spec: FieldSpec, table: list, key: str) -> None:
 def run_verify(doc: InputDocument, corrupt: str | None = None,
                run=_untimed) -> tuple[dict, int]:
     spec = doc.form.spec
-    table = run("analyze", _report_table, doc.form, *doc.coordinates)
+    gram = run("analyze", _gram, doc.form, *doc.coordinates)
+    table = run("analyze", _report_table, spec, *gram)
     if corrupt is not None:
         _corrupt(spec, table, corrupt)
     verdicts = run("verify", _identity_verdicts, spec._red, table)
     if doc.options.tri_rectangular:
-        verdicts += run("right corner", _right_corner, doc, table)
+        verdicts += run("right corner", _right_corner, spec, gram, table)
     out = run("serialise", _results_obj, verdicts)
     return out, 1 if out["summary"][FAIL] else 0
 

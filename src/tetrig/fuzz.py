@@ -17,7 +17,7 @@ from .blinalg import DegenerateForm, Record, SymmetricForm, cross_values, form_v
 from .cli import InputError, _untimed
 from .field import FieldError, FieldSpec
 from .tetra import (_EXTRA, _IDENTITIES, _INDEX, FAIL, INAPPLICABLE, PASS, _analyze_parts,
-                    _edge, _verify_parts, pairing_name)
+                    _edge, _gram, _verify_parts, pairing_name)
 
 # a sample's rows: the identities, then each skew entry against its extra factor, the skew
 # quadrance from points moved along the edges (`moved` in `_run_sample`)
@@ -43,9 +43,9 @@ def _sample_tetrahedron(rng: random.Random, p: int) -> list[int]:
     return [rng.randrange(p) for _ in range(12)]
 
 
-def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int, t2: int):
-    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)) projected on the points,
-    scaled as in `_analyze_parts`: the gap w from a + t1 v1 to c + t2 v2 (v1 = ab, v2 = cd) has
+def _skew_parts(form: SymmetricForm, coords, pairing, t1: int, t2: int):
+    """(num, den) of the skew quadrance of `pairing` ((a, b), (c, d)) projected on the points
+    over F_p, where s = 1: the gap w from a + t1 v1 to c + t2 v2 (v1 = ab, v2 = cd) has
     (n . w)^2 / Q(n) on n = v1 x_B v2 = c adj B, c = v1 x v2, whatever t1 and t2, and with
     n . w = det B (c . w) and Q(n) = det B (c . n); the kernel's skew reads G alone."""
     red = form.spec._red
@@ -54,7 +54,7 @@ def _skew_parts(form: SymmetricForm, s: int, coords, pairing, t1: int, t2: int):
     c = cross_values(v1, v2)
     w = [x + t2 * y - t1 * z for x, y, z in zip(_edge(coords, i, k), v2, v1)]
     nw = red(form._int_det * inner(c, w))
-    return nw * nw, red(form._int_det * inner(c, form_values(form._adj, c))) * s
+    return nw * nw, red(form._int_det * inner(c, form_values(form._adj, c)))
 
 
 def _run_sample(cfg: FuzzConfig, index: int):
@@ -79,12 +79,12 @@ def _run_sample(cfg: FuzzConfig, index: int):
         while True:
             # the draw is bound before anything that can raise: a fault record needs it
             coords = _sample_tetrahedron(rng, p)
-            parts = _analyze_parts(form, 1, coords)
+            parts = _analyze_parts(red, *_gram(form, 1, coords))
             if not cfg.reject_degenerate or red(parts[_INDEX["quadrume"]][0]) != 0:
                 break
             counts["degenerate_tetrahedra"] += 1
         # each defined skew entry again, from points moved along its edges by a drawn t1, t2
-        moved = [_skew_parts(form, 1, coords, pairing, rng.randrange(p), rng.randrange(p))
+        moved = [_skew_parts(form, coords, pairing, rng.randrange(p), rng.randrange(p))
                  if red(parts[n][1]) else (1, 0)
                  for pairing, n in _INDEX["skew_quadrances"].items()]
         statuses = _verify_parts(red, parts, _FUZZ_ROWS, moved)

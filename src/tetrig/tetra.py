@@ -11,21 +11,22 @@ quadrea (R) or the zero skew denominator.  Q, A and V are always defined.  `trig
 these tables back as field elements (`analyze`, `verify_identities`, ...).
 
 Every entry is a function of G = E B E^T, the Gram matrix of the edges e_01, e_02, e_03 (the
-rows of E), and the kernel reads nothing else of the points or the form (`_gram`).  At vertex
-i the Gram matrix H of the edges from i, e_im . e_in = g_mn - g_im - g_in + g_ii, gives the
-quadrances, the face spreads and, by det H, the solid spread.  By Binet-Cauchy its cofactors
-are the products of the normals of the faces at i over det B: they give the dihedral spreads
-and, by their determinant, the dual solid spread.  det G gives V and the skew quadrances.
-det B cancels from every spread and appears in no den, so a flat tetrahedron (det G = 0)
-keeps its defined spreads.  Over F_p the canonical table makes one inversion, of the product
-of its nonzero dens (`_residue_table`).
+rows of E): the kernel takes its six values and the scale s that `_gram` forms, and nothing
+else of the points or the form.  At vertex i the Gram matrix H of the edges from i,
+e_im . e_in = g_mn - g_im - g_in + g_ii, gives the quadrances, the face spreads and, by
+det H, the solid spread.  By Binet-Cauchy its cofactors are the products of the normals of
+the faces at i over det B: they give the dihedral spreads and, by their determinant, the
+dual solid spread.  det G gives V and the skew quadrances.  det B cancels from every spread
+and appears in no den, so a flat tetrahedron (det G = 0) keeps its defined spreads.  Over F_p
+the canonical table makes one inversion, of the product of its nonzero dens
+(`_residue_table`).
 
-The kernel and the engine run on any commutative ring.  Of the form the kernel reads
-`spec._red`, `_ints` (M B as three rows) and `_scale`; of the values they need `+ - *` (with
-ints on either side), `== 0` and truth, and `red` must be a ring homomorphism.  Ints are
-needed only as the six quadrance dens, whose lcm `_verify_parts` takes (`_over_common_den`).
-`tests/test_proofs.py` runs both on polynomials over Z, where `red` is the identity, and on
-a G of six variables proves every identity for every input.
+The kernel and the engine run on any commutative ring.  The kernel reads `red`, s and the six
+values of G; of the values they need `+ - *` (with ints on either side), `== 0` and truth,
+and `red` must be a ring homomorphism.  Ints are needed only as the six quadrance dens, whose
+lcm `_verify_parts` takes (`_over_common_den`).  `tests/test_proofs.py` runs both on
+polynomials over Z, where `red` is the identity, and on a G of six variables proves every
+identity for every input.
 """
 
 from __future__ import annotations
@@ -108,13 +109,17 @@ def _edge(coords, i: int, j: int) -> tuple[int, int, int]:
     return coords[b] - coords[a], coords[b + 1] - coords[a + 1], coords[b + 2] - coords[a + 2]
 
 
-def _gram(form: SymmetricForm, coords) -> tuple:
-    """The entries g11, g22, g33, g23, g13, g12 (a form's a1, ..., b3) of G = E (M B) E^T,
-    E the edges from point 0 to points 1, 2, 3 of twelve coordinates, reduced by `red`."""
+def _gram(form: SymmetricForm, scale: int, coords) -> tuple:
+    """(s, G), all that the kernel reads of a tetrahedron: G = E (M B) E^T as g11, g22, g33, g23,
+    g13, g12 (a form's a1, ..., b3) reduced by `form.spec._red`, E the edges from point 0 to
+    points 1, 2, 3 of the twelve coordinates `coords`, and s = scale^2 M.  Over Q the points are
+    scaled by L = `scale` (`document_from_obj`, or `trig._scaled_coordinates` for a library
+    `Tetrahedron`, as `SymmetricForm.dot` and `affine.b_cross` scale each vector) and the form
+    by M (`SymmetricForm._ints`), so G is s times the Gram matrix; over F_p, s = 1."""
     e1, e2, e3 = edges = [_edge(coords, 0, j) for j in (1, 2, 3)]
     b1, b2, b3 = [form_values(form._ints, v) for v in edges]  # e B, once per edge
-    return tuple(map(form.spec._red, (inner(b1, e1), inner(b2, e2), inner(b3, e3),
-                                      inner(b2, e3), inner(b1, e3), inner(b1, e2))))
+    return scale * scale * form._scale, tuple(map(form.spec._red, (
+        inner(b1, e1), inner(b2, e2), inner(b3, e3), inner(b2, e3), inner(b1, e3), inner(b1, e2))))
 
 
 # a report's fields (`trig.InvariantReport`) in print order: keys (None: one entry), section,
@@ -143,20 +148,14 @@ def _by_field(entries) -> list:
 _INDEX = dict(zip((field for field, *_ in _FIELDS), _by_field(range(len(_ENTRIES)))))
 
 
-def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
+def _analyze_parts(red, s, gram) -> list:
     """Every entry of the invariant report as an integer pair (num, den), in `_ENTRIES`
-    order, from its defining formula on G (`_gram`) of the twelve coordinates of the points,
-    three per point, times `scale`.
-
-    Over Q the points are scaled by L (`document_from_obj`, or `trig._scaled_coordinates`
-    for a library `Tetrahedron`, as `SymmetricForm.dot` and `affine.b_cross` scale each
-    vector) and the form by M (`SymmetricForm._ints`), so G is s = L^2 M times the Gram
-    matrix; each entry's one division takes the scale out: Q / s, A / s^2, V / s^3, skew / s,
-    R * s^2, spreads unscaled.  Over F_p, L = M = s = 1 and values are reduced mod p as they
-    grow.  No branch on a value: a den is zero (mod p) exactly where the entry is Undefined.
+    order, from its defining formula on G, the six values `gram`, over s (`_gram`), with
+    values reduced by `red` as they grow.  Each entry's one division takes the scale out:
+    Q / s, A / s^2, V / s^3, skew / s, R * s^2, spreads unscaled.  No branch on a value: a den
+    is zero (mod p) exactly where the entry is Undefined.
     """
-    red, s = form.spec._red, scale * scale * form._scale
-    g11, g22, g33, g23, g13, g12 = _gram(form, coords)
+    g11, g22, g33, g23, g13, g12 = gram
     q12, q13, q23 = red(g11 - 2 * g12 + g22), red(g11 - 2 * g13 + g33), red(g22 - 2 * g23 + g33)
     q = dict(zip(EDGES, (g11, g22, g33, q12, q13, q23)))
     # at each vertex i the Gram matrix of its edges to the rest j < k < l, e_im . e_in =
@@ -189,11 +188,11 @@ def _analyze_parts(form: SymmetricForm, scale: int, coords) -> list:
             (16 * vol_num * vol_num * s * s, prod(quadrea)), *skew]
 
 
-def _report_table(form: SymmetricForm, scale: int, coords) -> list:
+def _report_table(spec, s, gram) -> list:
     """The canonical table of a report: each entry of `_analyze_parts` reduced once, by
     `field._canonical` over Q and `_residue_table` over F_p, and (1, 0) where it is Undefined,
     its den zero (mod p).  Equal to `_report_parts(analyze(tet))`."""
-    spec, parts = form.spec, _analyze_parts(form, scale, coords)
+    parts = _analyze_parts(spec._red, s, gram)
     if spec.p:  # F_p
         return _residue_table(spec.p, parts)
     return [_canonical(spec, num, den) if den else (1, 0) for num, den in parts]

@@ -18,7 +18,7 @@ from .corner import _corner_factors, _corner_parts, _right_corner_parts
 from .element import FieldElement, _element
 from .field import _over_common_den
 from .tetra import (_ENTRIES, _FIELDS, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
-                    _identity_verdicts, _report_table, _skew_denominator, archimedes,
+                    _gram, _identity_verdicts, _report_table, _skew_denominator, archimedes,
                     solid_spread_from_parts, spread_from_parts)
 
 
@@ -274,9 +274,9 @@ def _scaled_coordinates(points) -> tuple[int, list[int]]:
 def analyze(tet: Tetrahedron) -> InvariantReport:
     """The full invariant report: each entry of `_report_table`, a canonical pair, as its
     element, or Undefined, with the reason its field's denominator names, where den is 0."""
-    spec, table = tet.spec, _report_table(tet.form, *_scaled_coordinates(tet.points))
+    table = _report_table(tet.spec, *_gram(tet.form, *_scaled_coordinates(tet.points)))
     return InvariantReport(tet, *_by_field(
-        _element(spec, pair) if pair[1] else Undefined(reason)
+        _element(tet.spec, pair) if pair[1] else Undefined(reason)
         for (_, _, reason), pair in zip(_ENTRIES, table)))
 
 
@@ -324,14 +324,14 @@ class TriRectParams(Frozen):
 
 def corner_params(tet: Tetrahedron) -> TriRectParams:
     """Validate tri-rectangularity at vertex 0 and extract the corner quadrances."""
-    k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
+    k = _corner_parts(*_gram(tet.form, *_scaled_coordinates(tet.points)))
     return TriRectParams(*(tet.spec._ratio(*pair) for pair in k))
 
 
 def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     """Verdicts for the right-corner closed forms and sum relations of `report`."""
     tet = report.tetrahedron
-    k = _corner_parts(tet.form, *_scaled_coordinates(tet.points))
+    k = _corner_parts(*_gram(tet.form, *_scaled_coordinates(tet.points)))
     verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), k)
     return CheckResults([Verdict(*verdict) for verdict in verdicts])
 

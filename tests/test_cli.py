@@ -579,8 +579,8 @@ def test_fuzz_fault_on_the_first_draw_is_a_failure_record(monkeypatch):
 
 
 def _skew_instances(p, count):
-    """`count` random defined skew instances over F_p: `_skew_parts`' arguments (form, 1,
-    coords, pairing, t1, t2) and the (num, den) of the library's FieldElement route,
+    """`count` random defined skew instances over F_p: `_skew_parts`' arguments (form, coords,
+    pairing, t1, t2) and the (num, den) of the library's FieldElement route,
     `trig.skew_quadrance`."""
     import random
     from tetrig.blinalg import DegenerateForm
@@ -601,9 +601,9 @@ def _skew_instances(p, count):
                 library = skew_quadrance(tet, pairing, params=(spec.element(t1),
                                                                spec.element(t2)))
             except (NotSkewOrDegenerate, NullCommonPerpendicular):  # undefined both ways
-                assert spec._red(_skew_parts(form, 1, coords, pairing, t1, t2)[1]) == 0
+                assert spec._red(_skew_parts(form, coords, pairing, t1, t2)[1]) == 0
                 continue
-            out.append(((form, 1, coords, pairing, t1, t2), library._parts()))
+            out.append(((form, coords, pairing, t1, t2), library._parts()))
     return out
 
 
@@ -820,8 +820,8 @@ def test_fuzz_failure_record_loads_no_element_library(monkeypatch):
 def test_report_and_verify_read_the_points_once(monkeypatch):
     # parsing scales the points without `_scaled_coordinates` and builds the form on the
     # literals' integers, with no field element; per document, one kernel call on the
-    # coordinates that parsing scaled, and no field element built after parsing, the
-    # right corner's K1, K2, K3 included
+    # coordinates that parsing scaled, one (s, G) for the table and the right corner alike,
+    # and no field element built after parsing, the right corner's K1, K2, K3 included
     from tetrig import corner, document, element, tetra, trig
     calls = Counter()
 
@@ -831,7 +831,8 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
             return fn(*args)
         return wrapper
     for module in (document, corner, tetra, trig):
-        for name, home in (("_analyze_parts", tetra), ("_scaled_coordinates", trig)):
+        for name, home in (("_gram", tetra), ("_analyze_parts", tetra),
+                           ("_scaled_coordinates", trig)):
             monkeypatch.setattr(module, name, counted(name, getattr(home, name)), raising=False)
     # every element, `_ratio`'s included, is built by `_element`, which `trig` also imports
     for module in (element, trig):
@@ -849,7 +850,7 @@ def test_report_and_verify_read_the_points_once(monkeypatch):
                     command(doc)
                 except InputError:  # a right corner that is not one: exit 2
                     assert options.get("tri_rectangular")
-                assert calls == {"_analyze_parts": 1}, name
+                assert calls == {"_gram": 1, "_analyze_parts": 1}, name
 
 
 @pytest.mark.parametrize("reject_degenerate", [True, False])
@@ -860,16 +861,21 @@ def test_parts_path_matches_report_path(monkeypatch, p, reject_degenerate):
     from tetrig import fuzz
     from tetrig.tetra import _verify_parts
     from tetrig.trig import analyze, verify_identities
-    draws, kernel = [], fuzz._analyze_parts
+    draws, tables, gram, kernel = [], [], fuzz._gram, fuzz._analyze_parts
 
-    def tracking_kernel(form, scale, coords):
-        draws.append((form, coords, kernel(form, scale, coords)))
-        return draws[-1][2]
+    def tracking_gram(form, scale, coords):
+        draws.append((form, coords))
+        return gram(form, scale, coords)
+
+    def tracking_kernel(*args):
+        tables.append(kernel(*args))
+        return tables[-1]
+    monkeypatch.setattr(fuzz, "_gram", tracking_gram)
     monkeypatch.setattr(fuzz, "_analyze_parts", tracking_kernel)
     run_fuzz(FuzzConfig(prime=p, samples=40, seed=p % 1000, random_form=True,
                         reject_degenerate=reject_degenerate))
     statuses = set()
-    for form, coords, parts in draws:
+    for (form, coords), parts in zip(draws, tables, strict=True):
         verdicts = _verify_parts(form.spec._red, parts)
         report = verify_identities(analyze(draw_tetrahedron(form, coords)))
         assert verdicts == [v.status for v in report.verdicts]

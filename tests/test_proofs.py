@@ -7,23 +7,24 @@ when its cross-multiplied difference is the zero polynomial and its dens' produc
 an identity of polynomials, never vacuous, which holds mod every p as well.  The rows are
 the engine's own tables, so a row added to them is proved here or fails here.
 
-- The identities on a Gram matrix G of six variables: the kernel reads only G of the points
-  and the form, so this is every input; and (s G, s) gives the entries of (G, 1).
+- The identities on a Gram matrix G of six variables: the kernel takes only G and the scale s
+  (`tetra._gram` forms them), so this is every input; and (s G, s) gives the entries of (G, 1).
 - The identities and the skew re-projections, on the slice p0 = 0, p1 = (a, 0, 0),
   p2 = (b, c, 0), p3 = (d, e, f) under the identity form, with the re-projections' t1, t2.
-- The right corner's relations and the identities, on the corner's own frame: the points
-  0, e1, e2, e3 under diag(K1, K2, K3).
+- The right corner's relations and the identities, on the corner's own frame: G = diag(K1,
+  K2, K3), which is G of the points 0, e1, e2, e3 under that form.
 - The paper's vector products, fully generic: `blinalg`'s primitives on B's six entries and
   four vectors, 18 variables, with no reduction.
 
 README's "What is proved" gives the argument from these to every input; a test checks at
-random points that the kernel's parts are those of G, and the last test that a change of
+random points that `_gram` is E (M B) E^T over s = L^2 M, and the last test that a change of
 basis and a translation keep every entry.
 """
 
 import random
 from itertools import chain
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 from operator import add
 from types import SimpleNamespace
 
@@ -34,8 +35,8 @@ from tetrig.blinalg import DegenerateForm, SymmetricForm, cross_values, form_val
 from tetrig.corner import _RIGHT_CORNER, _corner_parts, _right_corner_parts
 from tetrig.field import FieldSpec
 from tetrig.fuzz import _FUZZ_ROWS, _skew_parts
-from tetrig.tetra import (_IDENTITIES, FAIL, PASS, SKEW_PAIRINGS, _analyze_parts, _report_table,
-                          _verify_parts)
+from tetrig.tetra import (_IDENTITIES, FAIL, PASS, SKEW_PAIRINGS, _analyze_parts, _gram,
+                          _report_table, _verify_parts)
 
 
 class Poly:
@@ -106,35 +107,20 @@ Q = FieldSpec.rational()
 a, b, c, d, e, f, t1, t2 = Poly.variables(8)
 SLICE = [0, 0, 0, a, 0, 0, b, c, 0, d, e, f]
 IDENTITY = [(1, 1)] * 3 + [(0, 1)] * 3
-CORNER = [0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
 
 
 def generic_parts(spec, coords, s1, s2):
     """The entries on `coords` under the identity form over `spec`, and the skew quadrances
     from points moved along the edges by s1, s2, as a fuzz sample passes them."""
     form = SymmetricForm.from_parts(spec, IDENTITY)
-    moved = [_skew_parts(form, 1, coords, pairing, s1, s2) for pairing in SKEW_PAIRINGS]
-    return _analyze_parts(form, 1, coords), moved
-
-
-def gram_parts(spec, g):
-    """The entries of the points 0, e1, e2, e3 under the form of the six values `g` (a1, a2,
-    a3, b1, b2, b3) over `spec`: on those points G = E B E^T is B."""
-    return _analyze_parts(SymmetricForm.from_parts(spec, [(x, 1) for x in g]), 1, CORNER)
-
-
-def gram_stand_in(spec, g, scale):
-    """Of a form only what the kernel reads: `spec`, `_ints`, the symmetric matrix of the six
-    values `g` (a1, a2, a3, b1, b2, b3) as rows, which need not be invertible, and `_scale`."""
-    a1, a2, a3, b1, b2, b3 = g
-    return SimpleNamespace(spec=spec, _ints=((a1, b3, b2), (b3, a2, b1), (b2, b1, a3)),
-                           _scale=scale)
+    moved = [_skew_parts(form, coords, pairing, s1, s2) for pairing in SKEW_PAIRINGS]
+    return _analyze_parts(spec._red, *_gram(form, 1, coords)), moved
 
 
 def corner_parts(spec, k):
-    """The entries and K1, K2, K3 of the points 0, e1, e2, e3 under diag(k) over `spec`."""
-    form = SymmetricForm.from_parts(spec, [(x, 1) for x in k] + [(0, 1)] * 3)
-    return _analyze_parts(form, 1, CORNER), _corner_parts(form, 1, CORNER)
+    """The entries and K1, K2, K3 of G = diag(k) over `spec`."""
+    g = [*k, 0, 0, 0]
+    return _analyze_parts(spec._red, 1, g), _corner_parts(1, g)
 
 
 @pytest.fixture(scope="module")
@@ -152,32 +138,43 @@ def test_every_identity_and_skew_reprojection_is_a_polynomial_identity(generic):
 
 
 def test_every_identity_is_a_polynomial_identity_in_the_gram_matrix():
-    # the kernel reads G = E (M B) E^T of the points and the form, and nothing else of them
-    # (the test below), so on the points 0, e1, e2, e3, where G is B, a form of six
-    # variables is every input: each row is an identity of rational functions of G
-    parts = gram_parts(RING, Poly.variables(6))
+    # the kernel takes G = E (M B) E^T and s, and nothing else of the points and the form,
+    # so six variables are every input: each row is an identity of rational functions of G
+    parts = _analyze_parts(RING._red, 1, Poly.variables(6))
     assert _verify_parts(RING._red, parts) == [PASS] * len(_IDENTITIES)
 
 
 def test_a_scaled_gram_matrix_has_the_same_entries():
-    # over Q the kernel takes G scaled by s = L^2 M (`_analyze_parts`); (s G, s) and (G, 1)
-    # give each entry one value, as polynomials in G's six entries and s
+    # over Q the kernel takes G scaled by s = L^2 M (`_gram`); (s G, s) and (G, 1) give
+    # each entry one value, as polynomials in G's six entries and s
     *g, s = Poly.variables(7)
-    plain = _analyze_parts(gram_stand_in(RING, g, 1), 1, CORNER)
-    scaled = _analyze_parts(gram_stand_in(RING, [s * x for x in g], s), 1, CORNER)
+    plain = _analyze_parts(RING._red, 1, g)
+    scaled = _analyze_parts(RING._red, s, [s * x for x in g])
     assert [n1 * d2 - n2 * d1 for (n1, d1), (n2, d2) in zip(plain, scaled)] == [0] * len(plain)
 
 
 @pytest.mark.parametrize("p", [7, 101, None], ids=["F_7", "F_101", "Q"])
 def test_the_kernel_reads_only_the_gram_matrix(p):
-    # the kernel's parts of any points, form and scale are its parts of G = E (M B) E^T
-    # and s = scale^2 M, read from a stand-in with no more than `_ints` and `_scale`, on the
-    # points 0, e1, e2, e3: flat draws (det G = 0) and Undefined entries included
+    # what the kernel reads, `_gram`'s (s, G), is s = scale^2 M and G = E (M B) E^T of any
+    # points, form and scale, E the edges at point 0 and M the lcm of the form's dens, by
+    # plain sums over the drawn entries: flat draws (det G = 0) included
     spec, rnd = FieldSpec(p), random.Random(37)
     draw = (lambda: rnd.randrange(p)) if p else (lambda: rnd.randint(-9, 9))
+    cells = ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))
     flat = 0
     for _ in range(100):
-        _, form = _random_form(spec, draw)
+        form = None
+        while form is None:  # canonical pairs, with dens up to 4 over Q
+            entries = [(draw(), 1) if p else Fraction(draw(), rnd.randint(1, 4)).as_integer_ratio()
+                       for _ in range(6)]
+            try:
+                form = SymmetricForm.from_parts(spec, entries)
+            except DegenerateForm:
+                pass
+        m = lcm(*(den for _, den in entries))
+        mb = [[0] * 3 for _ in range(3)]
+        for (i, j), (num, den) in zip(cells, entries):
+            mb[i][j] = mb[j][i] = num * m // den
         scale = 1 if p else rnd.randint(1, 4)
         coords = [draw() for _ in range(12)]
         if rnd.random() < 0.3:  # the fourth point in the plane of the other three
@@ -185,11 +182,11 @@ def test_the_kernel_reads_only_the_gram_matrix(p):
             coords[9:] = [u + x * (v - u) + y * (w - u)
                           for u, v, w in zip(coords[:3], coords[3:6], coords[6:9])]
         edges = [[coords[3 * j + n] - coords[n] for n in range(3)] for j in (1, 2, 3)]
-        g = [spec._red(inner(form_values(form._ints, edges[j]), edges[k]))
-             for j, k in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))]
-        stand_in = gram_stand_in(spec, g, scale * scale * form._scale)
-        assert _analyze_parts(stand_in, 1, CORNER) == _analyze_parts(form, scale, coords)
-        flat += spec._red(_det(stand_in._ints)) == 0
+        g = [[sum(edges[j][x] * mb[x][y] * edges[k][y] for x in range(3) for y in range(3))
+              for k in range(3)] for j in range(3)]
+        assert _gram(form, scale, coords) == (
+            scale * scale * m, tuple(spec._red(g[i][j]) for i, j in cells))
+        flat += spec._red(_det(g)) == 0
     assert flat
 
 
@@ -204,7 +201,7 @@ def test_the_polynomials_are_the_integer_kernel_at_every_point(generic):
     # what is proved above is what the kernel computes
     generic_polys = [*generic[0], *generic[1]]
     corner_polys = [*chain(*corner_parts(RING, Poly.variables(3)))]
-    gram_polys = gram_parts(RING, Poly.variables(6))
+    gram_polys = _analyze_parts(RING._red, 1, Poly.variables(6))
     rnd = random.Random(23)
     for _ in range(20):
         point = [rnd.randint(-9, 9) for _ in range(8)]
@@ -215,7 +212,7 @@ def test_the_polynomials_are_the_integer_kernel_at_every_point(generic):
         assert [(at(num, k), at(den, k)) for num, den in corner_polys] == parts + k_parts
         g, _ = _random_form(Q, lambda: rnd.randint(-9, 9))
         g = [g[i][j] for i, j in ((0, 0), (1, 1), (2, 2), (1, 2), (0, 2), (0, 1))]
-        assert [(at(num, g), at(den, g)) for num, den in gram_polys] == gram_parts(Q, g)
+        assert [(at(num, g), at(den, g)) for num, den in gram_polys] == _analyze_parts(Q._red, 1, g)
 
 
 def test_planted_false_rows_fail(generic, monkeypatch):
@@ -416,8 +413,8 @@ def test_a_change_of_basis_and_a_translation_keep_every_entry(p):
         coords, t = [draw() for _ in range(12)], [draw() for _ in range(3)]
         moved = [spec._red(sum((coords[i + r] + t[r]) * inverse[r][j] for r in range(3)))
                  for i in range(0, 12, 3) for j in range(3)]
-        table = _report_table(form, 1, coords)
-        assert _report_table(moved_form, 1, moved) == table
+        table = _report_table(spec, *_gram(form, 1, coords))
+        assert _report_table(spec, *_gram(moved_form, 1, moved)) == table
         undefined += sum(den == 0 for _, den in table)
     if p == 7:
         assert undefined

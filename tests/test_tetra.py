@@ -494,7 +494,7 @@ def test_one_inversion_per_table_equals_one_per_entry(p):
     # over F_p the canonical table inverts the product of its nonzero dens once
     # (`_residue_table`); inverting each den on its own gives the same table, with none,
     # some or all of the entries Undefined (den 0 mod p), and on the kernel's tables
-    from tetrig.tetra import _analyze_parts, _report_table, _residue_table
+    from tetrig.tetra import _analyze_parts, _gram, _report_table, _residue_table
 
     def per_entry(parts):
         return [(num * pow(den, -1, p) % p, 1) if den % p else (1, 0) for num, den in parts]
@@ -511,8 +511,9 @@ def test_one_inversion_per_table_equals_one_per_entry(p):
     for _ in range(200):
         form = rand_form(spec, rnd)
         coords = [rnd.randrange(p) for _ in range(12)]
-        table = _report_table(form, 1, coords)
-        assert table == per_entry(_analyze_parts(form, 1, coords))
+        gram = _gram(form, 1, coords)
+        table = _report_table(spec, *gram)
+        assert table == per_entry(_analyze_parts(spec._red, *gram))
         with_undefined += (1, 0) in table
     assert with_undefined > 0
 
@@ -547,5 +548,5 @@ def test_gram_kernel_equals_the_point_kernel(inputs):
     # the Gram kernel and the point kernel (`tests/point_kernel.py`), which share only the
     # spread and Archimedes formulas past the edge vectors, give one canonical table, entry
     # for entry, Undefined entries and flat tetrahedra included
-    from tetrig.tetra import _report_table
-    assert _report_table(*inputs) == point_table(*inputs)
+    from tetrig.tetra import _gram, _report_table
+    assert _report_table(inputs[0].spec, *_gram(*inputs)) == point_table(*inputs)

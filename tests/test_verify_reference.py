@@ -21,7 +21,7 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     verify_identities)
 from tetrig.corner import _sum
 from tetrig.document import _PRINTED, ReportOptions, _corrupt, _report_obj, load_document
-from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _decide, _report_table
+from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _decide, _gram, _report_table
 from tetrig.trig import _report_parts, _scaled_coordinates, report_to_obj
 from support import Q, rand_form, rand_point, rng
 
@@ -197,12 +197,12 @@ def test_canonical_table_is_the_report_read_back(spec, tall, count):
     # kernel's own parts; each entry prints as its element's literal or Undefined reason
     undefined = 0
     for tet in tetrahedra(spec, tall, count, seed=67):
-        scale, coords = _scaled_coordinates(tet.points)
-        table = _report_table(tet.form, scale, coords)
+        gram = _gram(tet.form, *_scaled_coordinates(tet.points))
+        table = _report_table(spec, *gram)
         report = analyze(tet)
         assert table == _report_parts(report)
         assert table == [(1, 0) if spec._red(den) == 0 else spec._ratio(num, den)._parts()
-                         for num, den in _analyze_parts(tet.form, scale, coords)]
+                         for num, den in _analyze_parts(spec._red, *gram)]
         printed = _report_obj(spec, table, ReportOptions())
         entries = [entry for field in report._fields()[1:]
                    for entry in (field.values() if isinstance(field, dict) else (field,))]
