@@ -148,28 +148,28 @@ def load_document(text: str) -> InputDocument:
 
 # -- report / verify -------------------------------------------------------
 
-# every entry, in print order (`_ENTRIES`): its section, its name there (None for V and R),
-# its path, which is its --corrupt key ('V', 'Q.01', 's.0;12'), and its Undefined reason
-_PRINTED = [(section, name, f"{section}.{name}" if name else section, reason)
-            for _, keys, section, key_name, reason in _FIELDS for key in keys or (None,)
-            for name in [key_name and key_name(key)]]
-_ENTRY_KEYS = {path: n for n, (_, _, path, _) in enumerate(_PRINTED)}
+# each section of the printed report in print order (`_FIELDS`): its name, its entries'
+# Undefined reason, and per entry its name there (None for V and R) and its path, which is
+# its --corrupt key ('V', 'Q.01', 's.0;12')
+_SECTIONS = [(section, reason, [(name, f"{section}.{name}" if name else section)
+                                for key in keys or (None,)
+                                for name in [key_name and key_name(key)]])
+             for _, keys, section, key_name, reason in _FIELDS]
+_ENTRY_KEYS = {path: n for n, (_, path) in enumerate(
+    entry for _, _, entries in _SECTIONS for entry in entries)}
 
 
 def _report_obj(spec: FieldSpec, table, options: ReportOptions) -> dict:
     """The printed report of a canonical table: each entry n, n/d or {"undefined": reason}."""
-    out = {"field": _field_spec_obj(spec)}
-    for (section, name, path, reason), (num, den) in zip(_PRINTED, table):
-        if section == "skew" and not options.skew:
-            continue
-        try:
-            entry = _literal(num, den) if den else {"undefined": reason}
-        except LiteralTooLong as exc:
-            raise InputError(f"report entry {path}: {exc}") from exc
-        if name is None:
-            out[section] = entry
-        else:
-            out.setdefault(section, {})[name] = entry
+    out, rest = {"field": _field_spec_obj(spec)}, iter(table)
+    for section, reason, entries in _SECTIONS if options.skew else _SECTIONS[:-1]:  # skew last
+        printed = {}
+        for (name, path), (num, den) in zip(entries, rest):  # the section's share of `table`
+            try:
+                printed[name] = _literal(num, den) if den else {"undefined": reason}
+            except LiteralTooLong as exc:
+                raise InputError(f"report entry {path}: {exc}") from exc
+        out[section] = printed if name else printed[None]  # V and R print one entry
     return out
 
 

@@ -136,10 +136,10 @@ class FieldSpec:
         return self.p is None
 
     def zero(self) -> "FieldElement":
-        return _library().FieldElement(self, 0)
+        return self.element(0)
 
     def one(self) -> "FieldElement":
-        return _library().FieldElement(self, 1)
+        return self.element(1)
 
     def element(self, value) -> "FieldElement":
         return _library().FieldElement(self, value)
@@ -183,22 +183,22 @@ def _canonical(spec: FieldSpec, num: int, den: int) -> tuple[int, int]:
 def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
     """An element literal read as its canonical pair (num, den); the grammar is
     `element.parse_element`'s."""
-    digits = text.removeprefix("-").split("/", spec.p is None)  # a '/' splits over Q only
-    if not (text.isascii() and all(map(str.isdigit, digits))):  # '²'.isdigit() holds
+    num, slash, den = text.partition("/") if spec.p is None else (text, "", "")  # Q's '/' only
+    digits = num.removeprefix("-")  # '²'.isdigit() holds, and "".isdigit() does not
+    if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         kind = "a rational" if spec.p is None else "an integer"
         raise MalformedLiteral(f"{text!r} is not {kind} literal")
-    if max(map(len, digits)) > MAX_LITERAL_DIGITS:
+    if len(digits) > MAX_LITERAL_DIGITS or len(den) > MAX_LITERAL_DIGITS:
         raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
-    num, _, den = text.partition("/")
-    num, den = int(num), int(den or 1)
-    if den == 0:
+    den = int(den or 1)
+    if not den:
         raise ZeroDenominator(f"{text!r} has denominator zero")
-    return _canonical(spec, num, den)
+    return _canonical(spec, int(num), den)
 
 
 def _literal(num: int, den: int) -> str:
     """The literal of a canonical pair (num, den), `n` or `n/d`: `_literal_parts`'s inverse."""
-    if max(num, -num, den) >= _LITERAL_BOUND:
+    if abs(num) >= _LITERAL_BOUND or den >= _LITERAL_BOUND:  # cheaper than max(num, -num, den)
         raise LiteralTooLong(f"value has over {MAX_LITERAL_DIGITS} digits")
     return str(num) if den == 1 else f"{num}/{den}"
 

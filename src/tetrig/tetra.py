@@ -23,10 +23,10 @@ the canonical table makes one inversion, of the product of its nonzero dens
 
 The kernel and the engine run on any commutative ring.  The kernel reads `red`, s and the six
 values of G; of the values they need `+ - *` (with ints on either side), `== 0` and truth,
-and `red` must be a ring homomorphism.  Ints are needed only as the six quadrance dens, whose
-lcm `_verify_parts` takes (`_over_common_den`).  `tests/test_proofs.py` runs both on
-polynomials over Z, where `red` is the identity, and on a G of six variables proves every
-identity for every input.
+and `red` must be a ring homomorphism onto an integral domain, as the engine tests each side's
+den for zero, not their product.  Ints are needed only as the six quadrance dens, whose lcm
+`_verify_parts` takes (`_over_common_den`).  `tests/test_proofs.py` runs both on polynomials
+over Z, where `red` is the identity, and on a G of six variables proves every identity.
 """
 
 from __future__ import annotations
@@ -95,12 +95,16 @@ def solid_spread_from_parts(gram_det, q1, q2, q3):
     return gram_det, q1 * q2 * q3
 
 
-def _skew_denominator(q: dict, pairing):
-    """4 Q_ab Q_cd - (Q_ac + Q_bd - Q_ad - Q_bc)^2 for the pairing (ab, cd), in the
-    type of the quadrances `q` (elements, or raw ints), keyed by `edge_key`."""
-    (a, b), (c, d) = pairing
-    diff = q[edge_key(a, c)] + q[edge_key(b, d)] - q[edge_key(a, d)] - q[edge_key(b, c)]
-    return q[edge_key(a, b)] * q[edge_key(c, d)] * 4 - diff * diff
+def _skew_denominator(ab, ac, ad, bc, bd, cd):
+    """4 Q_ab Q_cd - (Q_ac + Q_bd - Q_ad - Q_bc)^2 for the pairing (ab, cd) from the quadrances
+    of its six edges (elements, or raw ints)."""
+    diff = ac + bd - ad - bc
+    return ab * cd * 4 - diff * diff
+
+
+# the edges ab, ac, ad, bc, bd and cd of each skew pairing (ab, cd), as indices into `EDGES`
+_SKEW_EDGES = {pairing: [EDGES.index(edge_key(*edge)) for edge in combinations(sum(pairing, ()), 2)]
+               for pairing in SKEW_PAIRINGS}
 
 
 def _edge(coords, i: int, j: int) -> tuple[int, int, int]:
@@ -213,20 +217,6 @@ def _residue_table(p: int, parts) -> list:
     return table
 
 
-def _decide(red, ln: int, lhs, rn: int, rhs):
-    """PASS or FAIL for `ln * prod(lhs) == rn * prod(rhs)`, products of (num, den) pairs,
-    by one cross-multiplied integer comparison reduced by `red`; None when the dens'
-    product is zero under `red`: in a field, when one den is (an Undefined entry)."""
-    ld = rd = 1
-    for n, d in lhs:
-        ln, ld = ln * n, ld * d
-    for n, d in rhs:
-        rn, rd = rn * n, rd * d
-    if red(ld * rd) == 0:
-        return None
-    return PASS if red(ln * rd - rn * ld) == 0 else FAIL
-
-
 def _identity_rows():
     """One row per identity instance, in verdict order: (identity, instance, c, lhs, c',
     rhs) for `c * prod(lhs) == c' * prod(rhs)`, each factor an index into the factors of
@@ -277,18 +267,28 @@ _EXTRA = len(_ENTRIES) + 1 + len(SKEW_PAIRINGS)
 
 def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE) -> list:
     """The status of each row of `rows` from a report's (num, den) entries `parts` (the
-    canonical table, or the kernel's unreduced parts) and a caller's `extra` factors, by
-    `_decide`; a row with an Undefined factor, a den zero under `red`, is `undecided`."""
+    canonical table, or the kernel's unreduced parts) and a caller's `extra` factors: with
+    each side's products ln / ld and rn / rd, `undecided` if ld or rd is zero under `red` (a
+    factor is Undefined, its den zero), else PASS or FAIL as red(ln * rd - rn * ld) is zero."""
     # over the quadrances' common denominator d, their product is prod(numerators) / d^6,
     # and the skew denominator, homogeneous of degree 2, is _skew_denominator(numerators) / d^2
     d, nums = _over_common_den(parts[:len(EDGES)])
-    q_num, prod_q = dict(zip(EDGES, nums)), prod(nums)
+    prod_q = prod(nums)
     factors = [*parts, (prod_q * prod_q, d ** 12),
-               *((_skew_denominator(q_num, pairing), d * d) for pairing in SKEW_PAIRINGS),
-               *extra]
-    get = factors.__getitem__
-    return [_decide(red, lc, map(get, lhs), rc, map(get, rhs)) or undecided
-            for _, _, lc, lhs, rc, rhs in rows]
+               *((_skew_denominator(*[nums[n] for n in edges]), d * d)
+                 for edges in _SKEW_EDGES.values()), *extra]
+    statuses = []
+    for _, _, ln, lhs, rn, rhs in rows:
+        ld = rd = 1
+        for n in lhs:
+            num, den = factors[n]
+            ln, ld = ln * num, ld * den
+        for n in rhs:
+            num, den = factors[n]
+            rn, rd = rn * num, rd * den
+        statuses.append(undecided if red(ld) == 0 or red(rd) == 0 else
+                        PASS if red(ln * rd - rn * ld) == 0 else FAIL)
+    return statuses
 
 
 def _identity_verdicts(red, parts, rows=_IDENTITIES, *args) -> list:

@@ -17,7 +17,7 @@ from .blinalg import Frozen, Record, SymmetricForm, shared_spec
 from .corner import _corner_factors, _corner_parts, _right_corner_parts
 from .element import FieldElement, _element
 from .field import _over_common_den
-from .tetra import (_ENTRIES, _FIELDS, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
+from .tetra import (_ENTRIES, _FIELDS, _SKEW_EDGES, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
                     _gram, _identity_verdicts, _report_table, _skew_denominator, archimedes,
                     solid_spread_from_parts, spread_from_parts)
 
@@ -196,7 +196,7 @@ class Undefined(Frozen):
     __slots__ = ("reason",)
 
     def _parts(self) -> tuple[int, int]:
-        """A zero den, which `_decide` reads as undecided wherever it is a factor."""
+        """A zero den, which `_verify_parts` reads as undecided wherever it is a factor."""
         return 1, 0
 
 
@@ -259,8 +259,8 @@ def skew_quadrance(tet: Tetrahedron, pairing, params=None) -> FieldElement:
 
 def skew_quadrance_closed_form(tet: Tetrahedron, pairing) -> FieldElement:
     """Same quantity from the six quadrances and the quadrume alone."""
-    q = {e: quadrance(tet.vertex(e[0]), tet.vertex(e[1]), tet.form) for e in EDGES}
-    den = _skew_denominator(q, pairing)
+    q = [quadrance(tet.vertex(i), tet.vertex(j), tet.form) for i, j in EDGES]
+    den = _skew_denominator(*(q[n] for n in _SKEW_EDGES[pairing]))
     if den.is_zero:
         raise NotSkewOrDegenerate("skew quadrance denominator is zero")
     return quadrume(tet) / den

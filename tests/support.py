@@ -46,3 +46,13 @@ def draw_tetrahedron(form, coords):
 
 def rng(seed):
     return random.Random(seed)
+
+
+def verify_row(red, ln, lhs, rn, rhs):
+    """The status that `tetra._verify_parts` gives the one row `ln * prod(lhs) == rn * prod(rhs)`,
+    of (num, den) factors passed to it as a caller's extra factors; None where it is undecided."""
+    from tetrig.tetra import _ENTRIES, _EXTRA, _verify_parts
+    mid = _EXTRA + len(lhs)
+    row = ("row", "", ln, list(range(_EXTRA, mid)), rn, list(range(mid, mid + len(rhs))))
+    [status] = _verify_parts(red, [(1, 1)] * len(_ENTRIES), [row], [*lhs, *rhs], None)
+    return status

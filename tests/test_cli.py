@@ -20,7 +20,7 @@ from tetrig.document import document_from_obj, load_document, run_report, run_ve
 from tetrig.fuzz import MIN_SAMPLES_PER_PROCESS, FuzzConfig, pool_size, run_fuzz
 from tetrig.tetra import FAIL, INAPPLICABLE, PASS
 from tetrig.trig import document_to_obj
-from support import Q, draw_tetrahedron
+from support import Q, draw_tetrahedron, verify_row
 
 F101_IDENTITY = SymmetricForm.identity(FieldSpec.prime(101))
 
@@ -615,11 +615,10 @@ def test_skew_projection_on_residues_matches_the_library_route(monkeypatch, p):
     from tetrig import fuzz
     from tetrig.blinalg import form_values
     from tetrig.fuzz import _skew_parts
-    from tetrig.tetra import _decide
     red, instances = FieldSpec.prime(p)._red, _skew_instances(p, 150)
 
     def statuses(route):
-        return [_decide(red, 1, [route(*args)], 1, [library]) for args, library in instances]
+        return [verify_row(red, 1, [route(*args)], 1, [library]) for args, library in instances]
 
     def no_den(*args):
         return _skew_parts(*args)[0], 1
@@ -891,53 +890,55 @@ def _right_corner_doc(name):
 
 
 def _tracked_verdicts(monkeypatch):
-    """Binds every name for `_decide` in the command modules, `corner` and `tetra` to a
-    wrapper that records its caller's name, and every name for `_verify_parts` to one that
-    records its rows and extra factors; returns the two lists."""
+    """Binds every name for `_verify_parts` in the command modules, `corner` and `tetra` to a
+    wrapper that records its rows, its extra factors and the statuses it returns; returns the
+    list of those records."""
     from tetrig import corner, document, fuzz, tetra
-    callers, calls = [], []
-    decide, verify_parts = tetra._decide, tetra._verify_parts
-
-    def tracked_decide(*args):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame (3.11)
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return decide(*args)
+    calls, verify_parts = [], tetra._verify_parts
 
     def tracked_verify_parts(red, parts, rows=tetra._IDENTITIES, extra=(), *args):
-        calls.append((rows, list(extra)))
-        return verify_parts(red, parts, rows, extra, *args)
+        statuses = verify_parts(red, parts, rows, extra, *args)
+        calls.append((rows, list(extra), statuses))
+        return statuses
     for module in (document, fuzz, corner, tetra):
         for name, value in list(vars(module).items()):
-            if value is decide:
-                monkeypatch.setattr(module, name, tracked_decide)
-            elif value is verify_parts:
+            if value is verify_parts:
                 monkeypatch.setattr(module, name, tracked_verify_parts)
-    return callers, calls
+    return calls
 
 
 def test_every_verdict_is_decided_in_verify_parts(monkeypatch):
     # report, verify, verify --corrupt and fuzz decide every identity, right-corner
     # relation and skew projection in `_verify_parts`: once per document for the
-    # identities and once for the right corner, and once per fuzz sample
+    # identities and once for the right corner, and once per fuzz sample; every printed
+    # status, and every fuzz tally, is one that those calls returned
     from tetrig.corner import _RIGHT_CORNER
     from tetrig.fuzz import _FUZZ_ROWS
     from tetrig.tetra import _IDENTITIES
-    callers, calls = _tracked_verdicts(monkeypatch)
+    calls = _tracked_verdicts(monkeypatch)
     for name in ("unit_tri_rectangular", "tri_rectangular_mixed_corner", "tri_rectangular_f101"):
         doc = _right_corner_doc(name)
         for run in (run_report, run_verify, lambda doc: run_verify(doc, "E.01")):
             calls.clear()
-            run(doc)
-            assert [rows for rows, _ in calls] == [_IDENTITIES, _RIGHT_CORNER], name
+            out = run(doc)
+            assert [rows for rows, _, _ in calls] == [_IDENTITIES, _RIGHT_CORNER], name
+            verdicts = (out["identities"]["verdicts"] + out["tri_rectangular"]["verdicts"]
+                        if run is run_report else out[0]["verdicts"])
+            decided = [status for _, _, statuses in calls for status in statuses]
+            assert [verdict["status"] for verdict in verdicts] == decided, name
     for cfg in (FuzzConfig(prime=7, samples=30, seed=3, random_form=True),
                 FuzzConfig(prime=101, samples=20, seed=5)):
         calls.clear()
         summary, _ = run_fuzz(cfg)
-        assert [rows for rows, _ in calls] == [_FUZZ_ROWS] * cfg.samples
+        assert [rows for rows, _, _ in calls] == [_FUZZ_ROWS] * cfg.samples
         assert summary["identities"]["skew-quadrance-projection"]["passed"] > 0
-    assert callers and set(callers) == {"_verify_parts"}
+        decided = Counter((row[0], status) for rows, _, statuses in calls
+                          for row, status in zip(rows, statuses, strict=True))
+        assert sum(decided.values()) == len(_FUZZ_ROWS) * cfg.samples
+        for identity, tally in summary["identities"].items():
+            checked = sum(decided[identity, status] for status in (PASS, FAIL, INAPPLICABLE))
+            assert tally == {"checked": checked, "passed": decided[identity, PASS],
+                             "inapplicable": decided[identity, INAPPLICABLE]}, identity
 
 
 def test_row_factors_index_what_their_callers_supply(monkeypatch):
@@ -947,10 +948,10 @@ def test_row_factors_index_what_their_callers_supply(monkeypatch):
     from tetrig.corner import _RIGHT_CORNER
     from tetrig.fuzz import _FUZZ_ROWS
     from tetrig.tetra import _EXTRA, _IDENTITIES
-    _, calls = _tracked_verdicts(monkeypatch)
+    calls = _tracked_verdicts(monkeypatch)
     run_verify(_right_corner_doc("unit_tri_rectangular"))
     run_fuzz(FuzzConfig(prime=101, samples=1, seed=5))
-    (_, no_extra), (_, corner_extra), (_, fuzz_extra) = calls
+    (_, no_extra, _), (_, corner_extra, _), (_, fuzz_extra, _) = calls
 
     def indices(rows):
         return {n for _, _, _, lhs, _, rhs in rows for n in lhs + rhs}

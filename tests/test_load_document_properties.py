@@ -22,8 +22,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from tetrig import FieldSpec, Point3, SymmetricForm, parse_element
 from tetrig.cli import InputError, main
 from tetrig.document import _document_obj, document_from_obj, load_document
-from tetrig.field import MalformedLiteral, ZeroDenominator, _literal_parts
+from tetrig.field import (MAX_LITERAL_DIGITS, FieldError, MalformedLiteral, ZeroDenominator,
+                          _literal_parts)
 from tetrig.trig import _scaled_coordinates
+from literal_reader import literal_parts
 
 VALID = {
     "field": {"kind": "rational"},
@@ -168,6 +170,40 @@ def test_literal_grammar_is_the_regular_expressions(text, p):
     except ZeroDenominator:
         well_formed = True
     assert well_formed == bool((RATIONAL_LIT if p is None else INTEGER_LIT).fullmatch(text))
+
+
+def _read(reader, text, spec):
+    """`reader`'s pair for `text`, or the class and message of the field error it raises."""
+    try:
+        return reader(text, spec)
+    except FieldError as exc:
+        return type(exc), str(exc)
+
+
+# a literal at the digit bound, or one digit over it, on either side of a '/', with a sign
+LONG, OVER = "9" * MAX_LITERAL_DIGITS, "1" + "0" * MAX_LITERAL_DIGITS
+long_literals = st.builds("{}{}{}{}".format, st.sampled_from(["", "-"]),
+                          st.sampled_from(["", "0", "7", LONG, OVER]),
+                          st.sampled_from(["", "/", "/-"]),
+                          st.sampled_from(["", "0", "07", LONG, "0" + LONG, OVER]))
+
+
+@settings(SETTINGS, max_examples=600)
+@given(st.text(alphabet="0123456789-/+_ .e²٣１", max_size=10) | long_literals,
+       st.sampled_from([None, 7, 101]))
+@example(LONG, 7).via("the digit bound over F_p")
+@example("-" + OVER, 101).via("over the digit bound over F_p")
+@example(f"-{LONG}/{LONG}", None).via("the digit bound on both sides of a '/'")
+@example(f"{OVER}/1", None).via("over the digit bound before a '/'")
+@example(f"1/{OVER}", None).via("over the digit bound after a '/'")
+@example(f"{OVER}/0", None).via("too long before a zero denominator")
+@example(f"{OVER}/-1", None).via("too long and malformed")
+@example("１", None).via("a digit that is not ASCII")
+def test_literal_reader_is_the_reference_reader(text, p):
+    # the one-pass reader returns the pair of `tests/literal_reader.py`, or raises the same
+    # exception with the same message, over Q and over F_p
+    spec = FieldSpec.rational() if p is None else FieldSpec.prime(p)
+    assert _read(_literal_parts, text, spec) == _read(literal_parts, text, spec)
 
 
 def test_json_beyond_the_parser_limits_is_rejected():

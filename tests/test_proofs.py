@@ -3,8 +3,8 @@
 The kernel (`tetra._analyze_parts`) and the verdict engine (`tetra._verify_parts`) need of
 their values only `+ - *`, `== 0` and truth, so they run unchanged on polynomials over Z
 with a stand-in spec whose `_red` reduces nothing.  A row's verdict is then `pass` exactly
-when its cross-multiplied difference is the zero polynomial and its dens' product is not:
-an identity of polynomials, never vacuous, which holds mod every p as well.  The rows are
+when its cross-multiplied difference is the zero polynomial and neither side's dens' product
+is: an identity of polynomials, never vacuous, which holds mod every p as well.  The rows are
 the engine's own tables, so a row added to them is proved here or fails here.
 
 - The identities on a Gram matrix G of six variables: the kernel takes only G and the scale s

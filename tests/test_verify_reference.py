@@ -20,10 +20,10 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
 from tetrig.corner import _sum
-from tetrig.document import _PRINTED, ReportOptions, _corrupt, _report_obj, load_document
-from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _decide, _gram, _report_table
+from tetrig.document import _SECTIONS, ReportOptions, _corrupt, _report_obj, load_document
+from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _gram, _report_table
 from tetrig.trig import _report_parts, _scaled_coordinates, report_to_obj
-from support import Q, rand_form, rand_point, rng
+from support import Q, rand_form, rand_point, rng, verify_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -206,7 +206,8 @@ def test_canonical_table_is_the_report_read_back(spec, tall, count):
         printed = _report_obj(spec, table, ReportOptions())
         entries = [entry for field in report._fields()[1:]
                    for entry in (field.values() if isinstance(field, dict) else (field,))]
-        for (section, name, _, _), entry in zip(_PRINTED, entries, strict=True):
+        names = [(section, name) for section, _, keys in _SECTIONS for name, _ in keys]
+        for (section, name), entry in zip(names, entries, strict=True):
             literal = printed[section] if name is None else printed[section][name]
             assert literal == (entry.literal() if is_defined(entry) else
                                {"undefined": entry.reason})
@@ -357,18 +358,73 @@ def test_right_corner_undefined_entry_fails():
     assert "inapplicable" not in {status for _, _, status in verdicts}
 
 
-def test_decide_reads_a_den_that_vanishes_mod_p_as_undefined():
+def test_verify_parts_reads_a_den_that_vanishes_mod_p_as_undefined():
     # kernel parts carry unreduced dens: a nonzero multiple of p is a zero den
     red = FieldSpec.prime(7)._red
-    assert _decide(red, 1, [(3, 14)], 1, [(3, 1)]) is None
-    assert _decide(red, 1, [(1, 1)], 2, [(2, 21), (1, 1)]) is None
-    assert _decide(red, 1, [(3, 8)], 1, [(3, 1)]) == "pass"  # 8 is 1 mod 7
-    assert _decide(red, 1, [(3, 8)], 1, [(4, 1)]) == "fail"
-    assert _decide(red, 1, [Undefined("NullEdge")._parts()], 1, []) is None
+    assert verify_row(red, 1, [(3, 14)], 1, [(3, 1)]) is None
+    assert verify_row(red, 1, [(1, 1)], 2, [(2, 21), (1, 1)]) is None
+    assert verify_row(red, 1, [(3, 8)], 1, [(3, 1)]) == "pass"  # 8 is 1 mod 7
+    assert verify_row(red, 1, [(3, 8)], 1, [(4, 1)]) == "fail"
+    assert verify_row(red, 1, [Undefined("NullEdge")._parts()], 1, []) is None
     # a zero den stays zero through a sum, so the sum is undecided too
     num, den = _sum((1, 1), (2, 7))
     assert den != 0 and red(den) == 0
-    assert _decide(red, 1, [(num, den)], 1, [(3, 1)]) is None
+    assert verify_row(red, 1, [(num, den)], 1, [(3, 1)]) is None
     # over Q only a den of 0 is undefined
-    assert _decide(int, 2, [(1, 14)], 1, [(1, 7)]) == "pass"
-    assert _decide(int, 1, [_sum((1, 2), Undefined("ZeroQuadrea")._parts())], 1, []) is None
+    assert verify_row(int, 2, [(1, 14)], 1, [(1, 7)]) == "pass"
+    assert verify_row(int, 1, [_sum((1, 2), Undefined("ZeroQuadrea")._parts())], 1, []) is None
+
+
+def _product_test_statuses(red, parts, rows, extra):
+    """Each row's status by the test that `_verify_parts` made before it tested each side's
+    dens: undecided (None) where the product ld * rd of both sides' den products is zero
+    under `red`, with the factors that `_verify_parts` builds from `parts` and `extra`."""
+    from math import prod
+    from tetrig.field import _over_common_den
+    from tetrig.tetra import _SKEW_EDGES, _skew_denominator
+    d, nums = _over_common_den(parts[:len(EDGES)])
+    factors = [*parts, (prod(nums) ** 2, d ** 12),
+               *((_skew_denominator(*(nums[n] for n in edges)), d * d)
+                 for edges in _SKEW_EDGES.values()),
+               *extra]
+    statuses = []
+    for _, _, ln, lhs, rn, rhs in rows:
+        ld = rd = 1
+        for n in lhs:
+            ln, ld = ln * factors[n][0], ld * factors[n][1]
+        for n in rhs:
+            rn, rd = rn * factors[n][0], rd * factors[n][1]
+        statuses.append(None if red(ld * rd) == 0 else
+                        "pass" if red(ln * rd - rn * ld) == 0 else "fail")
+    return statuses, factors
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_a_zero_den_tested_per_side_gives_the_product_test_statuses(p):
+    # on fuzz's unreduced parts and moved skew parts, a row is undecided when either side's
+    # den product is zero mod p exactly when the product of the two is: F_p has no zero
+    # divisors.  Dens that are nonzero multiples of p are planted in one or two entries, so
+    # that rows have a zero den on the left side only, on the right side only and on both
+    import random
+    from tetrig.fuzz import _FUZZ_ROWS, _identity_form, _skew_parts
+    from tetrig.tetra import _INDEX, _verify_parts
+    spec, rnd, seen = FieldSpec.prime(p), random.Random(p), set()
+    red, form = spec._red, _identity_form(spec)
+    plantings = [[], [_INDEX["quadrume"]], [_INDEX["dihedral_spreads"][0, 1]],
+                 [_INDEX["solid_spreads"][0], _INDEX["solid_spreads"][1]]]
+    for _ in range(60):
+        coords = [rnd.randrange(p) for _ in range(12)]
+        parts = _analyze_parts(red, *_gram(form, 1, coords))
+        moved = [_skew_parts(form, coords, pairing, rnd.randrange(p), rnd.randrange(p))
+                 for pairing in SKEW_PAIRINGS]
+        for planted in plantings + [rnd.sample(range(len(_ENTRIES)), 2)]:
+            parts_planted = [(num, den * p * rnd.randrange(1, p)) if n in planted else (num, den)
+                             for n, (num, den) in enumerate(parts)]
+            expected, factors = _product_test_statuses(red, parts_planted, _FUZZ_ROWS, moved)
+            statuses = _verify_parts(red, parts_planted, _FUZZ_ROWS, moved, None)
+            assert statuses == expected
+            for (_, _, _, lhs, _, rhs), status in zip(_FUZZ_ROWS, statuses):
+                if status is None:
+                    seen.add(tuple(any(red(factors[n][1]) == 0 for n in side)
+                                   for side in (lhs, rhs)))
+    assert seen == {(True, False), (False, True), (True, True)}

@@ -9,7 +9,9 @@ benchmark's three workloads (`bench/run.py`'s corpora from `bench/corpus.py`):
 2. runs the benchmark's in-process document pass (`bench/run.py`'s `doc_pass`: parse,
    report, `json.dumps`) on each tree in turn, alternating which goes first, and prints
    each tree's median docs/s with its quartiles, and the median and quartiles of the
-   per-round ratio new/old, with the rounds the new tree won.
+   per-round ratio new/old, with the rounds the new tree won; then the same for the median
+   and the 90th percentile of a round's ms per document, as `bench/run.py` defines
+   `report_ms_p50` and `report_ms_p90`.
 
 With `--launch` it times one-shot `python -m tetrig` processes instead, which inherit the
 pin, and which an in-process pass cannot see (interpreter start, imports, the end of the
@@ -73,27 +75,38 @@ def quartiles(values) -> tuple:
     return median, q1, q3
 
 
+def summary(name: str, values: dict, unit: str, new_wins) -> str:
+    """Each tree's median `name` per round with its quartiles, and those of the per-round ratio
+    new/old, with the rounds in which `new_wins(ratio)`."""
+    ratios = [b / a for a, b in zip(*values.values())]
+    return (f"{name}: " + "  ".join(f"%s %.4g [%.4g, %.4g] {unit}" % (side, *quartiles(v))
+                                   for side, v in values.items())
+            + "  new/old %.3f [%.3f, %.3f], new faster in %d of %d"
+            % (*quartiles(ratios), sum(map(new_wins, ratios)), len(ratios)))
+
+
 def compare(name: str, trees: dict, docs: list, rounds: int) -> None:
     old, new = trees.values()
     for n, (_, text) in enumerate(docs):
         if printed(old, text) != printed(new, text):
             sys.exit(f"{name}: document {n} prints different bytes in the two trees")
-    rates = {side: [] for side in trees}
+    rates, p50, p90 = ({side: [] for side in trees} for _ in range(3))
     tally = bench.Tally()
     for side, cli in trees.items():  # warm up both trees
         bench.doc_pass(cli, docs, tally)
     for r in range(rounds):
         for side in (trees if r % 2 == 0 else reversed(trees)):
             times = bench.doc_pass(trees[side], docs, tally)
+            ms = [t * 1000 for t in times]
             rates[side].append(len(docs) / sum(times))
+            p50[side].append(statistics.median(ms))
+            p90[side].append(bench.pct(ms, 90))
     if tally.failed:
         sys.exit(f"{name}: {tally.failed} document passes failed: {tally.messages[:3]}")
-    ratios = [b / a for a, b in zip(*rates.values())]
-    print(f"{name} ({len(docs)} docs, {rounds} rounds): "
-          + "  ".join("%s %.1f [%.1f, %.1f] docs/s" % (side, *quartiles(values))
-                      for side, values in rates.items())
-          + "  new/old %.3f [%.3f, %.3f], new faster in %d of %d"
-          % (*quartiles(ratios), sum(ratio > 1 for ratio in ratios), rounds))
+    print(f"{name} ({len(docs)} docs, {rounds} rounds):")
+    print("  " + summary("docs/s", rates, "docs/s", lambda ratio: ratio > 1))
+    for metric, values in (("report_ms_p50", p50), ("report_ms_p90", p90)):
+        print("  " + summary(metric, values, "ms", lambda ratio: ratio < 1))
 
 
 def launches(cfg: dict, seed: int) -> tuple:
