@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .tetra import (_EXTRA, _INDEX, _REST_OF_EDGE, EDGES, FACE_SPREAD_KEYS, FACES, FAIL,
-                    DegenerateParams, NotTriRectangular, _identity_verdicts)
+                    DegenerateParams, NotTriRectangular, _verify_parts)
 
 
 def _sum(*terms):
@@ -93,9 +93,9 @@ def _corner_parts(s, gram) -> list:
 
 
 def _right_corner_parts(red, parts, k) -> list:
-    """(identity, instance, status) of each row of `_RIGHT_CORNER` from a report's entries
+    """The status of each row of `_RIGHT_CORNER` (`tetra._verify_parts`) from a report's entries
     `parts` and K1, K2, K3 (`_corner_parts`); an Undefined entry fails a relation.  Exact, as
     `_corner_factors` rejects the only zero denominators besides the entries' own."""
     a, e, (num, den), d = (_sum(*(parts[n] for n in terms)) for terms in _CORNER_SUMS)
     extra = [*_corner_factors(red, k), a, e, (den - num, den), d]
-    return _identity_verdicts(red, parts, _RIGHT_CORNER, extra, FAIL)
+    return _verify_parts(red, parts, _RIGHT_CORNER, extra, FAIL)

@@ -12,13 +12,14 @@ and call the writers here; `--corrupt` (`_corrupt`) works on the canonical table
 from __future__ import annotations
 
 import json
+from operator import add
 
 from .blinalg import DegenerateForm, Record, SymmetricForm
 from .cli import InputError, _untimed
 from .field import (_LITERAL_BOUND, MAX_LITERAL_DIGITS, FieldError, FieldSpec, LiteralTooLong,
                     _canonical, _literal, _literal_parts, _over_common_den)
-from .tetra import (_FIELDS, FAIL, INAPPLICABLE, PASS, DegenerateParams, NotTriRectangular,
-                    _gram, _identity_verdicts, _report_table)
+from .tetra import (_FIELDS, _IDENTITIES, FAIL, INAPPLICABLE, PASS, DegenerateParams,
+                    NotTriRectangular, _gram, _report_table, _verify_parts)
 
 
 class ReportOptions(Record):
@@ -44,6 +45,7 @@ class InputDocument(Record):
 # -- input documents -------------------------------------------------------
 
 _FORM_KEYS = ("a1", "a2", "a3", "b1", "b2", "b3")
+_MISSING = object()  # stands in for a form entry that the document lacks
 
 
 def _field_spec_obj(spec: FieldSpec) -> dict:
@@ -81,13 +83,20 @@ def _field_spec_from_obj(obj, path: str) -> FieldSpec:
     raise InputError(f"{path}.kind: expected 'rational' or 'prime', got {kind!r}")
 
 
-def _parts_from_obj(obj, spec: FieldSpec, path: str) -> tuple[int, int]:
-    if not isinstance(obj, str):
-        raise InputError(f"{path}: field elements must be literal strings")
+def _literals(texts, spec: FieldSpec, path) -> list:
+    """The canonical pairs of a document part's literals `texts`, read in one pass; the first that
+    is not a literal raises an InputError naming it `path(n)`, n its index, built only then."""
     try:
-        return _literal_parts(obj, spec)
-    except FieldError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        return [_literal_parts(text, spec) for text in texts]
+    except (AttributeError, TypeError, FieldError):  # AttributeError, TypeError: not a str
+        for n, text in enumerate(texts):  # the first fault in document order
+            if not isinstance(text, str):
+                raise InputError(f"{path(n)}: missing entry" if text is _MISSING else
+                                 f"{path(n)}: field elements must be literal strings") from None
+            try:
+                _literal_parts(text, spec)
+            except FieldError as exc:
+                raise InputError(f"{path(n)}: {exc}") from exc
 
 
 def document_from_obj(obj) -> InputDocument:
@@ -98,11 +107,8 @@ def document_from_obj(obj) -> InputDocument:
     form_obj = obj.get("form")
     if not isinstance(form_obj, dict):
         raise InputError("form: expected an object with entries a1,a2,a3,b1,b2,b3")
-    entries = []
-    for key in _FORM_KEYS:
-        if key not in form_obj:
-            raise InputError(f"form.{key}: missing entry")
-        entries.append(_parts_from_obj(form_obj[key], spec, f"form.{key}"))
+    entries = _literals([form_obj.get(key, _MISSING) for key in _FORM_KEYS], spec,
+                        lambda n: f"form.{_FORM_KEYS[n]}")
     try:
         form = SymmetricForm.from_parts(spec, entries)
     except DegenerateForm as exc:
@@ -115,7 +121,7 @@ def document_from_obj(obj) -> InputDocument:
     for i, triple in enumerate(points_obj):
         if not isinstance(triple, list) or len(triple) != 3:
             raise InputError(f"points[{i}]: expected a triple of literals")
-        parts += [_parts_from_obj(triple[j], spec, f"points[{i}][{j}]") for j in range(3)]
+        parts += _literals(triple, spec, lambda n: f"points[{i}][{n}]")
     # the kernel works on these integers (over F_p, residues): bound them as literals are
     scale, coords = _over_common_den(parts)
     for path, ints in {"form": (form._scale, *sum(form._ints, ())),
@@ -173,18 +179,17 @@ def _report_obj(spec: FieldSpec, table, options: ReportOptions) -> dict:
     return out
 
 
-def _results_obj(verdicts: list) -> dict:
-    """The printed verdicts, from (identity, instance, status) triples."""
-    statuses = [status for _, _, status in verdicts]
-    return {"verdicts": [{"identity": identity, "instance": instance, "status": status}
-                         for identity, instance, status in verdicts],
+def _results_obj(rows, statuses: list) -> dict:
+    """The printed verdicts: each row's identity and instance with its status, and their counts."""
+    return {"verdicts": [{"identity": row[0], "instance": row[1], "status": status}
+                         for row, status in zip(rows, statuses)],
             "summary": {status: statuses.count(status) for status in (PASS, FAIL, INAPPLICABLE)}}
 
 
-def _right_corner(spec: FieldSpec, gram, table) -> list:
-    from .corner import _corner_parts, _right_corner_parts
+def _right_corner(spec: FieldSpec, gram, table) -> tuple:
+    from .corner import _RIGHT_CORNER, _corner_parts, _right_corner_parts
     try:
-        return _right_corner_parts(spec._red, table, _corner_parts(*gram))
+        return _RIGHT_CORNER, _right_corner_parts(spec._red, table, _corner_parts(*gram))
     except (NotTriRectangular, DegenerateParams) as exc:
         raise InputError(f"tri_rectangular: {exc}") from exc
 
@@ -195,11 +200,11 @@ def run_report(doc: InputDocument, run=_untimed) -> dict:
     table = run("analyze", _report_table, spec, *gram)
     out = run("serialise", _report_obj, spec, table, doc.options)
     if doc.options.checks:
-        out["identities"] = run("serialise", _results_obj,
-                                run("verify", _identity_verdicts, spec._red, table))
+        out["identities"] = run("serialise", _results_obj, _IDENTITIES,
+                                run("verify", _verify_parts, spec._red, table))
     if doc.options.tri_rectangular:
         out["tri_rectangular"] = run("serialise", _results_obj,
-                                     run("right corner", _right_corner, spec, gram, table))
+                                     *run("right corner", _right_corner, spec, gram, table))
     return out
 
 
@@ -222,9 +227,9 @@ def run_verify(doc: InputDocument, corrupt: str | None = None,
     table = run("analyze", _report_table, spec, *gram)
     if corrupt is not None:
         _corrupt(spec, table, corrupt)
-    verdicts = run("verify", _identity_verdicts, spec._red, table)
-    if doc.options.tri_rectangular:
-        verdicts += run("right corner", _right_corner, spec, gram, table)
-    out = run("serialise", _results_obj, verdicts)
+    verdicts = _IDENTITIES, run("verify", _verify_parts, spec._red, table)  # rows, statuses
+    if doc.options.tri_rectangular:  # each followed by the right corner's, in a new sequence
+        verdicts = map(add, verdicts, run("right corner", _right_corner, spec, gram, table))
+    out = run("serialise", _results_obj, *verdicts)
     return out, 1 if out["summary"][FAIL] else 0
 

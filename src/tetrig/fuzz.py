@@ -24,7 +24,7 @@ from .tetra import (_EXTRA, _IDENTITIES, _INDEX, FAIL, INAPPLICABLE, PASS, _anal
 _FUZZ_ROWS = _IDENTITIES + tuple(
     ("skew-quadrance-projection", pairing_name(pairing), 1, [_EXTRA + n], 1, [index])
     for n, (pairing, index) in enumerate(_INDEX["skew_quadrances"].items()))
-FUZZ_IDENTITY_NAMES = tuple(dict.fromkeys(row[0] for row in _FUZZ_ROWS))
+_FUZZ_NAMES = tuple(row[0] for row in _FUZZ_ROWS)  # each row's identity, as tallied
 # the identity form of each field, built once: a form is immutable and a FieldSpec interned
 _identity_form = cache(SymmetricForm.identity)
 
@@ -92,11 +92,11 @@ def _run_sample(cfg: FuzzConfig, index: int):
         # an internal fault: record the sample with the draw it was on, tally no verdict, go on
         record = {"error": {"exception": type(exc).__name__, "message": str(exc)}}
     else:
-        counts.update((row[0], status) for row, status in zip(_FUZZ_ROWS, statuses))
+        counts.update(zip(_FUZZ_NAMES, statuses))
+        if FAIL not in statuses:
+            return counts, []
         record = {"failed": [{"identity": row[0], "instance": row[1]}
                              for row, status in zip(_FUZZ_ROWS, statuses) if status == FAIL]}
-        if not record["failed"]:
-            return counts, []
     from .document import _document_obj  # the draw, written from the integers it was checked on
     return counts, [{"sample": index, "input": _document_obj(form, 1, coords), **record}]
 
@@ -166,7 +166,7 @@ def run_fuzz(cfg: FuzzConfig, run=_untimed) -> tuple[dict, int]:
         "identities": {name: {"checked": sum(counts[name, s] for s in (PASS, FAIL, INAPPLICABLE)),
                               "passed": counts[name, PASS],
                               "inapplicable": counts[name, INAPPLICABLE]}
-                       for name in FUZZ_IDENTITY_NAMES},
+                       for name in dict.fromkeys(_FUZZ_NAMES)},
         "failures": failures,
     }
     return summary, (1 if failures else 0)

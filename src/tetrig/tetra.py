@@ -291,11 +291,5 @@ def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE
     return statuses
 
 
-def _identity_verdicts(red, parts, rows=_IDENTITIES, *args) -> list:
-    """(identity, instance, status) of each row of `rows` (`_verify_parts`)."""
-    statuses = _verify_parts(red, parts, rows, *args)
-    return [(row[0], row[1], status) for row, status in zip(rows, statuses)]
-
-
 # read by `bench/run.py` here; ROADMAP item 1's benchmark retarget deletes them
 __getattr__ = _resolver(globals(), {"trig": ("analyze", "Undefined")})

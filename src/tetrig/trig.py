@@ -14,11 +14,11 @@ from operator import truediv
 from .affine import (Line, Plane, Point3, Vector3, b_cross, b_project, displacement, mat3_det,
                      plane_normal, scalar_triple, translate)
 from .blinalg import Frozen, Record, SymmetricForm, shared_spec
-from .corner import _corner_factors, _corner_parts, _right_corner_parts
+from .corner import _RIGHT_CORNER, _corner_factors, _corner_parts, _right_corner_parts
 from .element import FieldElement, _element
 from .field import _over_common_den
-from .tetra import (_ENTRIES, _FIELDS, _SKEW_EDGES, EDGES, FAIL, INAPPLICABLE, PASS, _by_field,
-                    _gram, _identity_verdicts, _report_table, _skew_denominator, archimedes,
+from .tetra import (_ENTRIES, _FIELDS, _IDENTITIES, _SKEW_EDGES, EDGES, FAIL, INAPPLICABLE, PASS,
+                    _by_field, _gram, _report_table, _skew_denominator, _verify_parts, archimedes,
                     solid_spread_from_parts, spread_from_parts)
 
 
@@ -288,8 +288,8 @@ def _report_parts(report: InvariantReport) -> list:
 
 def verify_identities(report: InvariantReport) -> CheckResults:
     """One verdict per identity instance, from the report entries alone."""
-    verdicts = _identity_verdicts(report.tetrahedron.spec._red, _report_parts(report))
-    return CheckResults([Verdict(*verdict) for verdict in verdicts])
+    statuses = _verify_parts(report.tetrahedron.spec._red, _report_parts(report))
+    return CheckResults([Verdict(*row[:2], status) for row, status in zip(_IDENTITIES, statuses)])
 
 
 def tri_rectangular_frame(form: SymmetricForm):
@@ -332,8 +332,8 @@ def tri_rectangular_checks(report: InvariantReport) -> CheckResults:
     """Verdicts for the right-corner closed forms and sum relations of `report`."""
     tet = report.tetrahedron
     k = _corner_parts(*_gram(tet.form, *_scaled_coordinates(tet.points)))
-    verdicts = _right_corner_parts(tet.spec._red, _report_parts(report), k)
-    return CheckResults([Verdict(*verdict) for verdict in verdicts])
+    statuses = _right_corner_parts(tet.spec._red, _report_parts(report), k)
+    return CheckResults([Verdict(*row[:2], status) for row, status in zip(_RIGHT_CORNER, statuses)])
 
 
 # -- the library's objects as printed documents (`report`, `verify`) --------
@@ -352,5 +352,6 @@ def report_to_obj(report: InvariantReport, options) -> dict:
 
 def results_to_obj(results: CheckResults) -> dict:
     from .document import _results_obj
-    return _results_obj([verdict._fields() for verdict in results.verdicts])
+    verdicts = results.verdicts
+    return _results_obj([v._fields() for v in verdicts], [v.status for v in verdicts])
 

@@ -279,6 +279,37 @@ def test_input_rejects_wrong_point_count():
         })
 
 
+def test_the_first_fault_in_document_order_is_reported():
+    # each document holds two faults; the reader, which reads a part's literals in one pass,
+    # must name the one that comes first in the document, whatever kind either is
+    def faulty(form=(), points=()):
+        doc = json.loads(UNIT_DOC.read_text())
+        for key, literal in form:
+            if literal is None:
+                del doc["form"][key]
+            else:
+                doc["form"][key] = literal
+        for (i, j), literal in points:
+            doc["points"][i][j] = literal
+        return doc
+    cases = [
+        (faulty(form=[("a2", None), ("b1", "1/0x")]), "form.a2: missing entry"),
+        (faulty(form=[("a1", "1.5"), ("a2", None)]), "form.a1: '1.5' is not a rational literal"),
+        (faulty(form=[("b3", "x")], points=[((0, 0), "y")]),
+         "form.b3: 'x' is not a rational literal"),
+        (faulty(points=[((2, 1), 7), ((3, 0), "1/")]),
+         "points[2][1]: field elements must be literal strings"),
+        (faulty(points=[((1, 2), "1/0"), ((2, 0), None)]),
+         "points[1][2]: '1/0' has denominator zero"),
+        (faulty(points=[((0, 1), "x"), ((0, 2), 5)]),
+         "points[0][1]: 'x' is not a rational literal"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(InputError) as exc:
+            document_from_obj(doc)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # fuzz
 # ---------------------------------------------------------------------------

@@ -192,7 +192,8 @@ def test_the_kernel_reads_only_the_gram_matrix(p):
 
 def test_every_right_corner_relation_and_identity_holds_on_the_corner_frame():
     parts, k = corner_parts(RING, Poly.variables(3))
-    assert {status for *_, status in _right_corner_parts(RING._red, parts, k)} == {PASS}
+    statuses = _right_corner_parts(RING._red, parts, k)
+    assert {status for _, status in zip(_RIGHT_CORNER, statuses, strict=True)} == {PASS}
     assert _verify_parts(RING._red, parts) == [PASS] * len(_IDENTITIES)
 
 
@@ -228,7 +229,9 @@ def test_planted_false_rows_fail(generic, monkeypatch):
     name, instance, lc, lhs, rc, rhs = first(_RIGHT_CORNER, "closed-form-quadrume")
     monkeypatch.setattr(corner, "_RIGHT_CORNER", [(name, instance, lc, lhs, rc // 2, rhs)])
     parts, k = corner_parts(RING, Poly.variables(3))
-    assert _right_corner_parts(RING._red, parts, k) == [(name, instance, FAIL)]  # 4 -> 2
+    statuses = _right_corner_parts(RING._red, parts, k)  # the planted row's, 4 -> 2
+    assert [(*row[:2], status) for row, status in zip(corner._RIGHT_CORNER, statuses,
+                                                      strict=True)] == [(name, instance, FAIL)]
 
 
 def test_a_wrong_kernel_formula_fails_its_rows(monkeypatch):
@@ -236,7 +239,7 @@ def test_a_wrong_kernel_formula_fails_its_rows(monkeypatch):
                         lambda gram_det, q1, q2, q3: (gram_det, q1 * q2 * q2))
     parts, k = corner_parts(RING, Poly.variables(3))
     identities = _verify_parts(RING._red, parts)
-    relations = [status for *_, status in _right_corner_parts(RING._red, parts, k)]
+    relations = _right_corner_parts(RING._red, parts, k)
     assert FAIL in identities and FAIL in relations
 
 

@@ -22,7 +22,8 @@ every launch must print the same stdout bytes and exit code from both.  It print
 median ms per launch and the median and quartiles of the per-round difference new - old,
 with the rounds the new tree won; then the same for the workload's set-up launch, `bench/run.py`'s
 `python -c` of `setup_code`, which builds the workload's form from its literals, on a line of
-its own.  The launches run copies of the two packages without their `__pycache__`, and with
+its own: it runs SETUP_LAUNCHES times a round, as one launch a round cannot resolve a few ms.
+The launches run copies of the two packages without their `__pycache__`, and with
 PYTHONDONTWRITEBYTECODE=1, so that each compiles its modules from source, as the benchmark's
 launches do, and bytecode that one launch writes cannot spare a later one that compiling.
 
@@ -109,9 +110,13 @@ def compare(name: str, trees: dict, docs: list, rounds: int) -> None:
         print("  " + summary(metric, values, "ms", lambda ratio: ratio < 1))
 
 
+# the set-up launches per round, whose mean is the round's: a single one spreads by several ms
+SETUP_LAUNCHES = 4
+
+
 def launches(cfg: dict, seed: int) -> tuple:
     """The interpreter arguments and stdin of a workload's one-shot launches, with `bench/run.py`'s
-    documents, commands and fuzz seed, and those of its set-up launch."""
+    documents, commands and fuzz seed, and those of its set-up launch, SETUP_LAUNCHES times."""
     rng, docs, spec_expr, form_literals = bench.make_inputs(cfg, seed)
     runs = [(["-m", "tetrig", bench.oneshot_command(i), "--input", "-"], text)
             for i, (_, text) in enumerate(docs[:cfg["cli_docs"]])]
@@ -119,7 +124,7 @@ def launches(cfg: dict, seed: int) -> tuple:
         runs.append((["-m", "tetrig", "fuzz", "--prime", str(cfg["prime"]),
                       "--samples", str(cfg["fuzz_samples"]), "--seed", str(rng.randrange(2**31))]
                      + (["--random-form"] if cfg["random_form"] else []), ""))
-    return runs, [(["-c", bench.setup_code(spec_expr, form_literals)], "")]
+    return runs, [(["-c", bench.setup_code(spec_expr, form_literals)], "")] * SETUP_LAUNCHES
 
 
 def fresh_copy(src: str, into: Path) -> str:
