@@ -3,10 +3,10 @@ kernel works on (`document_from_obj`) and written back from them (`_document_obj
 canonical table, and the printed report and verdicts.
 
 The right corner (`corner`) is imported only for a document with the `tri_rectangular`
-option, and the `FieldElement` library (`element`, with `affine` and `trig` on it) only by
-`InputDocument.tetrahedron`: no command builds a field element.  `trig`'s writers of the
-library's objects (`document_to_obj`, `report_to_obj`, `results_to_obj`) read them as integers
-and call the writers here; `--corrupt` (`_corrupt`) works on the canonical table only.
+option.  No command builds a field element, and the `FieldElement` library (`element`,
+`affine`, `trig`) is never imported here: `trig`'s writers of the library's objects
+(`document_to_obj`, `report_to_obj`, `results_to_obj`) read them as integers and call the
+writers here.  `--corrupt` (`_corrupt`) works on the canonical table only.
 """
 
 from __future__ import annotations
@@ -31,15 +31,6 @@ class ReportOptions(Record):
 
 class InputDocument(Record):
     __slots__ = ("form", "options", "coordinates")  # (L, the points' 12 coordinates times L)
-
-    @property
-    def tetrahedron(self) -> Tetrahedron:
-        """The points and form as a library `Tetrahedron`, built on each call."""
-        from .affine import Point3
-        from .trig import Tetrahedron
-        (scale, coords), ratio = self.coordinates, self.form.spec._ratio
-        return Tetrahedron(*(Point3(*(ratio(c, scale) for c in coords[i:i + 3]))
-                             for i in range(0, 12, 3)), self.form)
 
 
 # -- input documents -------------------------------------------------------
@@ -84,19 +75,19 @@ def _field_spec_from_obj(obj, path: str) -> FieldSpec:
 
 
 def _literals(texts, spec: FieldSpec, path) -> list:
-    """The canonical pairs of a document part's literals `texts`, read in one pass; the first that
-    is not a literal raises an InputError naming it `path(n)`, n its index, built only then."""
+    """The canonical pairs of a document part's literals `texts`, read in one loop; the first that
+    is not a literal raises an InputError naming it `path(n)`, n the number read before it."""
+    pairs = []
     try:
-        return [_literal_parts(text, spec) for text in texts]
-    except (AttributeError, TypeError, FieldError):  # AttributeError, TypeError: not a str
-        for n, text in enumerate(texts):  # the first fault in document order
-            if not isinstance(text, str):
-                raise InputError(f"{path(n)}: missing entry" if text is _MISSING else
-                                 f"{path(n)}: field elements must be literal strings") from None
-            try:
-                _literal_parts(text, spec)
-            except FieldError as exc:
-                raise InputError(f"{path(n)}: {exc}") from exc
+        for text in texts:
+            pairs.append(_literal_parts(text, spec))
+    except (AttributeError, TypeError, FieldError) as exc:  # AttributeError, TypeError: not a str
+        n = len(pairs)
+        if not isinstance(texts[n], str):
+            raise InputError(f"{path(n)}: missing entry" if texts[n] is _MISSING else
+                             f"{path(n)}: field elements must be literal strings") from None
+        raise InputError(f"{path(n)}: {exc}") from exc
+    return pairs
 
 
 def document_from_obj(obj) -> InputDocument:

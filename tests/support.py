@@ -37,11 +37,12 @@ def rand_tetrahedron(spec, rnd, form=None, bound=9):
                        rand_point(spec, rnd, bound), rand_point(spec, rnd, bound), form)
 
 
-def draw_tetrahedron(form, coords):
-    """The tetrahedron of a fuzz draw: twelve residues, three per point, over the field of
-    `form`."""
-    points = [Point3.of(form.spec, *coords[i:i + 3]) for i in range(0, 12, 3)]
-    return Tetrahedron(*points, form)
+def draw_tetrahedron(form, coords, scale=1):
+    """The tetrahedron of twelve coordinates over `scale`, three per point, over the field of
+    `form`: a fuzz draw's residues, or a document's `doc.coordinates` as (scale, coords)."""
+    ratio = form.spec._ratio
+    return Tetrahedron(*(Point3(*(ratio(c, scale) for c in coords[i:i + 3]))
+                         for i in range(0, 12, 3)), form)
 
 
 def rng(seed):

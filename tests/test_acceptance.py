@@ -22,7 +22,7 @@ from tetrig import (DegeneratePlane, FieldSpec, NotSkewOrDegenerate, NullCross,
 from tetrig.cli import main
 from tetrig.document import document_from_obj
 from tetrig.fuzz import FuzzConfig, run_fuzz
-from support import Q, rand_form, rand_point, rand_vector, rng
+from support import Q, draw_tetrahedron, rand_form, rand_point, rand_vector, rng
 
 F10007 = FieldSpec.prime(10007)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -283,18 +283,19 @@ def test_criterion_5_skew_denominator():
     # disagrees with the projection value
     fixture = json.loads((FIXTURES / "skew_denominator_counterexample.json").read_text())
     doc = document_from_obj(fixture["input"])
-    tet = doc.tetrahedron
+    scale, coords = doc.coordinates
+    tet = draw_tetrahedron(doc.form, coords, scale)
     rep = analyze(tet)
     q = rep.quadrances
     for key, literal in fixture["quadrances"].items():
-        assert q[(int(key[0]), int(key[1]))] == doc.tetrahedron.spec.element(int(literal))
+        assert q[(int(key[0]), int(key[1]))] == tet.spec.element(int(literal))
     projected = skew_quadrance(tet, pairing)
-    assert projected == doc.tetrahedron.spec.element(4) / 5
+    assert projected == tet.spec.element(4) / 5
     assert projected == skew_quadrance_closed_form(tet, pairing)
     misprint_den = (4 * q[(0, 2)] * q[(1, 3)]
                     - (q[(0, 1)] + q[(2, 3)] - q[(0, 3)] - q[(1, 2)]) ** 2)
     misprinted = rep.quadrume / misprint_den
-    assert misprinted == doc.tetrahedron.spec.element(9) / 10
+    assert misprinted == tet.spec.element(9) / 10
     assert misprinted != projected
 
 

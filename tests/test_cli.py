@@ -50,9 +50,11 @@ def test_report_contains_exact_literals():
 def test_report_round_trips_to_identical_elements():
     doc = load_fixture_doc()
     out = run_report(doc)
-    spec = doc.tetrahedron.spec
+    scale, coords = doc.coordinates
+    tet = draw_tetrahedron(doc.form, coords, scale)
+    spec = tet.spec
     from tetrig import analyze
-    rep = analyze(doc.tetrahedron)
+    rep = analyze(tet)
     assert parse_element(out["V"], spec) == rep.quadrume
     assert parse_element(out["R"], spec) == rep.ratio_constant
     for (i, j), value in rep.quadrances.items():
@@ -65,7 +67,8 @@ def test_report_round_trips_to_identical_elements():
 def test_document_to_obj_with_options_is_the_input_document(name):
     obj = json.loads((FIXTURES / name).read_text())
     doc = document_from_obj(obj)
-    assert document_to_obj(doc.tetrahedron, doc.options) == obj
+    scale, coords = doc.coordinates
+    assert document_to_obj(draw_tetrahedron(doc.form, coords, scale), doc.options) == obj
 
 
 def test_report_marks_undefined_entries():
@@ -358,6 +361,17 @@ def test_pool_size_is_capped_by_samples_and_cpus():
     assert pool_size(3, 1000 * M, 1) == 1
 
 
+def test_the_output_digests_fuzz_runs_start_no_pool():
+    # `tools/output_digest.py` says so: its `--workers 2` runs map in process on any host
+    from importlib.util import module_from_spec, spec_from_file_location
+    spec = spec_from_file_location("output_digest", FIXTURES.parents[1] / "tools" /
+                                   "output_digest.py")
+    digest = module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    samples = [int(argv[argv.index("--samples") + 1]) for argv in digest.FUZZ_RUNS]
+    assert max(samples) <= 200 and all(pool_size(2, n, 2) == 1 for n in samples)
+
+
 def test_fuzz_workers_capped_at_usable_cpus(monkeypatch):
     # with one usable CPU no pool starts, whatever --workers asks for; with
     # several, none starts below the cut-over either
@@ -466,7 +480,8 @@ def test_fault_in_analyze_is_a_recorded_failure(monkeypatch):
     assert recorded
     for failure in recorded:
         doc = load_document(json.dumps(failure["input"]))
-        assert document_to_obj(doc.tetrahedron) == failure["input"]
+        scale, coords = doc.coordinates
+        assert document_to_obj(draw_tetrahedron(doc.form, coords, scale)) == failure["input"]
     _, code = run_verify(load_fixture_doc())
     assert code == 1
 
@@ -756,6 +771,33 @@ def test_report_and_verify_build_no_report(monkeypatch, capsys):
             assert code == 0
             assert out == (FIXTURES / "golden" / f"{argv[0]}-{name}.json").read_text()
     assert {code for code, _, _ in clean} == {0, 1, 2}  # passing, corrupted, unknown key
+
+
+@pytest.mark.parametrize("name", sorted(_fixture_documents()))
+def test_the_library_writers_print_what_report_and_verify_print(name):
+    # `bench/run.py --trace` reads `report_to_obj` and `results_to_obj` through `tetrig.cli`:
+    # on the library's report of each valid fixture they print the commands' objects
+    from tetrig.tetra import NotTriRectangular
+    from tetrig.trig import (analyze, report_to_obj, results_to_obj, tri_rectangular_checks,
+                             verify_identities)
+    doc = load_document(_fixture_documents()[name])
+    doc.options.checks, doc.options.tri_rectangular = True, False
+    scale, coords = doc.coordinates
+    report = analyze(draw_tetrahedron(doc.form, coords, scale))
+    printed = run_report(doc)
+    identities = printed.pop("identities")
+    assert report_to_obj(report, doc.options) == printed
+    assert results_to_obj(verify_identities(report)) == identities
+    assert run_verify(doc) == (identities, 0)
+    doc.options.tri_rectangular = True
+    try:
+        corner = results_to_obj(tri_rectangular_checks(report))
+    except NotTriRectangular as exc:  # not a right corner: the commands refuse it alike
+        with pytest.raises(InputError, match=re.escape(f"tri_rectangular: {exc}")):
+            run_verify(doc)
+        return
+    assert run_report(doc)["tri_rectangular"] == corner
+    assert run_verify(doc)[0]["verdicts"] == identities["verdicts"] + corner["verdicts"]
 
 
 # the standard library's command-line parser and the translation lookup it loads

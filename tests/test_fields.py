@@ -17,7 +17,7 @@ from tetrig import (DivisionByZero, FieldElement, FieldSpec, InvalidFieldSpec,
                     invert, parse_element, render)
 from tetrig.element import _ratio
 from tetrig.field import MAX_LITERAL_DIGITS, MAX_MODULUS, _canonical, _is_prime
-from support import Q, rng
+from support import Q, draw_tetrahedron, rng
 
 F7 = FieldSpec.prime(7)
 
@@ -72,7 +72,9 @@ def test_each_value_is_reduced_once(monkeypatch):
     calls.clear()
     assert (x ** 5)._parts() == (243, 32) and calls == []
     fixture = Path(__file__).parent / "fixtures" / "tall_literal_q.json"
-    tet = load_document(fixture.read_text()).tetrahedron
+    doc = load_document(fixture.read_text())
+    scale, coords = doc.coordinates
+    tet = draw_tetrahedron(doc.form, coords, scale)
     calls.clear()
     report = analyze(tet)
     assert len(calls) == len(_ENTRIES) == 41

@@ -26,6 +26,7 @@ from tetrig.field import (MAX_LITERAL_DIGITS, FieldError, MalformedLiteral, Zero
                           _literal_parts)
 from tetrig.trig import _scaled_coordinates
 from literal_reader import literal_parts
+from support import draw_tetrahedron
 
 VALID = {
     "field": {"kind": "rational"},
@@ -254,7 +255,8 @@ def test_valid_document_loads_to_its_literals(data, p):
 
     spec = FieldSpec(p)
     form = SymmetricForm(*(parse_element(text, spec) for text in form_literals))
-    tet = doc.tetrahedron
+    scale, coords = doc.coordinates
+    tet = draw_tetrahedron(doc.form, coords, scale)
     # a SymmetricForm compares by identity: compare what it holds
     for name in SymmetricForm.__slots__:
         assert getattr(tet.form, name) == getattr(form, name), name

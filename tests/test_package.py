@@ -62,6 +62,12 @@ def _loaded_after(code: str, packages=("tetrig",)) -> list:
                   f"if m.split('.')[0] in {packages!r}))")
 
 
+def test_a_module_attribute_of_the_package_loads_that_module():
+    code = ("import sys, tetrig\nloaded = 'tetrig.trig' in sys.modules\nmodule = tetrig.trig\n"
+            "print((loaded, module is sys.modules['tetrig.trig'], vars(tetrig)['trig'] is module))")
+    assert _fresh(code) == (False, True, True)
+
+
 def test_importing_the_package_loads_none_of_its_modules():
     assert _loaded_after("import tetrig") == ["tetrig"]
     assert _loaded_after("from tetrig import FieldSpec") == ["tetrig", "tetrig.field"]
@@ -148,6 +154,37 @@ def test_every_name_the_benchmark_reads_resolves():
     for module, names in BENCH_READS.items():
         for name in names:
             assert getattr(import_module(f"tetrig.{module}"), name) is not None, (module, name)
+
+
+# the command path, which computes on integers, and the `FieldElement` library over it
+COMMANDS = ("cli", "document", "fuzz", "tetra", "corner")
+ELEMENT_LIBRARY = {"element", "affine", "trig"}
+
+
+def _package_imports(path: Path) -> set:
+    """The modules of this package that the source at `path` imports anywhere in its code;
+    a name imported from the package itself counts as the module that holds it."""
+    home = {name: module for module, names in tetrig._EXPORTS.items() for name in names}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("tetrig.")}
+        elif isinstance(node, ast.ImportFrom):  # `from .x import y` as `from tetrig.x import y`
+            module = f"tetrig.{node.module or ''}" if node.level else node.module or ""
+            package, _, module = module.partition(".")
+            if package == "tetrig":  # x, or for `from . import y` each y's module
+                found |= ({module.partition(".")[0]} if module else
+                          {home.get(alias.name, alias.name) for alias in node.names})
+    return found
+
+
+def test_the_command_path_imports_no_element_library_module():
+    # the library calls down into the commands' integer code, never the other way
+    imports = {name: _package_imports(SRC / "tetrig" / f"{name}.py") for name in COMMANDS}
+    assert {"document", "fuzz"} <= imports["cli"] and "corner" in imports["document"]
+    assert {name: found & ELEMENT_LIBRARY for name, found in imports.items()} == {
+        name: set() for name in COMMANDS}
 
 
 def test_only_the_element_library_reads_an_elements_value():

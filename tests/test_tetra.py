@@ -21,7 +21,7 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateForm, DegenerateParam
 from tetrig.document import load_document
 from tetrig.trig import corner_params
 from point_kernel import point_table
-from support import Q, rand_element, rand_form, rand_point, rng
+from support import Q, draw_tetrahedron, rand_element, rand_form, rand_point, rng
 
 F7 = FieldSpec.prime(7)
 F101 = FieldSpec.prime(101)
@@ -426,7 +426,9 @@ def _corner_outcome(route, tet):
                                      "tri_rectangular_f101"])
 def test_corner_params_matches_the_element_route_on_fixtures(fixture):
     path = Path(__file__).parent / "fixtures" / f"{fixture}.json"
-    tet = load_document(path.read_text()).tetrahedron
+    doc = load_document(path.read_text())
+    scale, coords = doc.coordinates
+    tet = draw_tetrahedron(doc.form, coords, scale)
     params = _corner_outcome(corner_params, tet)
     assert params == _corner_outcome(_corner_params_reference, tet)
     assert all(is_defined(k) for k in params)

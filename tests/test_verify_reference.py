@@ -23,7 +23,7 @@ from tetrig.corner import _sum
 from tetrig.document import _SECTIONS, ReportOptions, _corrupt, _report_obj, load_document
 from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _gram, _report_table
 from tetrig.trig import _report_parts, _scaled_coordinates, report_to_obj
-from support import Q, rand_form, rand_point, rng, verify_row
+from support import Q, draw_tetrahedron, rand_form, rand_point, rng, verify_row
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -324,7 +324,9 @@ def right_corners(spec, count, seed):
 
 def fixture_corners():
     for name in ("unit_tri_rectangular", "tri_rectangular_mixed_corner", "tri_rectangular_f101"):
-        yield load_document((FIXTURES / f"{name}.json").read_text()).tetrahedron
+        doc = load_document((FIXTURES / f"{name}.json").read_text())
+        scale, coords = doc.coordinates
+        yield draw_tetrahedron(doc.form, coords, scale)
 
 
 @pytest.mark.parametrize("corners", [

@@ -14,7 +14,12 @@ runs see the same inputs.  The groups:
 - tri-rectangular: report and verify of the same documents with the
   `tri_rectangular` option on, mostly the exit-2 path;
 - corrupt: `verify --corrupt K` for every entry name K of the right-corner fixtures;
-- fuzz: each of FUZZ_RUNS at `--workers 1` and `2`;
+- fuzz: each of FUZZ_RUNS at `--workers 1` and `2`.  No run has over 200 samples, below
+  `2 * tetrig.fuzz.MIN_SAMPLES_PER_PROCESS` (400), so `pool_size` gives each one process
+  and the `--workers 2` runs map in process, as `--workers 1` does: this group starts no
+  pool.  The pool's byte check is CI's three pooled `cmp` steps, which compare `fuzz
+  --prime 101 --seed 42 --samples 600` (with and without `-X dev`) and `fuzz --prime
+  2147483647 --random-form --seed 7 --samples 500` at `--workers 2` with `--workers 1`;
 - fuzz-fault: each p=101 and p=7 run of FUZZ_RUNS at `--workers 1`, with
   `tetrig.tetra.solid_spread_from_parts` off by one, so that every sample with
   a defined solid spread is a failure record; this pins the records' bytes;
