@@ -182,12 +182,18 @@ def _canonical(spec: FieldSpec, num: int, den: int) -> tuple[int, int]:
 
 def _literal_parts(text: str, spec: FieldSpec) -> tuple[int, int]:
     """An element literal read as its canonical pair (num, den); the grammar is
-    `element.parse_element`'s."""
-    num, slash, den = text.partition("/") if spec.p is None else (text, "", "")  # Q's '/' only
-    digits = num.removeprefix("-")  # '²'.isdigit() holds, and "".isdigit() does not
+    `element.parse_element`'s.  An F_p literal, an integer, is read straight to its residue."""
+    if spec.p is not None:  # no '/', and no den to reduce by
+        digits = text.removeprefix("-")  # '²'.isdigit() holds, and "".isdigit() does not
+        if not (text.isascii() and digits.isdigit()):
+            raise MalformedLiteral(f"{text!r} is not an integer literal")
+        if len(digits) > MAX_LITERAL_DIGITS:
+            raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
+        return int(text) % spec.p, 1
+    num, slash, den = text.partition("/")
+    digits = num.removeprefix("-")
     if not (text.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
-        kind = "a rational" if spec.p is None else "an integer"
-        raise MalformedLiteral(f"{text!r} is not {kind} literal")
+        raise MalformedLiteral(f"{text!r} is not a rational literal")
     if len(digits) > MAX_LITERAL_DIGITS or len(den) > MAX_LITERAL_DIGITS:
         raise LiteralTooLong(f"literal has over {MAX_LITERAL_DIGITS} digits")
     den = int(den or 1)
@@ -206,6 +212,8 @@ def _literal(num: int, den: int) -> str:
 def _over_common_den(parts) -> tuple[int, list[int]]:
     """L, the lcm of the dens of a list of (num, den) pairs, and each num times L / den."""
     scale = lcm(*(den for _, den in parts))
+    if scale == 1:
+        return 1, [num for num, _ in parts]  # as over F_p
     return scale, [num * (scale // den) for num, den in parts]
 
 

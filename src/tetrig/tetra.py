@@ -269,7 +269,10 @@ def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE
     """The status of each row of `rows` from a report's (num, den) entries `parts` (the
     canonical table, or the kernel's unreduced parts) and a caller's `extra` factors: with
     each side's products ln / ld and rn / rd, `undecided` if ld or rd is zero under `red` (a
-    factor is Undefined, its den zero), else PASS or FAIL as red(ln * rd - rn * ld) is zero."""
+    factor is Undefined, its den zero), else PASS or FAIL as red(ln * rd - rn * ld) is zero.
+    Where every factor's den is 1 (an F_p table with no Undefined entry) no den is multiplied:
+    that test is then red(ln - rn) == 0, and red(1) is not zero, so no row is undecided.  Q
+    tables, an Undefined entry, fuzz's unreduced parts and polynomials take the general loop."""
     # over the quadrances' common denominator d, their product is prod(numerators) / d^6,
     # and the skew denominator, homogeneous of degree 2, is _skew_denominator(numerators) / d^2
     d, nums = _over_common_den(parts[:len(EDGES)])
@@ -278,6 +281,15 @@ def _verify_parts(red, parts, rows=_IDENTITIES, extra=(), undecided=INAPPLICABLE
                *((_skew_denominator(*[nums[n] for n in edges]), d * d)
                  for edges in _SKEW_EDGES.values()), *extra]
     statuses = []
+    if all(den == 1 for _, den in reversed(factors)):  # fuzz's moved skew dens end it first
+        nums = [num for num, _ in factors]
+        for _, _, ln, lhs, rn, rhs in rows:
+            for n in lhs:
+                ln *= nums[n]
+            for n in rhs:
+                rn *= nums[n]
+            statuses.append(PASS if red(ln - rn) == 0 else FAIL)
+        return statuses
     for _, _, ln, lhs, rn, rhs in rows:
         ld = rd = 1
         for n in lhs:

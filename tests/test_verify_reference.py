@@ -20,8 +20,9 @@ from tetrig import (EDGES, FACES, SKEW_PAIRINGS, DegenerateParams, FieldSpec,
                     is_defined, translate, tri_rectangular_checks, tri_rectangular_frame,
                     verify_identities)
 from tetrig.corner import _sum
-from tetrig.document import _SECTIONS, ReportOptions, _corrupt, _report_obj, load_document
-from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _gram, _report_table
+from tetrig.document import (_ENTRY_KEYS, _SECTIONS, ReportOptions, _corrupt, _report_obj,
+                             load_document)
+from tetrig.tetra import _ENTRIES, _analyze_parts, _by_field, _gram, _report_table, _verify_parts
 from tetrig.trig import _report_parts, _scaled_coordinates, report_to_obj
 from support import Q, draw_tetrahedron, rand_form, rand_point, rng, verify_row
 
@@ -430,3 +431,27 @@ def test_a_zero_den_tested_per_side_gives_the_product_test_statuses(p):
                     seen.add(tuple(any(red(factors[n][1]) == 0 for n in side)
                                    for side in (lhs, rhs)))
     assert seen == {(True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("p, count", [(7, 20), (101, 6), (2**61 - 1, 4)])
+def test_den_free_rows_agree_with_the_general_loop(p, count):
+    # a canonical F_p table with no Undefined entry has every den 1, and `_verify_parts` decides
+    # its rows from the numerators; the table scaled by a unit k, (n k, d k), holds the same
+    # values over dens other than 1, which take the general loop.  Clean, with each --corrupt
+    # key applied, and with a planted Undefined (1, 0), which takes the general loop both ways
+    spec, rnd, seen = FieldSpec.prime(p), rng(p), set()
+    for tet in tetrahedra(spec, False, count, seed=71):
+        table = _report_table(spec, *_gram(tet.form, *_scaled_coordinates(tet.points)))
+        undefined = rnd.randrange(len(EDGES), len(table))  # any entry but a quadrance
+        tables = [table, [*table[:undefined], (1, 0), *table[undefined + 1:]]]
+        for key, n in _ENTRY_KEYS.items():
+            if table[n][1]:
+                tables.append(list(table))
+                _corrupt(spec, tables[-1], key)
+        for entries in tables:
+            k = rnd.randrange(2, p)
+            statuses = _verify_parts(spec._red, entries)
+            assert statuses == _verify_parts(spec._red, [(n * k, d * k) for n, d in entries])
+            if all(d == 1 for _, d in entries):
+                seen.update(statuses)
+    assert seen == {"pass", "fail"}

@@ -11,7 +11,9 @@ module by module.
 The AST node count is the figure to quote when comparing two trees: it depends on the source
 alone, where a compile time measured in one process drifts with the host's load by more than a
 start-up change moves it.  The timing A/B of two trees' launches is `tools/paired_ab.py --launch`.
-Run as `python tools/launch_cost.py SRC`, SRC holding the `tetrig` package (e.g. `src`).
+Run as `python tools/launch_cost.py SRC`, SRC holding the `tetrig` package (e.g. `src`), or
+as `python tools/launch_cost.py PARENT_SRC SRC` to print both trees' counts and then one line
+per launch, `<launch>: parent N → this M (+d)`, the change in its AST nodes.
 """
 
 import ast
@@ -54,15 +56,35 @@ def ast_nodes(path: Path) -> int:
     return sum(1 for _ in ast.walk(ast.parse(path.read_bytes())))
 
 
-if __name__ == "__main__":
-    src = Path(sys.argv[1]).resolve()
+def launch_cost(src: Path) -> dict:
+    """Prints each launch's tetrig modules with their AST nodes, and its other imports; returns
+    each launch's total AST nodes."""
     bare = set(imported(src, ["-c", "pass"]))
+    totals = {}
     for command, args in LAUNCHES.items():
         names = imported(src, args)
         modules = [name for name in names if name.split(".")[0] == "tetrig"]
         modules += ["tetrig.__main__"] * (args[0] == "-m")  # run by runpy, not imported
         stdlib = [name for name in names if name not in bare and name.split(".")[0] != "tetrig"]
         nodes = [ast_nodes(source(src, module)) for module in modules]
+        totals[command] = sum(nodes)
         print(f"{command}: {sum(nodes)} AST nodes in {len(modules)} modules: "
               + ", ".join(f"{module} {n}" for module, n in zip(modules, nodes)))
         print(f"  {len(stdlib)} more modules than `python -c pass`: {', '.join(stdlib)}")
+    return totals
+
+
+if __name__ == "__main__":
+    srcs = [Path(arg).resolve() for arg in sys.argv[1:]]
+    if len(srcs) not in (1, 2):
+        sys.exit("usage: python tools/launch_cost.py [PARENT_SRC] SRC")
+    if len(srcs) == 1:
+        launch_cost(*srcs)
+    else:
+        parent, this = srcs
+        print("parent commit:")
+        before = launch_cost(parent)
+        print("this commit:")
+        after = launch_cost(this)
+        for command, n in before.items():
+            print(f"{command}: parent {n} → this {after[command]} ({after[command] - n:+d})")

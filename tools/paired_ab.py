@@ -11,18 +11,26 @@ benchmark's three workloads (`bench/run.py`'s corpora from `bench/corpus.py`):
    each tree's median docs/s with its quartiles, and the median and quartiles of the
    per-round ratio new/old, with the rounds the new tree won; then the same for the median
    and the 90th percentile of a round's ms per document, as `bench/run.py` defines
-   `report_ms_p50` and `report_ms_p90`.
+   `report_ms_p50` and `report_ms_p90`;
+3. for a fuzz workload, asserts that both trees' `run_fuzz` print the same summary bytes at
+   the workload's prime and form, FUZZ_SAMPLES samples a round, and then alternates that run
+   between the trees and prints each tree's median samples/s with its quartiles and those of
+   the per-round ratio new/old: the benchmark's `tetrig fuzz` processes, 30 to 40 samples in
+   a process that is mostly start-up, cannot see a change in the time per sample.
 
 With `--launch` it times one-shot `python -m tetrig` processes instead, which inherit the
 pin, and which an in-process pass cannot see (interpreter start, imports, the end of the
 process): for each workload, `report` or `verify` of each of its first `cli_docs` documents,
 as `bench/run.py`'s one-shot launches run them, and for a fuzz workload one `fuzz` of its
 `fuzz_samples`.  Each round runs every launch from both trees, alternating which goes first;
-every launch must print the same stdout bytes and exit code from both.  It prints each tree's
-median ms per launch and the median and quartiles of the per-round difference new - old,
-with the rounds the new tree won; then the same for the workload's set-up launch, `bench/run.py`'s
-`python -c` of `setup_code`, which builds the workload's form from its literals, on a line of
-its own: it runs SETUP_LAUNCHES times a round, as one launch a round cannot resolve a few ms.
+every launch must print the same stdout bytes and exit code from both.  Each launch is timed
+by `bench/run.py`'s host-speed yardstick (`Yardstick.time(..., "launch")`, which brackets it
+with bare interpreter starts) and scaled as the benchmark scales `cli_ms_*`.  It prints each
+tree's median scaled ms per launch and the median and quartiles of the per-round difference
+new - old, with the rounds the new tree won, and the same in raw ms beside them; then the
+same for the workload's set-up launch, `bench/run.py`'s `python -c` of `setup_code`, which
+builds the workload's form from its literals, on a line of its own: it runs SETUP_LAUNCHES
+times a round, as one launch a round cannot resolve a few ms.
 The launches run copies of the two packages without their `__pycache__`, and with
 PYTHONDONTWRITEBYTECODE=1, so that each compiles its modules from source, as the benchmark's
 launches do, and bytecode that one launch writes cannot spare a later one that compiling.
@@ -51,7 +59,8 @@ from importlib import import_module
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-bench = import_module("run")  # bench/run.py: WORKLOADS, TOY, make_inputs, doc_pass, Tally
+bench = import_module("run")  # bench/run.py: WORKLOADS, TOY, make_inputs, doc_pass, Tally,
+# and the host-speed `Yardstick` that it imports from bench/hostspeed.py
 
 
 def load_tree(name: str, src: str):
@@ -110,6 +119,31 @@ def compare(name: str, trees: dict, docs: list, rounds: int) -> None:
         print("  " + summary(metric, values, "ms", lambda ratio: ratio < 1))
 
 
+# the samples of one in-process fuzz run, a round of `compare_fuzz`
+FUZZ_SAMPLES = 300
+
+
+def compare_fuzz(name: str, trees: dict, cfg: dict, samples: int, seed: int, rounds: int) -> None:
+    """One-worker `run_fuzz` at the workload's prime and form, `samples` samples, in each tree in
+    turn: equal summary bytes, then each tree's samples/s and their per-round ratio new/old."""
+    def fuzz(cli):
+        config = cli.FuzzConfig(prime=cfg["prime"], samples=samples, seed=seed,
+                                random_form=cfg["random_form"])
+        start = time.perf_counter()
+        out, code = cli.run_fuzz(config)
+        return samples / (time.perf_counter() - start), json.dumps(out, indent=2), code
+
+    printed = {side: fuzz(cli)[1:] for side, cli in trees.items()}  # also warms up both trees
+    if printed["old"] != printed["new"]:
+        sys.exit(f"{name}: fuzz prints different summary bytes or exit codes in the two trees")
+    rates = {side: [] for side in trees}
+    for r in range(rounds):
+        for side in (trees if r % 2 == 0 else reversed(trees)):
+            rates[side].append(fuzz(trees[side])[0])
+    print(f"  fuzz, {samples} samples a round: "
+          + summary("samples/s", rates, "samples/s", lambda ratio: ratio > 1))
+
+
 # the set-up launches per round, whose mean is the round's: a single one spreads by several ms
 SETUP_LAUNCHES = 4
 
@@ -135,33 +169,42 @@ def fresh_copy(src: str, into: Path) -> str:
 
 
 def launch(src: str, args: list, stdin: str) -> tuple:
-    """One `python ARGS` of the tree `src`, writing no bytecode: its wall ms, exit code and
-    stdout bytes."""
+    """One `python ARGS` of the tree `src`, writing no bytecode: its exit code and stdout
+    bytes."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "PYTHONDONTWRITEBYTECODE": "1"}
-    start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], input=stdin.encode(),
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env, timeout=120)
-    return (time.perf_counter() - start) * 1000, proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout
 
 
-def compare_launches(name: str, srcs: dict, runs: list, rounds: int) -> None:
-    ms = {side: [] for side in srcs}  # per round, the mean ms per launch
+def launch_summary(ms: dict) -> str:
+    """Each tree's median of the per-round ms per launch, and the median and quartiles of the
+    per-round difference new - old, with the rounds the new tree won."""
+    diffs = [b - a for a, b in zip(*ms.values())]
+    return ("  ".join(f"{side} %.2f ms" % statistics.median(values) for side, values in ms.items())
+            + "  new - old %.2f [%.2f, %.2f] ms, new faster in %d of %d"
+            % (*quartiles(diffs), sum(diff < 0 for diff in diffs), len(diffs)))
+
+
+def compare_launches(name: str, srcs: dict, runs: list, rounds: int, yard) -> None:
+    # per round, the mean ms per launch, scaled by host speed and raw
+    ms = {kind: {side: [] for side in srcs} for kind in ("scaled", "raw")}
     for r in range(rounds):
-        total, printed = dict.fromkeys(srcs, 0.0), {}
+        total, printed = {kind: dict.fromkeys(srcs, 0.0) for kind in ms}, {}
         for args, stdin in runs:
             for side in (srcs if r % 2 == 0 else reversed(srcs)):
-                elapsed, *printed[side] = launch(srcs[side], args, stdin)
-                total[side] += elapsed
+                printed[side], raw, scaled = yard.time(
+                    lambda: launch(srcs[side], args, stdin), "launch")
+                total["scaled"][side] += scaled * 1000
+                total["raw"][side] += raw * 1000
             if printed["old"] != printed["new"]:
                 sys.exit(f"{name}: python {' '.join(args)} prints different bytes or exit codes "
                          "in the two trees")
-        for side in srcs:
-            ms[side].append(total[side] / len(runs))
-    diffs = [b - a for a, b in zip(*ms.values())]
-    print(f"{name} ({len(runs)} launches, {rounds} rounds): "
-          + "  ".join(f"{side} %.2f ms" % statistics.median(values) for side, values in ms.items())
-          + "  new - old %.2f [%.2f, %.2f] ms per launch, new faster in %d of %d"
-          % (*quartiles(diffs), sum(diff < 0 for diff in diffs), rounds))
+        for kind, sides in ms.items():
+            for side, values in sides.items():
+                values.append(total[kind][side] / len(runs))
+    print(f"{name} ({len(runs)} launches, {rounds} rounds), per launch: "
+          + ";  ".join(f"{kind} {launch_summary(sides)}" for kind, sides in ms.items()))
 
 
 def main() -> None:
@@ -184,6 +227,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         if args.launch:
             srcs = {side: fresh_copy(src, Path(tmp, side)) for side, src in srcs.items()}
+            yard = bench.Yardstick()  # after the pin: its references run on the pinned CPU
         else:
             trees = {side: load_tree(f"tetrig_{side}", src) for side, src in srcs.items()}
         print(f"python {sys.version.split()[0]}, pinned to one CPU, "
@@ -193,11 +237,14 @@ def main() -> None:
             cfg = {**cfg, **(bench.TOY if args.toy else {})}
             if args.launch:
                 runs, setup = launches(cfg, args.seed)
-                compare_launches(name, srcs, runs, args.rounds)
-                compare_launches(f"{name} set-up", srcs, setup, args.rounds)
+                compare_launches(name, srcs, runs, args.rounds, yard)
+                compare_launches(f"{name} set-up", srcs, setup, args.rounds, yard)
             else:
-                _, docs, _, _ = bench.make_inputs(cfg, args.seed)
+                rng, docs, _, _ = bench.make_inputs(cfg, args.seed)
                 compare(name, trees, docs, args.rounds)
+                if cfg["prime"] is not None:
+                    compare_fuzz(name, trees, cfg, cfg["fuzz_samples"] if args.toy else
+                                 FUZZ_SAMPLES, rng.randrange(2**31), args.rounds)
 
 
 if __name__ == "__main__":
